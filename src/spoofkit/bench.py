@@ -196,27 +196,19 @@ def evaluate(labels, probs, threshold: float = 0.5, model_id: str = "",
 # ---------------------------------------------------------------------------
 # Augmentation simulators
 
-def _stft_frames(x, n_fft, hop):
-    win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n_fft) / n_fft)  # periodic Hann
-    n_frames = max(1, 1 + (len(x) - n_fft + hop - 1) // hop) if len(x) > n_fft \
-        else 1
-    padded = np.zeros(max(len(x), (n_frames - 1) * hop + n_fft))
-    padded[: len(x)] = x
-    frames = np.stack([padded[i * hop: i * hop + n_fft] for i in range(n_frames)])
-    return frames * win, win
-
-
 def augment_codec(audio: AudioBuffer, quant_levels: int = CODEC_QUANT_LEVELS) -> AudioBuffer:
     """Lossy-compression simulation: STFT low-pass at the scaled reference
     cutoff plus coarse magnitude quantization, resynthesized by overlap-add."""
     x = audio.samples
     sr = audio.sample_rate
-    n_fft, hop = 512, 256
+    hop = 256
+    n_fft = 2 * hop  # half overlap: each output block sums two frame halves
+    win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n_fft) / n_fft)  # periodic Hann
     # pad so the clip sits in the fully overlapped interior; the win**2
     # division otherwise amplifies quantization error at the clip edges
     xp = np.r_[np.zeros(n_fft), x, np.zeros(n_fft)]
-    frames, win = _stft_frames(xp, n_fft, hop)
-    spec = np.fft.rfft(frames, axis=1)
+    spec = np.fft.rfft(dsp.frames_at(xp, np.arange(0, xp.size, hop), n_fft) * win,
+                       axis=1)
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / sr)
     cutoff = CODEC_CUTOFF_REF_HZ * sr / CODEC_REF_RATE
     spec[:, freqs > cutoff] = 0.0
@@ -227,13 +219,14 @@ def augment_codec(audio: AudioBuffer, quant_levels: int = CODEC_QUANT_LEVELS) ->
         qmag = np.round(mag / step) * step
         phase = np.where(mag > 0, spec / np.where(mag > 0, mag, 1.0), 0.0)
         spec = qmag * phase
-    frames_out = np.fft.irfft(spec, n=n_fft, axis=1)
-    out = np.zeros((frames.shape[0] - 1) * hop + n_fft)
+    frames_out = np.fft.irfft(spec, n=n_fft, axis=1) * win
+    out = np.zeros((len(spec) + 1, hop))
+    out[:-1] += frames_out[:, :hop]
+    out[1:] += frames_out[:, hop:]
     den = np.zeros_like(out)
-    for i in range(frames.shape[0]):
-        out[i * hop: i * hop + n_fft] += frames_out[i] * win
-        den[i * hop: i * hop + n_fft] += win ** 2
-    out = np.divide(out, den, out=np.zeros_like(out), where=den > 1e-8)
+    den[:-1] += win[:hop] ** 2
+    den[1:] += win[hop:] ** 2
+    out = np.divide(out, den, out=np.zeros_like(out), where=den > 1e-8).ravel()
     return AudioBuffer(out[n_fft: n_fft + len(x)], sr)
 
 
@@ -332,9 +325,10 @@ def make_generalization_corpora(root, seed: int = 0, n_train: int = 60,
                     clip = AudioBuffer(
                         clip.samples + noise_level * rng.standard_normal(clip.samples.size),
                         clip.sample_rate)
-                    path = os.path.join(ddir, f"{split}_{LABELS[label]}_{k:03d}.wav")
-                    dsp.write_wav(path, clip)
-                    entries.append(ManifestEntry(path, label,
+                    wav = f"{split}_{LABELS[label]}_{k:03d}.wav"
+                    dsp.write_wav(os.path.join(ddir, wav), clip)
+                    # manifest paths are relative to the manifest's directory
+                    entries.append(ManifestEntry(os.path.join(name, wav), label,
                                                  "synthetic" if label else "-", split))
         mpath = os.path.join(root, f"{name}.csv")
         write_manifest(mpath, entries)
@@ -364,9 +358,9 @@ def make_augmentation_corpus(root, seed: int = 0, n_train: int = 60,
                 if label:
                     tones = tones + [(6500.0, 0.5)]
                 clip = synth_clip(rng, duration_s, 0.3, 0.05, tones, [])
-                path = os.path.join(root, f"{split}_{LABELS[label]}_{k:03d}.wav")
-                dsp.write_wav(path, clip)
-                entries.append(ManifestEntry(path, label,
+                wav = f"{split}_{LABELS[label]}_{k:03d}.wav"
+                dsp.write_wav(os.path.join(root, wav), clip)
+                entries.append(ManifestEntry(wav, label,
                                              "synthetic" if label else "-", split))
     mpath = os.path.join(root, "corpus.csv")
     write_manifest(mpath, entries)

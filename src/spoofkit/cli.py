@@ -15,10 +15,8 @@ import sys
 
 import numpy as np
 
-from . import attn_explain, bench, dsp, gbdt, gbdt_explain, transformer
+from . import __version__, attn_explain, bench, dsp, gbdt, gbdt_explain, transformer
 from .errors import SpoofkitError, UsageError
-
-TOOL_VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -32,7 +30,7 @@ def config_hash(args: argparse.Namespace) -> str:
 
 
 def run_meta(args) -> dict:
-    return {"tool_version": TOOL_VERSION, "seed": args.seed,
+    return {"tool_version": __version__, "seed": args.seed,
             "config_hash": config_hash(args)}
 
 
@@ -108,8 +106,7 @@ def cmd_train(args) -> int:
         X, y = read_features_csv(args.features)
         cfg = gbdt.GbdtConfig(n_estimators=args.n_estimators,
                               max_depth=args.max_depth,
-                              learning_rate=args.learning_rate,
-                              seed=args.seed)
+                              learning_rate=args.learning_rate)
         model = gbdt.train(X, y, cfg, list(dsp.FEATURE_NAMES)
                            if X.shape[1] == dsp.N_FEATURES else None)
         acc = float((gbdt.predict(model, X) == y).mean())
@@ -247,8 +244,7 @@ def cmd_explain(args) -> int:
 
 def _bench_models(args):
     gcfg = None if args.models and "gbdt" not in args.models else \
-        gbdt.GbdtConfig(n_estimators=args.n_estimators, max_depth=args.max_depth,
-                        seed=args.seed)
+        gbdt.GbdtConfig(n_estimators=args.n_estimators, max_depth=args.max_depth)
     tcfg = None
     ttrain = transformer.TrainConfig(steps=args.steps)
     if not args.models or "transformer" in args.models:
@@ -315,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spoofkit",
         description="Audio deepfake detection and explainability toolkit")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker cap (current pipelines run serially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="manifest -> 37-feature CSV")

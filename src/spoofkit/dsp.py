@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import wave
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 from .errors import InputError
@@ -58,13 +60,6 @@ class AudioBuffer:
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate
-
-
-@dataclass
-class FrameGrid:
-    frames: np.ndarray  # (n_frames, frame_len)
-    frame_len_ms: float
-    hop_ms: float
 
 
 @dataclass
@@ -133,31 +128,31 @@ def load_audio(path, sample_rate: int = SAMPLE_RATE) -> AudioBuffer:
 # ---------------------------------------------------------------------------
 # Framing and spectra
 
-def frame(audio: AudioBuffer, frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS) -> FrameGrid:
-    """Slice audio into frames; frame i starts at floor(i * hop_ms * sr / 1000).
+def frames_at(x: np.ndarray, starts, frame_len: int) -> np.ndarray:
+    """Frames of `frame_len` samples beginning at each of `starts`; samples
+    past the end of `x` read as zeros. Returns (len(starts), frame_len)."""
+    padded = np.zeros(max(x.size, int(starts[-1]) + frame_len))
+    padded[: x.size] = x
+    return sliding_window_view(padded, frame_len)[starts]
 
-    The trailing partial frame is zero-padded to the full frame length.
+
+def frame(audio: AudioBuffer, frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS) -> np.ndarray:
+    """Slice audio into (n_frames, frame_len) frames; frame i starts at
+    floor(i * hop_ms * sr / 1000), for every start inside the audio.
+
+    The trailing partial frames are zero-padded to the full frame length.
     """
     if frame_ms <= 0 or hop_ms <= 0:
         raise InputError("frame_ms and hop_ms must be positive")
-    x = audio.samples
     sr = audio.sample_rate
     frame_len = int(round(frame_ms * sr / 1000.0))
     if frame_len < 1:
         raise InputError("frame shorter than one sample")
-    starts = []
-    i = 0
-    while True:
-        start = int(np.floor(i * hop_ms * sr / 1000.0))
-        if start >= x.size:
-            break
-        starts.append(start)
-        i += 1
-    frames = np.zeros((len(starts), frame_len))
-    for k, start in enumerate(starts):
-        chunk = x[start : start + frame_len]
-        frames[k, : chunk.size] = chunk
-    return FrameGrid(frames, frame_ms, hop_ms)
+    n = audio.samples.size
+    # two spare indices absorb rounding in the bound; starts >= n are dropped
+    i = np.arange(int(np.ceil(n / (hop_ms * sr / 1000.0))) + 2)
+    starts = np.floor(i * hop_ms * sr / 1000.0).astype(np.intp)
+    return frames_at(audio.samples, starts[starts < n], frame_len)
 
 
 def hann(n: int) -> np.ndarray:
@@ -186,12 +181,11 @@ def _frame_power(audio: AudioBuffer, frame_ms=FRAME_MS, hop_ms=HOP_MS, n_fft=N_F
     if pre_emphasis:
         x = np.append(x[0], x[1:] - pre_emphasis * x[:-1])
         audio = AudioBuffer(x, audio.sample_rate)
-    grid = frame(audio, frame_ms, hop_ms)
-    win = hann(grid.frames.shape[1])
-    spec = np.fft.rfft(grid.frames * win, n=n_fft, axis=1)
+    frames = frame(audio, frame_ms, hop_ms)
+    spec = np.fft.rfft(frames * hann(frames.shape[1]), n=n_fft, axis=1)
     power = np.abs(spec) ** 2
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / audio.sample_rate)
-    return grid, power, freqs
+    return frames, power, freqs
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +199,11 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=None)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
                    fmin: float = 0.0, fmax: float | None = None):
-    """Triangular HTK-style Mel filters; returns (n_mels, n_fft//2+1) and centers."""
+    """Triangular HTK-style Mel filters; returns (n_mels, n_fft//2+1) and
+    centers, both read-only and shared between calls with equal arguments."""
     if fmax is None:
         fmax = sample_rate / 2.0
     mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
@@ -219,7 +215,10 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
         up = (freqs - lo) / max(ctr - lo, 1e-12)
         down = (hi - freqs) / max(hi - ctr, 1e-12)
         fb[m] = np.clip(np.minimum(up, down), 0.0, None)
-    return fb, hz_pts[1:-1]
+    centers = hz_pts[1:-1]
+    fb.setflags(write=False)
+    centers.setflags(write=False)
+    return fb, centers
 
 
 def mfcc(audio: AudioBuffer, n_mfcc: int = N_MFCC, n_mels: int = N_MELS,
@@ -249,7 +248,7 @@ def spectral_scalars(audio: AudioBuffer, frame_ms: float = FRAME_MS,
 
     Silent frames get centroid = bandwidth = rolloff = 0 so averages stay finite.
     """
-    grid, power, freqs = _frame_power(audio, frame_ms, hop_ms, n_fft)
+    frames, power, freqs = _frame_power(audio, frame_ms, hop_ms, n_fft)
     mag = np.sqrt(power)
     mag_sum = mag.sum(axis=1)
     live = mag_sum > 0
@@ -266,11 +265,24 @@ def spectral_scalars(audio: AudioBuffer, frame_ms: float = FRAME_MS,
         idx = np.argmax(cum >= target, axis=1)
         rolloff[live] = freqs[idx]
 
-    signs = np.sign(grid.frames)
+    signs = np.sign(frames)
     flips = (signs[:, 1:] * signs[:, :-1]) < 0
-    zcr = flips.sum(axis=1) / (grid.frames.shape[1] - 1)
-    rms = np.sqrt((grid.frames ** 2).mean(axis=1))
+    zcr = flips.sum(axis=1) / (frames.shape[1] - 1)
+    rms = np.sqrt((frames ** 2).mean(axis=1))
     return np.column_stack([centroid, bandwidth, rolloff, zcr, rms])
+
+
+@lru_cache(maxsize=None)
+def _chroma_fold(n_fft: int, sample_rate: int, fmin: float) -> np.ndarray:
+    """Read-only (n_fft//2+1, 12) 0/1 matrix sending each bin at or above
+    fmin to its pitch class (A440 reference, A -> class 9)."""
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
+    usable = np.flatnonzero(freqs >= fmin)
+    classes = (np.round(12.0 * np.log2(freqs[usable] / 440.0)).astype(int) + 9) % 12
+    fold = np.zeros((freqs.size, N_CHROMA))
+    fold[usable, classes] = 1.0
+    fold.setflags(write=False)
+    return fold
 
 
 def chroma(audio: AudioBuffer, frame_ms: float = CHROMA_WIN_MS,
@@ -286,16 +298,8 @@ def chroma(audio: AudioBuffer, frame_ms: float = CHROMA_WIN_MS,
     """
     if audio.sample_rate < 8000:
         raise InputError("chroma requires sample_rate >= 8000")
-    _, power, freqs = _frame_power(audio, frame_ms, hop_ms, n_fft)
-    usable = freqs >= fmin
-    classes = np.zeros(freqs.size, dtype=int)
-    classes[usable] = (
-        np.round(12.0 * np.log2(freqs[usable] / 440.0)).astype(int) + 9
-    ) % 12
-    out = np.zeros((len(power), N_CHROMA))
-    for c in range(N_CHROMA):
-        sel = usable & (classes == c)
-        out[:, c] = power[:, sel].sum(axis=1)
+    _, power, _ = _frame_power(audio, frame_ms, hop_ms, n_fft)
+    out = power @ _chroma_fold(n_fft, audio.sample_rate, fmin)
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     nz = norms[:, 0] > 0
     out[nz] /= norms[nz]

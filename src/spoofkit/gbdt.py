@@ -24,7 +24,6 @@ class GbdtConfig:
     max_depth: int = 8
     learning_rate: float = 0.1
     min_samples_leaf: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_estimators < 1:

@@ -14,6 +14,7 @@ from scipy.spatial.distance import squareform
 from scipy.stats import rankdata
 
 from . import gbdt
+from .bench import _prf
 from .errors import InputError, MetricError
 
 DEFAULT_REPEATS = 10
@@ -174,10 +175,7 @@ def retrain_subset(X_train, y_train, X_eval, y_eval, subset, config: gbdt.GbdtCo
     tp = int(((pred == 1) & (y_eval == 1)).sum())
     fp = int(((pred == 1) & (y_eval == 0)).sum())
     fn = int(((pred == 0) & (y_eval == 1)).sum())
-    report = {
-        "accuracy": float((pred == y_eval).mean()),
-        "precision": tp / (tp + fp) if tp + fp else 0.0,
-        "recall": tp / (tp + fn) if tp + fn else 0.0,
-        "subset": subset,
-    }
+    precision, recall, _ = _prf(tp, fp, fn)
+    report = {"accuracy": float((pred == y_eval).mean()),
+              "precision": precision, "recall": recall, "subset": subset}
     return model, report

@@ -215,6 +215,17 @@ class TestAugmentCodec:
             e2 = self.band_energy(twice, dsp.SAMPLE_RATE, lo, hi)
             assert abs(10 * np.log10(e2 / e1)) <= 1.0
 
+    def test_fine_quantization_reconstructs(self):
+        # in-band tones and a step far below their level: the periodic-Hann
+        # overlap-add divided by the summed win**2 must give the input back
+        n = 8000
+        t = np.arange(n) / dsp.SAMPLE_RATE
+        x = np.hanning(n) * (0.4 * np.sin(2 * np.pi * 300 * t)
+                             + 0.3 * np.sin(2 * np.pi * 1234 * t))
+        out = bench.augment_codec(AudioBuffer(x, dsp.SAMPLE_RATE),
+                                  quant_levels=2 ** 30)
+        assert np.abs(out.samples - x).max() <= 1e-6
+
     def test_length_and_rate_preserved(self):
         rng = np.random.default_rng(7)
         audio = AudioBuffer(0.1 * rng.standard_normal(7001), dsp.SAMPLE_RATE)

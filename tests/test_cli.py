@@ -250,6 +250,14 @@ class TestBench:
         assert [r["augmentation"] for r in doc["reports"]] == \
             ["identity", "rerecord"]
 
+    def test_augment_synth_relative_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["bench", "augment", "--synth", "corp", "--out", "out",
+                       "--models", "gbdt", "--augmentations", "identity",
+                       "--n-estimators", "5", "--duration", "0.5"])
+        assert rc == 0
+        assert (tmp_path / "out" / "augmentation.json").exists()
+
     def test_generalize_missing_manifests_exit_2(self, tmp_path, capsys):
         rc = cli.main(["bench", "generalize", "--out", str(tmp_path)])
         assert rc == 2

@@ -26,23 +26,37 @@ def naive_dft_power(x, n_fft):
 
 class TestFrame:
     def test_frame_starts_and_padding(self):
-        grid = dsp.frame(AudioBuffer(np.arange(1, 401, dtype=float), SR), 20, 10)
-        assert grid.frames.shape == (3, 320)
-        assert grid.frames[0, 0] == 1.0
-        assert grid.frames[1, 0] == 161.0
-        assert grid.frames[2, 0] == 321.0
+        frames = dsp.frame(AudioBuffer(np.arange(1, 401, dtype=float), SR), 20, 10)
+        assert frames.shape == (3, 320)
+        assert frames[0, 0] == 1.0
+        assert frames[1, 0] == 161.0
+        assert frames[2, 0] == 321.0
         # frame 2 covers samples 320..399 then zero padding
-        assert np.all(grid.frames[2, 80:] == 0.0)
-        assert np.all(grid.frames[2, :80] == np.arange(321, 401))
+        assert np.all(frames[2, 80:] == 0.0)
+        assert np.all(frames[2, :80] == np.arange(321, 401))
 
     def test_exact_fit_single_frame(self):
-        grid = dsp.frame(AudioBuffer(np.ones(320), SR), 20, 20)
-        assert grid.frames.shape == (1, 320)
-        assert np.all(grid.frames == 1.0)
+        frames = dsp.frame(AudioBuffer(np.ones(320), SR), 20, 20)
+        assert frames.shape == (1, 320)
+        assert np.all(frames == 1.0)
+
+    def test_fractional_hop_starts_and_padding(self):
+        # 10 ms at 22 050 Hz is 220.5 samples; starts are floored, not rounded
+        sr = 22050
+        x = np.arange(1, 1001, dtype=float)
+        frames = dsp.frame(AudioBuffer(x, sr), 20, 10)
+        starts = [0, 220, 441, 661, 882]
+        assert frames.shape == (5, 441)
+        assert np.array_equal(frames[:, 0], x[starts])
+        # the last frame covers samples 882..999 then zero padding
+        assert np.array_equal(frames[4, :118], x[882:])
+        assert np.all(frames[4, 118:] == 0.0)
+        assert np.array_equal(frames[3, :339], x[661:])
+        assert np.all(frames[3, 339:] == 0.0)
 
     def test_all_zero_audio(self):
-        grid = dsp.frame(AudioBuffer(np.zeros(1000), SR), 20, 10)
-        assert np.all(grid.frames == 0.0)
+        frames = dsp.frame(AudioBuffer(np.zeros(1000), SR), 20, 10)
+        assert np.all(frames == 0.0)
 
     def test_empty_audio_rejected(self):
         with pytest.raises(InputError):
@@ -95,15 +109,22 @@ class TestMfcc:
         # recompose from independently exercised stages
         x = audio.samples
         pre = np.append(x[0], x[1:] - dsp.PRE_EMPHASIS * x[:-1])
-        grid = dsp.frame(AudioBuffer(pre, SR), 20, 10)
+        frames = dsp.frame(AudioBuffer(pre, SR), 20, 10)
         fb, _ = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
         from scipy.fft import dct
         rows = []
-        for fr in grid.frames:
+        for fr in frames:
             ps = dsp.power_spectrum(fr)
             logmel = np.log(np.maximum(ps @ fb.T, dsp.LOG_FLOOR))
             rows.append(dct(logmel, type=2, norm="ortho")[: dsp.N_MFCC])
         assert np.allclose(got, np.array(rows), atol=1e-6)
+
+    def test_filterbank_read_only(self):
+        fb, centers = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            centers[0] = 1.0
 
     def test_dc_input_pre_emphasis(self):
         audio = AudioBuffer(np.full(SR // 4, 0.5), SR)
@@ -113,11 +134,11 @@ class TestMfcc:
         assert pre[0] == 0.5
         assert np.allclose(pre[1:], 0.015)
         got = dsp.mfcc(audio)
-        grid = dsp.frame(AudioBuffer(pre, SR), 20, 10)
+        frames = dsp.frame(AudioBuffer(pre, SR), 20, 10)
         fb, _ = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
         from scipy.fft import dct
         oracle = dct(np.log(np.maximum(
-            np.stack([dsp.power_spectrum(fr) for fr in grid.frames]) @ fb.T,
+            np.stack([dsp.power_spectrum(fr) for fr in frames]) @ fb.T,
             dsp.LOG_FLOOR)), type=2, norm="ortho", axis=1)[:, : dsp.N_MFCC]
         assert np.allclose(got, oracle, atol=1e-8)
 
@@ -189,6 +210,31 @@ class TestChroma:
         lo = dsp.chroma(tone(freq)).mean(axis=0).argmax()
         hi = dsp.chroma(tone(2 * freq)).mean(axis=0).argmax()
         assert lo == hi
+
+    def test_matches_brute_force_fold(self):
+        rng = np.random.default_rng(12)
+        t = np.arange(SR // 2) / SR
+        x = (0.3 * np.sin(2 * np.pi * 261.6 * t) + 0.2 * np.sin(2 * np.pi * 987.8 * t)
+             + 0.05 * rng.standard_normal(t.size))
+        got = dsp.chroma(AudioBuffer(x, SR))
+        frame_len = int(round(dsp.CHROMA_WIN_MS * SR / 1000))
+        freqs = np.fft.rfftfreq(dsp.CHROMA_N_FFT, d=1.0 / SR)
+        rows = []
+        for i in range(x.size):
+            start = int(np.floor(i * dsp.HOP_MS * SR / 1000))
+            if start >= x.size:
+                break
+            fr = np.zeros(frame_len)
+            chunk = x[start: start + frame_len]
+            fr[: chunk.size] = chunk
+            ps = dsp.power_spectrum(fr, dsp.CHROMA_N_FFT)
+            row = np.zeros(12)
+            for f, p in zip(freqs, ps):
+                if f >= dsp.CHROMA_FMIN_HZ:
+                    row[(int(np.round(12 * np.log2(f / 440.0))) + 9) % 12] += p
+            rows.append(row / np.linalg.norm(row))
+        assert got.shape == (len(rows), 12)
+        assert np.abs(got - np.array(rows)).max() <= 1e-12
 
     def test_silence_zero(self):
         assert np.all(dsp.chroma(AudioBuffer(np.zeros(SR // 2), SR)) == 0.0)

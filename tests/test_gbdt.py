@@ -140,7 +140,7 @@ class TestTrain:
 
     def test_determinism_identical_serialization(self):
         X, y = blobs(50, seed=3)
-        cfg = gbdt.GbdtConfig(20, 3, 0.1, seed=42)
+        cfg = gbdt.GbdtConfig(20, 3, 0.1)
         a = gbdt.to_json(gbdt.train(X, y, cfg))
         b = gbdt.to_json(gbdt.train(X.copy(), y.copy(), cfg))
         assert a == b
