@@ -83,7 +83,9 @@ def load_manifest(path, name: str | None = None) -> DatasetManifest:
                 missing.append(p)
             entries.append(ManifestEntry(full, LABELS.index(label), attack, split))
     if missing:
-        raise ManifestError(f"{path}: missing audio files: {', '.join(missing)}")
+        more = f" and {len(missing) - 3} more" if len(missing) > 3 else ""
+        raise ManifestError(f"{path}: {len(missing)} missing audio file(s): "
+                            f"{', '.join(missing[:3])}{more}")
     if not entries:
         raise ManifestError(f"{path}: manifest has no entries")
     return DatasetManifest(name or os.path.splitext(os.path.basename(path))[0], entries)
@@ -304,6 +306,10 @@ def make_generalization_corpora(root, seed: int = 0, n_train: int = 60,
     keyed to overall level aces A and collapses on B; one keyed to the burst
     transfers. Returns (manifest_a, manifest_b).
     """
+    # a spoof clip holds a 0.4 s burst starting in [0.1, duration_s - 0.5] s
+    if not duration_s >= 0.6:
+        raise InputError(f"generalization clips must last at least 0.6 s, "
+                         f"got {duration_s} s")
     rng = np.random.default_rng(seed)
     os.makedirs(root, exist_ok=True)
     burst_freq = 6200.0

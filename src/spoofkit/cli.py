@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__, attn_explain, bench, dsp, gbdt, gbdt_explain, transformer
-from .errors import SpoofkitError, UsageError
+from .errors import InputError, SpoofkitError, UsageError
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -70,16 +70,28 @@ def write_features_csv(path, rows, labels, args) -> None:
 
 
 def read_features_csv(path):
+    """Features and labels from a CSV written by `write_features_csv`; a
+    malformed file is a UsageError naming path:line."""
+    n = dsp.N_FEATURES
     X, y = [], []
     with open(require_file(path)) as fh:
-        reader = csv.reader(line for line in fh if not line.startswith("#"))
-        header = next(reader)
-        if header[: dsp.N_FEATURES] != list(dsp.FEATURE_NAMES):
-            raise UsageError(f"{path}: feature columns do not match the "
-                             "expected 37-feature header")
-        for row in reader:
-            X.append([float(v) for v in row[: dsp.N_FEATURES]])
-            y.append(bench.LABELS.index(row[dsp.N_FEATURES]))
+        # comment lines read as blank rows, so line_num counts file lines
+        reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
+        rows = (row for row in reader if row)
+        try:
+            if next(rows, [])[:n] != list(dsp.FEATURE_NAMES):
+                raise UsageError(f"{path}: feature columns do not match the "
+                                 "expected 37-feature header")
+            for row in rows:
+                X.append([float(v) for v in row[:n]])
+                y.append(bench.LABELS.index(row[n]))
+        except UnicodeDecodeError:
+            raise UsageError(f"{path}: not a text CSV file") from None
+        except (IndexError, ValueError, csv.Error):
+            raise UsageError(f"{path}:{reader.line_num}: expected {n} numbers "
+                             "and a label (bonafide or spoof)") from None
+    if not y:
+        raise UsageError(f"{path}: no feature rows")
     return np.asarray(X), np.asarray(y)
 
 
@@ -141,9 +153,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model_doc(path, expected_kind):
-    with open(require_file(path)) as fh:
-        text = fh.read()
-    kind = json.loads(text).get("kind")
+    try:
+        with open(require_file(path)) as fh:
+            text = fh.read()
+        kind = json.loads(text).get("kind")
+    except (AttributeError, ValueError):
+        raise InputError(f"{path}: not a JSON model document") from None
     if kind != expected_kind:
         raise UsageError(
             f"{path} is a {kind or 'unknown'} model; this explainer needs "

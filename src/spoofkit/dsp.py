@@ -86,18 +86,26 @@ class FeatureVector:
 # Audio I/O
 
 def read_wav(path) -> AudioBuffer:
-    """Read a 16-bit PCM WAV file; stereo is downmixed by channel averaging."""
-    with wave.open(str(path), "rb") as wf:
-        n_ch = wf.getnchannels()
-        width = wf.getsampwidth()
-        sr = wf.getframerate()
-        raw = wf.readframes(wf.getnframes())
+    """Read a 16-bit PCM WAV file; stereo is downmixed by channel averaging.
+    An unreadable, empty or non-PCM file is an InputError naming the path."""
+    try:
+        with wave.open(str(path), "rb") as wf:
+            n_ch = wf.getnchannels()
+            width = wf.getsampwidth()
+            sr = wf.getframerate()
+            raw = wf.readframes(wf.getnframes())
+    except (EOFError, wave.Error) as exc:
+        raise InputError(f"{path}: not a 16-bit PCM WAV file "
+                         f"({str(exc) or 'truncated header'})") from None
     if width != 2:
         raise InputError(f"{path}: only 16-bit PCM WAV is supported")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if n_ch > 1:
         data = data.reshape(-1, n_ch).mean(axis=1)
-    return AudioBuffer(data, sr)
+    try:
+        return AudioBuffer(data, sr)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def write_wav(path, audio: AudioBuffer) -> None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import DegenerateLabels, InputError
+from .errors import DegenerateLabels, InputError, malformed, model_doc
 
 LEAF_CLAMP = 4.0
 MODEL_FORMAT_VERSION = 1
@@ -249,8 +249,7 @@ def to_json(model: GbdtModel) -> str:
 
 
 def from_json(text: str) -> GbdtModel:
-    doc = json.loads(text)
-    if doc.get("kind") != "gbdt":
-        raise InputError("not a gbdt model document")
-    trees = [RegressionTree(**t) for t in doc["trees"]]
-    return GbdtModel(doc["f0"], trees, doc["learning_rate"], doc["feature_names"])
+    doc = model_doc(text, "gbdt", MODEL_FORMAT_VERSION)
+    with malformed("gbdt model document"):
+        trees = [RegressionTree(**t) for t in doc["trees"]]
+        return GbdtModel(doc["f0"], trees, doc["learning_rate"], doc["feature_names"])

@@ -12,12 +12,16 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import MelSpectrogram
-from .errors import InputError, TrainingError
+from .errors import InputError, TrainingError, malformed, model_doc
 
 LN_EPS = 1e-6
 PARAMS_FORMAT_VERSION = 1
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -53,8 +57,8 @@ class TransformerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise InputError("n_heads must divide d_model")
+        if self.n_heads < 1 or self.d_model % self.n_heads != 0:
+            raise InputError("n_heads must be a positive divisor of d_model")
 
     @property
     def n_patches(self) -> int:
@@ -64,13 +68,6 @@ class TransformerConfig:
     @property
     def n_tokens(self) -> int:
         return self.n_patches + 1
-
-
-@dataclass
-class PatchSequence:
-    tokens: np.ndarray  # (N+1, d_model), token 0 is CLS
-    geometry: PatchGeometry
-    token_time_spans: list  # per non-CLS token (start_ms, end_ms)
 
 
 @dataclass
@@ -137,47 +134,28 @@ def init_params(cfg: TransformerConfig) -> dict:
 class TransformerModel:
     config: TransformerConfig
     params: dict
+    history: list = field(default_factory=list)  # (step, loss, accuracy)
 
 
 # ---------------------------------------------------------------------------
 # Patch extraction / embedding
 
-def _spec_values(spec) -> np.ndarray:
-    if isinstance(spec, MelSpectrogram):
-        return spec.values
-    return np.asarray(spec, dtype=np.float64)
-
-
-def _spec_hop_ms(spec) -> float:
-    return spec.hop_ms if isinstance(spec, MelSpectrogram) else 1.0
-
-
 def extract_patches(values: np.ndarray, geometry: PatchGeometry):
     """Row-major sliding-window patches flattened to (N, patch_h*patch_w)."""
-    H, W = values.shape
-    rows, cols = geometry.grid(H, W)
-    patches = np.empty((rows * cols, geometry.patch_h * geometry.patch_w))
-    k = 0
-    for r in range(rows):
-        r0 = r * geometry.stride_h
-        for c in range(cols):
-            c0 = c * geometry.stride_w
-            patches[k] = values[r0:r0 + geometry.patch_h,
-                                c0:c0 + geometry.patch_w].ravel()
-            k += 1
-    return patches, rows, cols
+    rows, cols = geometry.grid(*values.shape)
+    windows = sliding_window_view(values, (geometry.patch_h, geometry.patch_w))
+    windows = windows[::geometry.stride_h, ::geometry.stride_w]
+    patches = np.array(windows, dtype=np.float64, order="C")
+    return patches.reshape(rows * cols, -1), rows, cols
 
 
 def token_time_spans(geometry: PatchGeometry, n_rows: int, n_cols: int,
                      hop_ms: float) -> list:
     """Per-token (start_ms, end_ms) from the patch column position."""
-    spans = []
-    for r in range(n_rows):
-        for c in range(n_cols):
-            start = c * geometry.stride_w * hop_ms
-            end = (c * geometry.stride_w + geometry.patch_w) * hop_ms
-            spans.append((start, end))
-    return spans
+    starts = np.arange(n_cols) * geometry.stride_w
+    row = zip((starts * hop_ms).tolist(),
+              ((starts + geometry.patch_w) * hop_ms).tolist())
+    return list(row) * n_rows
 
 
 def normalize_spec(values: np.ndarray) -> np.ndarray:
@@ -188,10 +166,9 @@ def normalize_spec(values: np.ndarray) -> np.ndarray:
     return (values - values.mean()) / std
 
 
-def embed(spec, model: TransformerModel):
-    """(N+1, d) token matrix with CLS prepended, plus time spans."""
-    cfg = model.config
-    values = _spec_values(spec)
+def _patches(spec, cfg: TransformerConfig):
+    """Patches of one (normalized) spectrogram, checked against the model."""
+    values = spec.values if isinstance(spec, MelSpectrogram) else np.asarray(spec, dtype=np.float64)
     if cfg.normalize_input:
         values = normalize_spec(values)
     patches, rows, cols = extract_patches(values, cfg.geometry)
@@ -199,18 +176,26 @@ def embed(spec, model: TransformerModel):
         raise InputError(
             f"spectrogram yields {patches.shape[0]} patches; model expects "
             f"{cfg.n_patches}")
-    p = model.params
-    tok = np.empty((cfg.n_tokens, cfg.d_model))
-    tok[0] = p["cls"]
-    tok[1:] = patches @ p["embed_w"] + p["embed_b"]
-    tok += p["pos"]
-    spans = token_time_spans(cfg.geometry, rows, cols, _spec_hop_ms(spec))
-    return tok, patches, spans
+    return patches, rows, cols
 
 
-def patchify(spec, model: TransformerModel) -> PatchSequence:
-    tokens, _, spans = embed(spec, model)
-    return PatchSequence(tokens, model.config.geometry, spans)
+def _tokens(patches: np.ndarray, params: dict) -> np.ndarray:
+    """(..., N, patch_dim) patches -> (..., N+1, d) tokens: CLS first, then
+    the embedded patches, plus the position embedding."""
+    *lead, n, _ = patches.shape
+    tok = np.empty((*lead, n + 1, params["embed_w"].shape[1]))
+    tok[..., 0, :] = params["cls"]
+    tok[..., 1:, :] = patches @ params["embed_w"] + params["embed_b"]
+    tok += params["pos"]
+    return tok
+
+
+def embed(spec, model: TransformerModel):
+    """(N+1, d) token matrix with CLS prepended, plus patches and time spans."""
+    patches, rows, cols = _patches(spec, model.config)
+    hop_ms = spec.hop_ms if isinstance(spec, MelSpectrogram) else 1.0
+    spans = token_time_spans(model.config.geometry, rows, cols, hop_ms)
+    return _tokens(patches, model.params), patches, spans
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +391,12 @@ class TrainConfig:
     steps: int = 500
     learning_rate: float = 1e-2
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
 
 def embed_dataset(specs, model: TransformerModel):
     """Stack token/patch batches for a list of spectrograms."""
-    toks, pats = [], []
-    for spec in specs:
-        tok, patches, _ = embed(spec, model)
-        toks.append(tok)
-        pats.append(patches)
-    return np.stack(toks), np.stack(pats)
+    patches = np.stack([_patches(spec, model.config)[0] for spec in specs])
+    return _tokens(patches, model.params), patches
 
 
 def train_toy(dataset, config: TransformerConfig,
@@ -435,17 +413,14 @@ def train_toy(dataset, config: TransformerConfig,
         raise InputError("both classes must be present")
     tc = train_config or TrainConfig()
     model = TransformerModel(config, init_params(config))
-    tokens, patches = embed_dataset([s for s, _ in dataset], model)
+    _, patches = embed_dataset([s for s, _ in dataset], model)
     names = param_names(config)
     m = {k: np.zeros_like(model.params[k]) for k in names}
     v = {k: np.zeros_like(model.params[k]) for k in names}
-    model.history = []
     for step in range(1, tc.steps + 1):
         # tokens depend on embed/cls/pos params: re-embed each step
         p = model.params
-        tokens[:, 0, :] = p["cls"]
-        tokens[:, 1:, :] = patches @ p["embed_w"] + p["embed_b"]
-        tokens += p["pos"]
+        tokens = _tokens(patches, p)
         loss, grads, probs = loss_and_grads(model, tokens, patches, labels)
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at step {step}")
@@ -453,12 +428,12 @@ def train_toy(dataset, config: TransformerConfig,
         model.history.append((step, loss, acc))
         for k in names:
             g = grads[k]
-            m[k] = tc.beta1 * m[k] + (1 - tc.beta1) * g
-            v[k] = tc.beta2 * v[k] + (1 - tc.beta2) * g * g
-            mhat = m[k] / (1 - tc.beta1 ** step)
-            vhat = v[k] / (1 - tc.beta2 ** step)
+            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
+            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
+            mhat = m[k] / (1 - ADAM_BETA1 ** step)
+            vhat = v[k] / (1 - ADAM_BETA2 ** step)
             p[k] = p[k] - tc.learning_rate * (
-                mhat / (np.sqrt(vhat) + tc.adam_eps) + tc.weight_decay * p[k])
+                mhat / (np.sqrt(vhat) + ADAM_EPS) + tc.weight_decay * p[k])
     return model
 
 
@@ -493,15 +468,14 @@ def to_json(model: TransformerModel) -> str:
 
 
 def from_json(text: str) -> TransformerModel:
-    doc = json.loads(text)
-    if doc.get("kind") != "transformer":
-        raise InputError("not a transformer model document")
-    c = doc["config"]
-    cfg = TransformerConfig(
-        d_model=c["d_model"], n_layers=c["n_layers"], n_heads=c["n_heads"],
-        d_ff=c["d_ff"], geometry=PatchGeometry(*c["geometry"]),
-        input_shape=tuple(c["input_shape"]),
-        normalize_input=c["normalize_input"], seed=c["seed"])
-    params = {k: np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
-              for k, v in doc["params"].items()}
+    doc = model_doc(text, "transformer", PARAMS_FORMAT_VERSION)
+    with malformed("transformer model document"):
+        c = doc["config"]
+        cfg = TransformerConfig(
+            d_model=c["d_model"], n_layers=c["n_layers"], n_heads=c["n_heads"],
+            d_ff=c["d_ff"], geometry=PatchGeometry(*c["geometry"]),
+            input_shape=tuple(c["input_shape"]),
+            normalize_input=c["normalize_input"], seed=c["seed"])
+        params = {k: np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
+                  for k, v in doc["params"].items()}
     return TransformerModel(cfg, params)

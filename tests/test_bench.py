@@ -62,6 +62,15 @@ class TestManifest:
         with pytest.raises(ManifestError, match="gone.wav"):
             bench.load_manifest(p)
 
+    def test_many_missing_audio_counted(self, tmp_path):
+        rows = [(f"gone_{i:02d}.wav", "spoof", "-", "train") for i in range(50)]
+        p = write_manifest_csv(tmp_path / "m.csv", rows)
+        with pytest.raises(ManifestError, match="50 missing") as info:
+            bench.load_manifest(p)
+        msg = str(info.value)
+        assert "gone_00.wav" in msg and "gone_03.wav" not in msg
+        assert len(msg) < 300
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("file,label\n")
@@ -330,6 +339,11 @@ class TestRunGeneralization:
         reports, _ = bench.run_generalization(a, a, gbdt_only(), balance_n=5)
         assert len(reports) == 1
         assert reports[0].dataset_id == "domain_a (in-domain)"
+
+    def test_short_clips_rejected_before_writing(self, tmp_path):
+        with pytest.raises(InputError, match="0.6"):
+            bench.make_generalization_corpora(tmp_path / "gen", duration_s=0.5)
+        assert not (tmp_path / "gen").exists()
 
     def test_balance_zero_rejected(self, small_corpora):
         a, b, _ = small_corpora

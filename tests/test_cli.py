@@ -1,11 +1,16 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spoofkit import bench, cli, dsp, gbdt
+from spoofkit import transformer as tr
 from spoofkit.dsp import AudioBuffer
+from spoofkit.errors import SpoofkitError
 
 
 def make_manifest(root, n_per_class=3, duration_s=0.3, seed=0):
@@ -266,3 +271,135 @@ class TestBench:
     def test_augment_missing_manifest_exit_2(self, tmp_path):
         rc = cli.main(["bench", "augment", "--out", str(tmp_path)])
         assert rc == 2
+
+
+def one_error_line(capsys):
+    """The single stderr line a failed command prints."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def float32_wav_bytes(n=160):
+    data = struct.pack(f"<{n}f", *([0.1] * n))
+    fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, 3, 1, 16000, 64000, 4, 32)
+    body = b"WAVE" + fmt + struct.pack("<4sI", b"data", len(data)) + data
+    return struct.pack("<4sI", b"RIFF", len(body)) + body
+
+
+FEATURE_HEADER = ",".join(list(dsp.FEATURE_NAMES) + ["label"])
+FEATURE_ROW = ",".join(["0.5"] * dsp.N_FEATURES)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("content", [float32_wav_bytes(), b""],
+                             ids=["float32", "zero_bytes"])
+    def test_unreadable_wav_exit_1(self, tmp_path, capsys, content):
+        wav = tmp_path / "clip.wav"
+        wav.write_bytes(content)
+        manifest = str(tmp_path / "m.csv")
+        bench.write_manifest(manifest, [bench.ManifestEntry(str(wav), 0, "-", "train")])
+        rc = cli.main(["extract", "--manifest", manifest,
+                       "--out-csv", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert "clip.wav" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("body,line", [
+        (f"# meta\n{FEATURE_HEADER}\n{FEATURE_ROW},maybe\n", 3),
+        (f"{FEATURE_HEADER}\n{FEATURE_ROW},spoof\n{FEATURE_ROW}\n", 3),
+        ("", None),
+    ], ids=["unknown_label", "short_row", "empty"])
+    def test_malformed_features_exit_2(self, tmp_path, capsys, body, line):
+        path = tmp_path / "f.csv"
+        path.write_text(body)
+        rc = cli.main(["train", "gbdt", "--features", str(path),
+                       "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        msg = one_error_line(capsys)
+        assert str(path) in msg
+        if line:
+            assert f"{path}:{line}:" in msg
+
+    @pytest.mark.parametrize("text", ["{not json", '{"kind": "gbdt", "format_version": 1}'],
+                             ids=["not_json", "no_trees"])
+    def test_bad_model_file_exit_1(self, tmp_path, capsys, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        features = make_features_csv(tmp_path / "f.csv", n_per_class=2)
+        rc = cli.main(["explain", "importance", "--model", str(model),
+                       "--features", features, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        one_error_line(capsys)
+
+    def test_generalize_short_clips_exit_1(self, tmp_path, capsys):
+        synth = tmp_path / "corp"
+        rc = cli.main(["bench", "generalize", "--synth", str(synth),
+                       "--duration", "0.5", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "0.6" in one_error_line(capsys)
+        assert not list(synth.rglob("*.wav"))
+
+
+CSV_LINES = st.one_of(
+    st.just(FEATURE_HEADER), st.just(FEATURE_ROW + ",spoof"), st.text(max_size=30),
+    st.lists(st.sampled_from(["0.5", "-1e3", "nan", "", "spoof", "bonafide",
+                              "maybe", '"', "# x"]), max_size=40).map(",".join))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def mutate(data, doc):
+    """Replace or delete one entry at a random depth of a JSON document."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            break
+        node = child
+    if isinstance(node, dict) and data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def model_docs():
+    X = np.r_[np.zeros((4, 2)), np.ones((4, 2))]
+    y = np.r_[np.zeros(4), np.ones(4)].astype(int)
+    cfg = tr.TransformerConfig(d_model=4, n_layers=1, n_heads=2, d_ff=4,
+                               geometry=tr.PatchGeometry(2, 2, 2, 2),
+                               input_shape=(2, 4))
+    return [(gbdt, gbdt.to_json(gbdt.train(X, y, gbdt.GbdtConfig(2, 2)))),
+            (tr, tr.to_json(tr.TransformerModel(cfg, tr.init_params(cfg))))]
+
+
+class TestFuzz:
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(CSV_LINES, max_size=6))
+    def test_read_features_csv_succeeds_or_raises_spoofkit_error(self, tmp_path, lines):
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join(lines))
+        try:
+            X, y = cli.read_features_csv(str(path))
+        except SpoofkitError:
+            return
+        assert X.shape == (len(y), dsp.N_FEATURES)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_model_from_json_succeeds_or_raises_spoofkit_error(self, model_docs, data):
+        for module, text in model_docs:
+            for candidate in (json.dumps(mutate(data, json.loads(text))),
+                              data.draw(st.text(max_size=20))):
+                try:
+                    module.from_json(candidate)
+                except SpoofkitError:
+                    pass

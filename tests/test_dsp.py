@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,18 @@ from spoofkit.dsp import AudioBuffer
 from spoofkit.errors import InputError
 
 SR = 16000
+
+
+def wav_bytes(fmt=1, bits=16, samples=(0.0, 0.25, -0.5), sr=SR):
+    """A mono RIFF/WAVE file: 16-bit PCM (fmt 1) or 32-bit float (fmt 3)."""
+    if fmt == 3:
+        data = struct.pack(f"<{len(samples)}f", *samples)
+    else:
+        data = struct.pack(f"<{len(samples)}h", *(int(v * 32767) for v in samples))
+    block = bits // 8
+    chunks = (struct.pack("<4sIHHIIHH", b"fmt ", 16, fmt, 1, sr, sr * block, block, bits)
+              + struct.pack("<4sI", b"data", len(data)) + data)
+    return struct.pack("<4sI4s", b"RIFF", 4 + len(chunks), b"WAVE") + chunks
 
 
 def tone(freq, duration_s=1.0, amp=1.0, sr=SR):
@@ -325,6 +339,31 @@ class TestAudioIO:
             wf.writeframes(pcm.tobytes())
         mixed = dsp.read_wav(spath)
         assert np.allclose(mixed.samples, 0.0, atol=1 / 32768)
+
+    def test_struct_built_pcm_wav_reads(self, tmp_path):
+        path = tmp_path / "pcm.wav"
+        path.write_bytes(wav_bytes())
+        audio = dsp.read_wav(path)
+        assert audio.sample_rate == SR
+        assert np.allclose(audio.samples, [0.0, 0.25, -0.5], atol=1 / 32768)
+
+    def test_float_wav_rejected_naming_file(self, tmp_path):
+        path = tmp_path / "float32.wav"
+        path.write_bytes(wav_bytes(fmt=3, bits=32))
+        with pytest.raises(InputError, match="float32.wav"):
+            dsp.read_wav(path)
+
+    def test_empty_wav_rejected_naming_file(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        path.write_bytes(b"")
+        with pytest.raises(InputError, match="empty.wav"):
+            dsp.read_wav(path)
+
+    def test_wav_without_samples_rejected_naming_file(self, tmp_path):
+        path = tmp_path / "silent.wav"
+        path.write_bytes(wav_bytes(samples=()))
+        with pytest.raises(InputError, match="silent.wav"):
+            dsp.read_wav(path)
 
     def test_resample_preserves_duration(self):
         audio = tone(440, 0.5, sr=8000)

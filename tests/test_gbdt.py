@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,21 @@ class TestSerialization:
     def test_wrong_kind_rejected(self):
         with pytest.raises(InputError):
             gbdt.from_json('{"kind": "other"}')
+
+    def test_missing_trees_rejected(self):
+        X, y = blobs(10, seed=6)
+        doc = json.loads(gbdt.to_json(gbdt.train(X, y, gbdt.GbdtConfig(2, 2))))
+        del doc["trees"]
+        with pytest.raises(InputError, match="trees"):
+            gbdt.from_json(json.dumps(doc))
+
+    def test_format_version_checked(self):
+        X, y = blobs(10, seed=6)
+        doc = json.loads(gbdt.to_json(gbdt.train(X, y, gbdt.GbdtConfig(2, 2))))
+        doc["format_version"] = gbdt.MODEL_FORMAT_VERSION + 1
+        with pytest.raises(InputError, match="format_version"):
+            gbdt.from_json(json.dumps(doc))
+
+    def test_not_json_rejected(self):
+        with pytest.raises(InputError, match="not valid JSON"):
+            gbdt.from_json("trees: []")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,58 @@ class TestPatchGeometry:
             assert patches.shape == (n_rows * n_cols, ph * pw)
 
 
+def naive_patches(values, g):
+    """Double-loop patch extraction oracle, row-major over window positions."""
+    H, W = values.shape
+    out = []
+    for r0 in range(0, H - g.patch_h + 1, g.stride_h):
+        for c0 in range(0, W - g.patch_w + 1, g.stride_w):
+            out.append(values[r0:r0 + g.patch_h, c0:c0 + g.patch_w].ravel())
+    return np.array(out)
+
+
+class TestPatchOracles:
+    def test_extract_patches_matches_naive_double_loop(self):
+        rng = np.random.default_rng(7)
+        for i in range(100):
+            H, W = (int(v) for v in rng.integers(4, 40, 2))
+            ph = int(rng.integers(1, H + 1))
+            pw = int(rng.integers(1, W + 1))
+            # strides below, equal to and above the patch size
+            sh = max(1, ph + (i % 3 - 1) * int(rng.integers(1, 4)))
+            sw = max(1, pw + (i // 3 % 3 - 1) * int(rng.integers(1, 4)))
+            g = tr.PatchGeometry(ph, pw, sh, sw)
+            values = rng.normal(0, 1, (H, W))
+            patches, rows, cols = tr.extract_patches(values, g)
+            expected = naive_patches(values, g)
+            assert patches.shape == expected.shape == (rows * cols, ph * pw)
+            assert np.array_equal(patches, expected)
+
+    def test_token_time_spans_match_naive_loop(self):
+        cases = [(tr.PatchGeometry(16, 16, 10, 10), 12, 5, 10.0),
+                 (tr.PatchGeometry(4, 3, 3, 2), 1, 7, 0.1),
+                 (tr.PatchGeometry(2, 5, 1, 7), 3, 1, 1.0)]
+        for g, n_rows, n_cols, hop in cases:
+            expected = []
+            for _ in range(n_rows):
+                for c in range(n_cols):
+                    expected.append((c * g.stride_w * hop,
+                                     (c * g.stride_w + g.patch_w) * hop))
+            assert tr.token_time_spans(g, n_rows, n_cols, hop) == expected
+
+    def test_embed_dataset_rows_equal_embed(self):
+        rng = np.random.default_rng(8)
+        tiny_specs = [rng.normal(0, 1, (4, 6)) for _ in range(3)]
+        for cfg, specs in ((tiny_config(), tiny_specs),
+                           (toy_config(), [s for s, _ in toy_dataset(6)])):
+            model = tr.TransformerModel(cfg, tr.init_params(cfg))
+            tokens, patches = tr.embed_dataset(specs, model)
+            for i, spec in enumerate(specs):
+                tok, pat, _ = tr.embed(spec, model)
+                assert np.array_equal(tokens[i], tok)
+                assert np.array_equal(patches[i], pat)
+
+
 class TestPatchify:
     def test_patch_contents_row_major(self):
         values = np.arange(24, dtype=float).reshape(4, 6)
@@ -95,19 +149,23 @@ class TestPatchify:
         cfg = tiny_config()
         model = tr.TransformerModel(cfg, tr.init_params(cfg))
         rng = np.random.default_rng(1)
-        seq = tr.patchify(rng.normal(0, 1, (4, 6)), model)
-        assert seq.tokens.shape == (cfg.n_tokens, cfg.d_model)
-        assert len(seq.token_time_spans) == cfg.n_patches
+        tokens, _, spans = tr.embed(rng.normal(0, 1, (4, 6)), model)
+        assert tokens.shape == (cfg.n_tokens, cfg.d_model)
+        assert len(spans) == cfg.n_patches
 
     def test_wrong_size_spectrogram_rejected(self):
         cfg = tiny_config()
         model = tr.TransformerModel(cfg, tr.init_params(cfg))
         with pytest.raises(InputError):
-            tr.patchify(np.zeros((4, 9)), model)  # 3 patches, model expects 2
+            tr.embed(np.zeros((4, 9)), model)  # 3 patches, model expects 2
 
     def test_heads_must_divide_d_model(self):
         with pytest.raises(InputError):
             tiny_config(d_model=5, n_heads=2)
+
+    def test_zero_heads_rejected(self):
+        with pytest.raises(InputError):
+            tiny_config(n_heads=0)
 
     def test_normalize_spec(self):
         rng = np.random.default_rng(2)
@@ -375,3 +433,29 @@ class TestSerialization:
     def test_wrong_kind_rejected(self):
         with pytest.raises(InputError):
             tr.from_json('{"kind": "gbdt"}')
+
+    def tiny_doc(self):
+        cfg = tiny_config()
+        return json.loads(tr.to_json(tr.TransformerModel(cfg, tr.init_params(cfg))))
+
+    def test_missing_key_rejected(self):
+        doc = self.tiny_doc()
+        del doc["config"]["d_ff"]
+        with pytest.raises(InputError, match="d_ff"):
+            tr.from_json(json.dumps(doc))
+
+    def test_format_version_checked(self):
+        doc = self.tiny_doc()
+        doc["format_version"] = tr.PARAMS_FORMAT_VERSION + 1
+        with pytest.raises(InputError, match="format_version"):
+            tr.from_json(json.dumps(doc))
+
+    def test_not_json_rejected(self):
+        with pytest.raises(InputError, match="not valid JSON"):
+            tr.from_json("{not json")
+
+    def test_mismatched_param_shape_rejected(self):
+        doc = self.tiny_doc()
+        doc["params"]["cls"]["shape"] = [3]
+        with pytest.raises(InputError, match="malformed"):
+            tr.from_json(json.dumps(doc))
