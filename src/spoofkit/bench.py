@@ -6,9 +6,8 @@ studies with Markdown reports.
 from __future__ import annotations
 
 import csv
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,30 +57,32 @@ def load_manifest(path, name: str | None = None) -> DatasetManifest:
     seen = {}
     missing = []
     base = os.path.dirname(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:4]] != ["path", "label", "attack", "split"]:
-            raise ManifestError(f"{path}: header must be path,label,attack,split")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) < 4:
-                raise ManifestError(f"{path}:{lineno}: expected 4 columns")
-            p, label, attack, split = (c.strip() for c in row[:4])
-            if label not in LABELS:
-                raise ManifestError(
-                    f"{path}:{lineno}: label must be bonafide or spoof, got {label!r}")
-            if split not in SPLITS:
-                raise ManifestError(
-                    f"{path}:{lineno}: split must be train or eval, got {split!r}")
-            full = p if os.path.isabs(p) else os.path.join(base, p)
-            if full in seen and seen[full] != split:
-                raise SplitOverlap(f"{path}:{lineno}: {p} appears in both splits")
-            seen[full] = split
-            if not os.path.exists(full):
-                missing.append(p)
-            entries.append(ManifestEntry(full, LABELS.index(label), attack, split))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise ManifestError(f"{path}: not a text CSV file") from None
+    if not rows or [h.strip() for h in rows[0][:4]] != ["path", "label", "attack", "split"]:
+        raise ManifestError(f"{path}: header must be path,label,attack,split")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) < 4:
+            raise ManifestError(f"{path}:{lineno}: expected 4 columns")
+        p, label, attack, split = (c.strip() for c in row[:4])
+        if label not in LABELS:
+            raise ManifestError(
+                f"{path}:{lineno}: label must be bonafide or spoof, got {label!r}")
+        if split not in SPLITS:
+            raise ManifestError(
+                f"{path}:{lineno}: split must be train or eval, got {split!r}")
+        full = p if os.path.isabs(p) else os.path.join(base, p)
+        if full in seen and seen[full] != split:
+            raise SplitOverlap(f"{path}:{lineno}: {p} appears in both splits")
+        seen[full] = split
+        if not os.path.exists(full):
+            missing.append(p)
+        entries.append(ManifestEntry(full, LABELS.index(label), attack, split))
     if missing:
         more = f" and {len(missing) - 3} more" if len(missing) > 3 else ""
         raise ManifestError(f"{path}: {len(missing)} missing audio file(s): "
@@ -378,12 +379,12 @@ def make_augmentation_corpus(root, seed: int = 0, n_train: int = 60,
 
 @dataclass
 class BenchModels:
-    """Model configurations for a benchmark run; omit one to skip it."""
+    """Model configurations for a benchmark run; omit one to skip it. The
+    transformer's input shape comes from the training spectrograms."""
     gbdt_config: gbdt.GbdtConfig | None = field(
         default_factory=lambda: gbdt.GbdtConfig(n_estimators=100, max_depth=3))
     transformer_config: transformer.TransformerConfig | None = field(
         default_factory=lambda: transformer.TransformerConfig(
-            input_shape=(128, int(10 * DEFAULT_CLIP_S)),
             geometry=transformer.PatchGeometry(16, 16, 16, 16)))
     transformer_train: transformer.TrainConfig = field(
         default_factory=lambda: transformer.TrainConfig(steps=300))
@@ -396,21 +397,6 @@ def fit_clip_length(audio: AudioBuffer, duration_s: float) -> AudioBuffer:
     if x.size >= n:
         return AudioBuffer(x[:n], audio.sample_rate)
     return AudioBuffer(np.r_[x, np.zeros(n - x.size)], audio.sample_rate)
-
-
-def _load_clips(entries, duration_s, augmentation="identity", seed=0):
-    clips = []
-    for i, e in enumerate(entries):
-        audio = fit_clip_length(dsp.load_audio(e.path), duration_s)
-        clips.append(AUGMENTATIONS[augmentation](audio, seed + i))
-    return clips
-
-
-def _features_and_specs(clips, need_features=True, need_specs=True):
-    feats = np.stack([dsp.extract_features(c).values for c in clips]) \
-        if need_features else None
-    specs = [dsp.mel_spectrogram(c) for c in clips] if need_specs else None
-    return feats, specs
 
 
 def balanced_indices(labels, n_per_class: int, rng) -> np.ndarray:
@@ -428,6 +414,24 @@ def balanced_indices(labels, n_per_class: int, rng) -> np.ndarray:
     return np.sort(np.concatenate(chosen))
 
 
+def _inputs(models: BenchModels, entries, duration_s, augmentation="identity",
+            seed=0):
+    """(features or None, spectrograms or None, labels) of `entries`, each clip
+    fitted to `duration_s` and augmented with seed `seed + i`."""
+    need_f = models.gbdt_config is not None
+    need_s = models.transformer_config is not None
+    feats, specs = [], []
+    for i, e in enumerate(entries):
+        audio = fit_clip_length(dsp.load_audio(e.path), duration_s)
+        audio = AUGMENTATIONS[augmentation](audio, seed + i)
+        if need_f:
+            feats.append(dsp.extract_features(audio).values)
+        if need_s:
+            specs.append(dsp.mel_spectrogram(audio))
+    return (np.stack(feats) if need_f else None, specs if need_s else None,
+            np.array([e.label for e in entries]))
+
+
 def _train_models(models: BenchModels, feats, specs, labels, seed: int):
     trained = {}
     y = np.asarray(labels)
@@ -437,17 +441,22 @@ def _train_models(models: BenchModels, feats, specs, labels, seed: int):
         trained["gbdt"] = gbdt.train(feats[idx], y[idx], models.gbdt_config,
                                      dsp.FEATURE_NAMES)
     if models.transformer_config is not None:
-        data = [(specs[i], int(y[i])) for i in idx]
+        cfg = replace(models.transformer_config, input_shape=specs[0].values.shape)
         trained["transformer"] = transformer.train_toy(
-            [(s, lab) for s, lab in data], models.transformer_config,
-            models.transformer_train)
+            [(specs[i], int(y[i])) for i in idx], cfg, models.transformer_train)
     return trained
 
 
-def _predict(name, model, feats, specs, idx):
-    if name == "gbdt":
-        return gbdt.predict_proba(model, feats[idx])
-    return transformer.predict_proba(model, [specs[i] for i in idx])
+def _score(trained, feats, specs, labels, idx, **ids):
+    """One EvalReport per trained model on the clips `idx`."""
+    reports = []
+    for name, model in trained.items():
+        if name == "gbdt":
+            probs = gbdt.predict_proba(model, feats[idx])
+        else:
+            probs = transformer.predict_proba(model, [specs[i] for i in idx])
+        reports.append(evaluate(labels[idx], probs, model_id=name, **ids))
+    return reports
 
 
 def run_generalization(train_manifest: DatasetManifest,
@@ -460,36 +469,25 @@ def run_generalization(train_manifest: DatasetManifest,
     Markdown table."""
     if balance_n < 1:
         raise BalanceError("balance_n must be >= 1")
-    same = train_manifest.name == eval_manifest.name
-    need_f = models.gbdt_config is not None
-    need_s = models.transformer_config is not None
-
     train_entries = train_manifest.subset("train")
     if not train_entries:
         raise ManifestError(f"{train_manifest.name}: no train split")
-    tr_clips = _load_clips(train_entries, duration_s)
-    tr_feats, tr_specs = _features_and_specs(tr_clips, need_f, need_s)
-    tr_labels = np.array([e.label for e in train_entries])
-    trained = _train_models(models, tr_feats, tr_specs, tr_labels, seed)
+    trained = _train_models(models, *_inputs(models, train_entries, duration_s),
+                            seed)
 
     reports = []
-    eval_sets = [("in-domain", train_manifest, train_manifest.subset("eval"))]
-    if not same:
-        eval_sets.append(("cross-domain", eval_manifest,
-                          eval_manifest.subset("eval")))
-    for tag, manifest, entries in eval_sets:
+    eval_sets = [("in-domain", train_manifest)]
+    if train_manifest.name != eval_manifest.name:
+        eval_sets.append(("cross-domain", eval_manifest))
+    for tag, manifest in eval_sets:
+        entries = manifest.subset("eval")
         if not entries:
             raise ManifestError(f"{manifest.name}: no eval split")
-        clips = _load_clips(entries, duration_s)
-        feats, specs = _features_and_specs(clips, need_f, need_s)
-        labels = np.array([e.label for e in entries])
-        idx = balanced_indices(labels, min(balance_n,
-                                           min(manifest.class_counts("eval").values())),
-                               np.random.default_rng(seed + 1))
-        for name, model in trained.items():
-            probs = _predict(name, model, feats, specs, idx)
-            reports.append(evaluate(labels[idx], probs, model_id=name,
-                                    dataset_id=f"{manifest.name} ({tag})"))
+        feats, specs, labels = _inputs(models, entries, duration_s)
+        n = min(balance_n, min(manifest.class_counts("eval").values()))
+        idx = balanced_indices(labels, n, np.random.default_rng(seed + 1))
+        reports += _score(trained, feats, specs, labels, idx,
+                          dataset_id=f"{manifest.name} ({tag})")
     return reports, generalization_markdown(reports)
 
 
@@ -501,27 +499,18 @@ def run_augmentation_study(manifest: DatasetManifest, augmentations,
     for a in augmentations:
         if a not in AUGMENTATIONS:
             raise InputError(f"unknown augmentation {a!r}")
-    need_f = models.gbdt_config is not None
-    need_s = models.transformer_config is not None
     train_entries = manifest.subset("train")
     eval_entries = manifest.subset("eval")
     if not train_entries or not eval_entries:
         raise ManifestError(f"{manifest.name}: needs both train and eval splits")
     reports = []
     for aug in augmentations:
-        tr_clips = _load_clips(train_entries, duration_s, aug, seed)
-        tr_feats, tr_specs = _features_and_specs(tr_clips, need_f, need_s)
-        tr_labels = np.array([e.label for e in train_entries])
-        trained = _train_models(models, tr_feats, tr_specs, tr_labels, seed)
-        ev_clips = _load_clips(eval_entries, duration_s, aug, seed + 10_000)
-        ev_feats, ev_specs = _features_and_specs(ev_clips, need_f, need_s)
-        ev_labels = np.array([e.label for e in eval_entries])
-        idx = np.arange(ev_labels.size)
-        for name, model in trained.items():
-            probs = _predict(name, model, ev_feats, ev_specs, idx)
-            reports.append(evaluate(ev_labels, probs, model_id=name,
-                                    dataset_id=manifest.name,
-                                    augmentation_id=aug))
+        trained = _train_models(
+            models, *_inputs(models, train_entries, duration_s, aug, seed), seed)
+        feats, specs, labels = _inputs(models, eval_entries, duration_s, aug,
+                                       seed + 10_000)
+        reports += _score(trained, feats, specs, labels, np.arange(labels.size),
+                          dataset_id=manifest.name, augmentation_id=aug)
     return reports, augmentation_markdown(reports)
 
 
@@ -557,10 +546,6 @@ def augmentation_markdown(reports) -> str:
             f"| {r.augmentation_id} | {r.model_id} | {_fmt(sp['precision'])} | "
             f"{_fmt(sp['recall'])} | {_fmt(sp['f1'])} | {_fmt(r.accuracy)} |")
     return "\n".join(lines) + "\n"
-
-
-def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
 def reports_to_csv(reports) -> str:

@@ -47,6 +47,8 @@ def write_json_artifact(path, payload: dict, args) -> None:
 
 
 def ensure_outdir(path) -> str:
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise UsageError(f"not a directory: {path}")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -54,6 +56,8 @@ def ensure_outdir(path) -> str:
 def require_file(path) -> str:
     if not os.path.exists(path):
         raise UsageError(f"no such file: {path}")
+    if not os.path.isfile(path):
+        raise UsageError(f"not a file: {path}")
     return path
 
 
@@ -263,11 +267,8 @@ def _bench_models(args):
     tcfg = None
     ttrain = transformer.TrainConfig(steps=args.steps)
     if not args.models or "transformer" in args.models:
-        width = int(round(10 * args.duration))
         tcfg = transformer.TransformerConfig(
-            input_shape=(128, width),
-            geometry=transformer.PatchGeometry(16, 16, 16, 16),
-            seed=args.seed)
+            geometry=transformer.PatchGeometry(16, 16, 16, 16), seed=args.seed)
     return bench.BenchModels(gbdt_config=gcfg, transformer_config=tcfg,
                              transformer_train=ttrain)
 
@@ -416,7 +417,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SpoofkitError as exc:
+    except (SpoofkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

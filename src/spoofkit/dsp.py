@@ -99,7 +99,9 @@ def read_wav(path) -> AudioBuffer:
                          f"({str(exc) or 'truncated header'})") from None
     if width != 2:
         raise InputError(f"{path}: only 16-bit PCM WAV is supported")
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    # a truncated data chunk can end inside a frame: read whole frames only
+    count = len(raw) // (2 * n_ch) * n_ch
+    data = np.frombuffer(raw, dtype="<i2", count=count).astype(np.float64) / 32768.0
     if n_ch > 1:
         data = data.reshape(-1, n_ch).mean(axis=1)
     try:

@@ -8,6 +8,7 @@ come from the sigmoid of the accumulated score.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -248,8 +249,28 @@ def to_json(model: GbdtModel) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _checked_tree(doc: dict, n_features: int) -> RegressionTree:
+    """A tree from its document, checked so that every walk from the root
+    ends at a leaf: equal-length node lists, split features below
+    `n_features`, and children after their parent, as `fit_tree` writes them."""
+    t = RegressionTree(**doc)
+    t.feature, t.left, t.right = ([operator.index(v) for v in col]
+                                  for col in (t.feature, t.left, t.right))
+    t.threshold, t.value = ([float(v) for v in col] for col in (t.threshold, t.value))
+    n = len(t.feature)
+    if not n or any(len(col) != n for col in (t.threshold, t.left, t.right, t.value)):
+        raise ValueError("tree node lists must be nonempty and of equal length")
+    for i, f in enumerate(t.feature):
+        if f >= n_features:
+            raise ValueError(f"node {i} splits on feature {f} of {n_features}")
+        if f >= 0 and not (i < t.left[i] < n and i < t.right[i] < n):
+            raise ValueError(f"node {i} has a child outside nodes {i + 1}..{n - 1}")
+    return t
+
+
 def from_json(text: str) -> GbdtModel:
     doc = model_doc(text, "gbdt", MODEL_FORMAT_VERSION)
     with malformed("gbdt model document"):
-        trees = [RegressionTree(**t) for t in doc["trees"]]
-        return GbdtModel(doc["f0"], trees, doc["learning_rate"], doc["feature_names"])
+        names = doc["feature_names"]
+        trees = [_checked_tree(t, len(names)) for t in doc["trees"]]
+        return GbdtModel(float(doc["f0"]), trees, float(doc["learning_rate"]), names)

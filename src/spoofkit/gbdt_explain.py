@@ -13,8 +13,7 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 from scipy.stats import rankdata
 
-from . import gbdt
-from .bench import _prf
+from . import bench, gbdt
 from .errors import InputError, MetricError
 
 DEFAULT_REPEATS = 10
@@ -170,12 +169,7 @@ def retrain_subset(X_train, y_train, X_eval, y_eval, subset, config: gbdt.GbdtCo
     else:
         feature_names = [feature_names[j] for j in subset]
     model = gbdt.train(X_train, y_train, config, feature_names)
-    pred = gbdt.predict(model, X_eval)
-    y_eval = np.asarray(y_eval)
-    tp = int(((pred == 1) & (y_eval == 1)).sum())
-    fp = int(((pred == 1) & (y_eval == 0)).sum())
-    fn = int(((pred == 0) & (y_eval == 1)).sum())
-    precision, recall, _ = _prf(tp, fp, fn)
-    report = {"accuracy": float((pred == y_eval).mean()),
-              "precision": precision, "recall": recall, "subset": subset}
-    return model, report
+    scores = bench.evaluate(y_eval, gbdt.predict_proba(model, X_eval))
+    spoof = scores.per_class["spoof"]
+    return model, {"accuracy": scores.accuracy, "precision": spoof["precision"],
+                   "recall": spoof["recall"], "subset": subset}

@@ -9,6 +9,7 @@ serialization, and finite-difference checking stay trivial.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,14 +89,23 @@ class ForwardOutput:
     token_time_spans: list
 
 
-def param_names(cfg: TransformerConfig) -> list:
-    names = ["embed_w", "embed_b", "cls", "pos"]
+def _param_shapes(cfg: TransformerConfig) -> dict:
+    """Name -> shape of every parameter the config needs, in `param_names`
+    order."""
+    d, dff = cfg.d_model, cfg.d_ff
+    shapes = {"embed_w": (cfg.geometry.patch_h * cfg.geometry.patch_w, d),
+              "embed_b": (d,), "cls": (d,), "pos": (cfg.n_tokens, d)}
+    layer = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+             "ln1_g": (d,), "ln1_b": (d,), "w1": (d, dff), "b1": (dff,),
+             "w2": (dff, d), "b2": (d,), "ln2_g": (d,), "ln2_b": (d,)}
     for i in range(cfg.n_layers):
-        names += [f"l{i}.{k}" for k in
-                  ("wq", "wk", "wv", "wo", "ln1_g", "ln1_b",
-                   "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")]
-    names += ["head_w", "head_b"]
-    return names
+        shapes.update({f"l{i}.{k}": shape for k, shape in layer.items()})
+    shapes.update(head_w=(d, 2), head_b=(2,))
+    return shapes
+
+
+def param_names(cfg: TransformerConfig) -> list:
+    return list(_param_shapes(cfg))
 
 
 def init_params(cfg: TransformerConfig) -> dict:
@@ -471,11 +481,20 @@ def from_json(text: str) -> TransformerModel:
     doc = model_doc(text, "transformer", PARAMS_FORMAT_VERSION)
     with malformed("transformer model document"):
         c = doc["config"]
+        ints = {k: operator.index(c[k])
+                for k in ("d_model", "n_layers", "n_heads", "d_ff")}
         cfg = TransformerConfig(
-            d_model=c["d_model"], n_layers=c["n_layers"], n_heads=c["n_heads"],
-            d_ff=c["d_ff"], geometry=PatchGeometry(*c["geometry"]),
-            input_shape=tuple(c["input_shape"]),
+            **ints, geometry=PatchGeometry(*map(operator.index, c["geometry"])),
+            input_shape=tuple(map(operator.index, c["input_shape"])),
             normalize_input=c["normalize_input"], seed=c["seed"])
         params = {k: np.asarray(v["data"], dtype=np.float64).reshape(v["shape"])
                   for k, v in doc["params"].items()}
+        shapes = _param_shapes(cfg)
+        if params.keys() != shapes.keys():
+            raise ValueError("parameters missing or unexpected for the config: "
+                             f"{sorted(params.keys() ^ shapes.keys())[:3]}")
+        for k, shape in shapes.items():
+            if params[k].shape != shape:
+                raise ValueError(f"parameter {k} has shape {list(params[k].shape)}, "
+                                 f"the config needs {list(shape)}")
     return TransformerModel(cfg, params)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spoofkit import bench, dsp, gbdt
+from spoofkit import bench, dsp, gbdt, transformer
 from spoofkit.dsp import AudioBuffer
 from spoofkit.errors import (BalanceError, InputError, ManifestError,
                              SplitOverlap)
@@ -177,16 +177,22 @@ class TestRoc:
     def test_eer_operating_point_quantization(self):
         rng = np.random.default_rng(4)
         y = rng.integers(0, 2, 200)
-        s = rng.normal(y.astype(float), 1.0)
-        fpr, tpr = bench.roc_points(y, s)
-        eer = bench.equal_error_rate(y, s)
-        fnr = 1.0 - tpr
-        gaps = np.abs(fpr - fnr)
-        assert gaps.min() == pytest.approx(
-            abs(2 * eer - (fpr + fnr)[np.argmin(gaps)]), abs=1e-12) or True
-        # the chosen point is the global minimizer of |FPR - FNR|
-        i = int(np.argmin(gaps))
-        assert eer == pytest.approx((fpr[i] + fnr[i]) / 2)
+        cases = [(y, rng.normal(y.astype(float), 1.0))]
+        for _ in range(50):  # tied scores: several sweep points can share the minimum
+            y = np.r_[0, 1, rng.integers(0, 2, 28)]
+            cases.append((y, rng.integers(0, 5, 30) + y))
+        for y, s in cases:
+            eer = bench.equal_error_rate(y, s)
+            # brute-force sweep, accepting score >= t: t = +inf, then each
+            # unique score in descending order
+            pos, neg = s[y == 1], s[y == 0]
+            thresholds = np.r_[np.inf, np.unique(s)[::-1]]
+            fpr = np.array([(neg >= t).mean() for t in thresholds])
+            fnr = np.array([(pos < t).mean() for t in thresholds])
+            gaps = np.abs(fpr - fnr)
+            # nearest-point EER is ambiguous at ties: any minimising point will do
+            at_min = gaps <= gaps.min() + 1e-12
+            assert np.any(np.abs((fpr + fnr)[at_min] / 2 - eer) <= 1e-12)
 
 
 class TestAugmentCodec:
@@ -378,6 +384,18 @@ class TestRunAugmentationStudy:
         with pytest.raises(InputError):
             bench.run_augmentation_study(aug, ["mp3"], gbdt_only())
 
+    def test_input_shape_from_spectrograms(self, small_corpora):
+        # 3.13 s gives 32 spectrogram columns; the config keeps (128, 60)
+        _, _, aug = small_corpora
+        models = bench.BenchModels(
+            gbdt_config=None,
+            transformer_config=transformer.TransformerConfig(
+                geometry=transformer.PatchGeometry(16, 16, 16, 16)),
+            transformer_train=transformer.TrainConfig(steps=2))
+        reports, _ = bench.run_augmentation_study(aug, ["identity"], models,
+                                                  duration_s=3.13)
+        assert [r.model_id for r in reports] == ["transformer"]
+
 
 class TestReports:
     def fixture_report(self):
@@ -389,7 +407,7 @@ class TestReports:
     def test_json_roundtrip(self):
         import json
         rep = self.fixture_report()
-        doc = json.loads(bench.reports_to_json([rep]))
+        doc = json.loads(json.dumps([rep.to_dict()]))
         assert doc[0]["counts"] == {"tp": 10, "fp": 0, "fn": 0, "tn": 10}
         assert doc[0]["model"] == "gbdt"
 

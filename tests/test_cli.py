@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spoofkit import bench, cli, dsp, gbdt
@@ -339,6 +339,82 @@ class TestHostileInput:
         assert "0.6" in one_error_line(capsys)
         assert not list(synth.rglob("*.wav"))
 
+    @pytest.mark.parametrize("argv", [
+        ["explain", "importance", "--model", "{dir}", "--features", "{features}",
+         "--out", "{tmp}/out"],
+        ["train", "gbdt", "--features", "{dir}", "--out", "{tmp}/m.json"],
+        ["extract", "--manifest", "{dir}", "--out-csv", "{tmp}/f.csv"],
+    ], ids=["explain_model", "train_features", "extract_manifest"])
+    def test_directory_given_as_file_exit_2(self, trained_artifacts, tmp_path,
+                                            capsys, argv):
+        (tmp_path / "dir").mkdir()
+        paths = {"dir": tmp_path / "dir", "tmp": tmp_path,
+                 "features": trained_artifacts["features"]}
+        rc = cli.main([a.format(**paths) for a in argv])
+        assert rc == 2
+        assert "not a file" in one_error_line(capsys)
+
+    def test_explain_out_is_a_file_exit_2(self, trained_artifacts, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("taken")
+        rc = cli.main(["explain", "importance", "--model", trained_artifacts["gbdt"],
+                       "--features", trained_artifacts["features"],
+                       "--out", str(out)])
+        assert rc == 2
+        assert "not a directory" in one_error_line(capsys)
+        assert out.read_text() == "taken"
+
+    def test_train_out_is_a_directory_exit_1(self, trained_artifacts, tmp_path,
+                                            capsys):
+        rc = cli.main(["train", "gbdt", "--features", trained_artifacts["features"],
+                       "--out", str(tmp_path), "--n-estimators", "2"])
+        assert rc == 1
+        one_error_line(capsys)
+
+    def test_non_utf8_manifest_exit_1(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(b"path,label,attack,split\n\xff\xfe.wav,spoof,-,train\n")
+        rc = cli.main(["extract", "--manifest", str(manifest),
+                       "--out-csv", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert "not a text CSV" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("field,value", [
+        ("left", lambda tree: [99] + tree["left"][1:]),
+        ("feature", lambda tree: [50] + tree["feature"][1:]),
+        ("left", lambda tree: []),
+    ], ids=["child_99", "feature_50", "empty_left"])
+    def test_malformed_gbdt_tree_exit_1(self, trained_artifacts, tmp_path, capsys,
+                                        field, value):
+        with open(trained_artifacts["gbdt"]) as fh:
+            doc = json.load(fh)
+        tree = doc["trees"][0]
+        tree[field] = value(tree)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        rc = cli.main(["explain", "importance", "--model", str(model),
+                       "--features", trained_artifacts["features"],
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "malformed gbdt" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("edit", [
+        lambda params: params.pop("l0.wq"),
+        lambda params: params.update(cls={"shape": [3], "data": [0.0, 0.0, 0.0]}),
+    ], ids=["no_l0_wq", "cls_shape_3"])
+    def test_malformed_transformer_params_exit_1(self, trained_artifacts, tmp_path,
+                                                 capsys, edit):
+        with open(trained_artifacts["transformer"]) as fh:
+            doc = json.load(fh)
+        edit(doc["params"])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        rc = cli.main(["explain", "rollout", "--model", str(model),
+                       "--wav", trained_artifacts["wav"],
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "malformed transformer" in one_error_line(capsys)
+
 
 CSV_LINES = st.one_of(
     st.just(FEATURE_HEADER), st.just(FEATURE_ROW + ",spoof"), st.text(max_size=30),
@@ -367,6 +443,13 @@ def mutate(data, doc):
     else:
         node[key] = data.draw(JSON_VALUES)
     return doc
+
+
+# fmt chunk fields: format tag, channels, rate, byte rate, block align, bits
+WAV_FMT = st.tuples(st.just(1) | st.integers(0, 0xFFFF),
+                    st.integers(0, 4), st.integers(0, 2**32 - 1),
+                    st.integers(0, 2**32 - 1), st.integers(0, 0xFFFF),
+                    st.just(16) | st.integers(0, 0xFFFF))
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +483,46 @@ class TestFuzz:
             for candidate in (json.dumps(mutate(data, json.loads(text))),
                               data.draw(st.text(max_size=20))):
                 try:
-                    module.from_json(candidate)
+                    model = module.from_json(candidate)
+                    # a document that loads must also predict
+                    if module is gbdt:
+                        gbdt.predict_proba(model, np.zeros((1, model.n_features)))
+                    else:
+                        tr.forward(np.zeros(model.config.input_shape), model)
                 except SpoofkitError:
                     pass
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=st.booleans(), body=st.binary(max_size=80))
+    def test_load_manifest_succeeds_or_raises_spoofkit_error(self, tmp_path, header,
+                                                             body):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"path,label,attack,split\n" * header + body)
+        try:
+            manifest = bench.load_manifest(path)
+        except SpoofkitError:
+            return
+        assert manifest.entries
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fmt=st.none() | WAV_FMT,
+           data_size=st.none() | st.integers(0, 64) | st.integers(0, 2**32 - 1),
+           body=st.binary(max_size=40))
+    # a data chunk that claims 4 bytes but ends after 3: half a sample
+    @example(fmt=(1, 1, 16000, 32000, 2, 16), data_size=4, body=b"\0\0\0")
+    def test_read_wav_succeeds_or_raises_spoofkit_error(self, tmp_path, fmt,
+                                                        data_size, body):
+        path = tmp_path / "clip.wav"
+        if fmt is not None:  # RIFF/fmt header over random sample bytes
+            size = len(body) if data_size is None else data_size
+            chunks = (b"WAVE" + struct.pack("<4sIHHIIHH", b"fmt ", 16, *fmt)
+                      + struct.pack("<4sI", b"data", size) + body)
+            body = struct.pack("<4sI", b"RIFF", len(chunks)) + chunks
+        path.write_bytes(body)
+        try:
+            audio = dsp.read_wav(path)
+        except SpoofkitError:
+            return
+        assert audio.samples.ndim == 1

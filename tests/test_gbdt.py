@@ -220,3 +220,21 @@ class TestSerialization:
     def test_not_json_rejected(self):
         with pytest.raises(InputError, match="not valid JSON"):
             gbdt.from_json("trees: []")
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("left", lambda t: [99] + t["left"][1:], "child"),
+        ("left", lambda t: [0] + t["left"][1:], "child"),  # a cycle to the root
+        ("feature", lambda t: [2] + t["feature"][1:], "feature 2 of 2"),
+        ("feature", lambda t: [0.5] + t["feature"][1:], "malformed"),
+        ("value", lambda t: t["value"][:-1], "equal length"),
+        ("threshold", lambda t: ["x"] + t["threshold"][1:], "malformed"),
+    ], ids=["child_99", "child_cycle", "feature_2", "feature_float", "short_value",
+            "threshold_text"])
+    def test_tree_structure_checked(self, field, value, match):
+        X, y = blobs(10, seed=6)
+        doc = json.loads(gbdt.to_json(gbdt.train(X, y, gbdt.GbdtConfig(2, 2))))
+        tree = doc["trees"][0]
+        assert tree["feature"][0] >= 0  # the root splits
+        tree[field] = value(tree)
+        with pytest.raises(InputError, match=match):
+            gbdt.from_json(json.dumps(doc))

@@ -459,3 +459,22 @@ class TestSerialization:
         doc["params"]["cls"]["shape"] = [3]
         with pytest.raises(InputError, match="malformed"):
             tr.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda p: p.pop("l0.wq"), "l0.wq"),
+        (lambda p: p.update(extra={"shape": [1], "data": [0.0]}), "extra"),
+        (lambda p: p.update(cls={"shape": [3], "data": [0.0] * 3}), "cls"),
+    ], ids=["missing", "unexpected", "cls_shape"])
+    def test_param_names_and_shapes_checked(self, monkeypatch, edit, match):
+        doc = self.tiny_doc()
+        edit(doc["params"])
+        # expected shapes follow from the config; no parameters are drawn
+        monkeypatch.setattr(tr, "init_params", None)
+        with pytest.raises(InputError, match=match):
+            tr.from_json(json.dumps(doc))
+
+    def test_non_integer_config_rejected(self):
+        doc = self.tiny_doc()
+        doc["config"]["input_shape"] = [4, 6.0]
+        with pytest.raises(InputError, match="malformed"):
+            tr.from_json(json.dumps(doc))
