@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegenerateLabels, InputError, malformed, model_doc
 
 LEAF_CLAMP = 4.0
+SPLIT_BLOCK = 1 << 15  # elements per block of the split search's (features, rows) arrays
 MODEL_FORMAT_VERSION = 1
 
 
@@ -94,7 +95,9 @@ class GbdtModel:
 
 
 def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
+    # exp overflows to inf below about -709, and 1 / (1 + inf) is the exact 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=np.float64)))
 
 
 def init_log_odds(labels) -> float:
@@ -125,62 +128,93 @@ def _newton_leaf(residuals, probs) -> float:
     return float(np.clip(residuals.sum() / denom, -LEAF_CLAMP, LEAF_CLAMP))
 
 
-def _best_split(X, residuals, min_samples_leaf):
+def _best_split(X, residuals, order, total_sum, base, min_samples_leaf):
     """Greedy variance-reduction split; ties break to the lowest feature
-    index, then the lowest threshold. Returns (feature, threshold) or None."""
-    n, d = X.shape
-    total_sum = residuals.sum()
-    total_sq = (residuals ** 2).sum()
-    base = total_sq - total_sum ** 2 / n
+    index, then the lowest threshold. Returns (feature, threshold) or None.
+
+    `order` is (d, m): row k holds the node's row ids in stable ascending
+    order of feature k. Features are scored a block of rows at a time, so
+    the temporaries stay near SPLIT_BLOCK elements."""
+    d, m = order.shape
+    n_left = np.arange(1, m)
+    sizes_ok = (n_left >= min_samples_leaf) & ((m - n_left) >= min_samples_leaf)
+    tol = 1e-12 * max(1.0, base)
     best = None
     best_gain = 0.0
-    for j in range(d):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        rs = residuals[order]
-        csum = np.cumsum(rs)
+    step = max(1, SPLIT_BLOCK // m)
+    for first in range(0, d, step):
+        rows = order[first:first + step]
+        xs = X[rows, np.arange(first, first + len(rows))[:, None]]
+        valid = xs[:, :-1] < xs[:, 1:]
+        valid &= sizes_ok
         # candidate split after position i: left = [0..i], right = [i+1..]
-        n_left = np.arange(1, n)
-        valid = (xs[:-1] < xs[1:]) & (n_left >= min_samples_leaf) \
-            & ((n - n_left) >= min_samples_leaf)
-        if not valid.any():
-            continue
-        left_sum = csum[:-1]
-        right_sum = total_sum - left_sum
-        gain = left_sum ** 2 / n_left + right_sum ** 2 / (n - n_left) \
-            - total_sum ** 2 / n
-        gain = np.where(valid, gain, -np.inf)
-        i = int(np.argmax(gain))
-        if gain[i] > best_gain + 1e-12 * max(1.0, base):
-            best_gain = float(gain[i])
-            best = (j, float((xs[i] + xs[i + 1]) / 2.0))
+        gain = np.cumsum(residuals[rows], axis=1)[:, :-1]
+        right = total_sum - gain
+        gain **= 2
+        gain /= n_left
+        right **= 2
+        right /= m - n_left
+        gain += right
+        del right
+        gain -= total_sum ** 2 / m
+        gain[~valid] = -np.inf
+        top = np.argmax(gain, axis=1)
+        top_gain = gain[np.arange(len(rows)), top]
+        for k in np.flatnonzero(valid.any(axis=1)):
+            if top_gain[k] > best_gain + tol:
+                best_gain = float(top_gain[k])
+                i = top[k]
+                best = (first + int(k), float((xs[k, i] + xs[k, i + 1]) / 2.0))
     return best
 
 
 def fit_tree(X, residuals, probs, config: GbdtConfig) -> RegressionTree:
     """Fit one regression tree to the residuals; leaf values are Newton steps
-    sum(r) / sum(p(1-p)), clamped to +/- LEAF_CLAMP."""
+    sum(r) / sum(p(1-p)), clamped to +/- LEAF_CLAMP.
+
+    Exact greedy search on a presort: each column is stable-sorted once into
+    a (d, n) matrix of row ids. A node owns the columns lo:hi of it, and a
+    split partitions them stably in place into its children's. Node rows
+    stay in ascending row order, so each node's sorted ids equal the node's
+    own stable argsort. Nodes are numbered in pre-order, left subtree first."""
     X = np.asarray(X, dtype=np.float64)
     residuals = np.asarray(residuals, dtype=np.float64)
     probs = np.asarray(probs, dtype=np.float64)
+    n, d = X.shape
+    order = np.empty((d, n), dtype=np.int32)
+    for k in range(d):
+        order[k] = np.argsort(X[:, k], kind="stable")
     tree = RegressionTree()
-
-    def build(idx, depth):
+    # pending nodes: (columns lo:hi of order, rows ascending, depth, parent
+    # links, parent)
+    stack = [(0, n, np.arange(n), 0, None, -1)]
+    while stack:
+        lo, hi, idx, depth, links, parent = stack.pop()
         r = residuals[idx]
-        if depth >= config.max_depth or idx.size < 2 * config.min_samples_leaf \
-                or np.ptp(r) == 0:
-            return tree.add_leaf(_newton_leaf(r, probs[idx]))
-        split = _best_split(X[idx], r, config.min_samples_leaf)
+        split = None
+        if depth < config.max_depth and idx.size >= 2 * config.min_samples_leaf \
+                and np.ptp(r) != 0:
+            total_sum = r.sum()
+            base = (r ** 2).sum() - total_sum ** 2 / idx.size
+            split = _best_split(X, residuals, order[:, lo:hi], total_sum, base,
+                                config.min_samples_leaf)
         if split is None:
-            return tree.add_leaf(_newton_leaf(r, probs[idx]))
-        j, thr = split
-        node = tree.add_split(j, thr)
-        go_left = X[idx, j] <= thr
-        tree.left[node] = build(idx[go_left], depth + 1)
-        tree.right[node] = build(idx[~go_left], depth + 1)
-        return node
-
-    build(np.arange(X.shape[0]), 0)
+            node = tree.add_leaf(_newton_leaf(r, probs[idx]))
+        else:
+            j, thr = split
+            node = tree.add_split(j, thr)
+            left_rows = X[idx, j] <= thr
+            mid = lo + int(left_rows.sum())
+            step = max(1, SPLIT_BLOCK // idx.size)
+            for first in range(0, d, step):
+                block = order[first:first + step, lo:hi]
+                go_left = X[block, j] <= thr
+                block[:] = np.hstack([block[go_left].reshape(len(block), mid - lo),
+                                      block[~go_left].reshape(len(block), hi - mid)])
+            stack.append((mid, hi, idx[~left_rows], depth + 1, tree.right, node))
+            stack.append((lo, mid, idx[left_rows], depth + 1, tree.left, node))
+        if links is not None:
+            links[parent] = node
     return tree
 
 

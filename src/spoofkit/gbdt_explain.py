@@ -58,36 +58,109 @@ class FeatureClustering:
         }, indent=2)
 
 
-def accuracy_metric(model, X, y) -> float:
-    y = np.asarray(y)
-    if y.size == 0:
-        raise MetricError("empty evaluation slice")
-    return float((gbdt.predict(model, X) == y).mean())
+def _accuracy(scores, y) -> float:
+    """Accuracy of `gbdt.predict` given the ensemble's decision scores."""
+    return float(((gbdt.sigmoid(scores) >= 0.5).astype(int) == y).mean())
 
 
-def permutation_importance(model, X, y, metric=accuracy_metric,
-                           repeats: int = DEFAULT_REPEATS, seed: int = 0) -> ImportanceReport:
-    """Per-feature drop in metric when that column is shuffled.
+class _Ensemble:
+    """The nodes of all trees in one set of arrays, children as indices into
+    them, and each tree's root."""
 
-    importance_j = s - mean_r s_{r,j} where s is the unshuffled score; the
+    def __init__(self, trees):
+        sizes = np.array([len(t.feature) for t in trees], dtype=int)
+        self.roots = np.cumsum(sizes) - sizes
+        shift = np.repeat(self.roots, sizes)
+
+        def cat(name, dtype):
+            return np.array([v for t in trees for v in getattr(t, name)], dtype=dtype)
+
+        self.feature = cat("feature", int)
+        self.threshold = cat("threshold", np.float64)
+        self.left = cat("left", int) + shift
+        self.right = cat("right", int) + shift
+        self.value = cat("value", np.float64)
+
+    def walk(self, node, X, rows, shuffled=-1, perm=None):
+        """Leaf reached by row X[rows[i]] from node[i], as `RegressionTree.predict`
+        walks. With a `shuffled` column and `perm`, row k reads that column
+        from row perm[k] instead."""
+        node = node.copy()
+        active = np.flatnonzero(self.feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            f = self.feature[at]
+            r = rows[active]
+            if perm is not None:
+                r = np.where(f == shuffled, perm[r], r)
+            go_left = X[r, f] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return node
+
+    def path_features(self, d) -> np.ndarray:
+        """(nodes, d) bool: entry (i, j) says whether a split on the path from
+        its root to node i tests feature j."""
+        tested = np.zeros((self.feature.size, d), dtype=bool)
+        level = self.roots
+        while level.size:
+            level = level[self.feature[level] >= 0]
+            rows = tested[level]
+            rows[np.arange(level.size), self.feature[level]] = True
+            tested[self.left[level]] = rows
+            tested[self.right[level]] = rows
+            level = np.r_[self.left[level], self.right[level]]
+        return tested
+
+
+def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
+                           seed: int = 0) -> ImportanceReport:
+    """Per-feature drop in the accuracy of `gbdt.predict` when that column is
+    shuffled.
+
+    importance_j = s - mean_r s_{r,j} where s is the unshuffled accuracy; the
     std is taken over the per-repeat drops. Each (feature, repeat) pair draws
     an independent shuffle from a seeded stream.
+
+    Every tree is walked once on X. A shuffle of column j can move a row only
+    in the trees whose path for that row tests j, so only those (tree, row)
+    pairs are walked again; a moved row's score is then summed in tree order,
+    as in `gbdt.decision_scores`, so the predictions are bit-identical to it.
     """
     X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
     if repeats < 1:
         raise InputError("repeats must be >= 1")
-    s = metric(model, X, y)
-    rng = np.random.default_rng(seed)
+    if y.size == 0:
+        raise MetricError("empty evaluation slice")
+    scores = gbdt.decision_scores(model, X)
+    s = _accuracy(scores, y)
     n, d = X.shape
+    ens = _Ensemble(model.trees)
+    rows = np.arange(n)
+    leaves = np.array([ens.walk(np.full(n, root), X, rows) for root in ens.roots],
+                      dtype=np.int32).reshape(-1, n)
+    tested = ens.path_features(d)
+    rng = np.random.default_rng(seed)
     means = np.zeros(d)
     stds = np.zeros(d)
     for j in range(d):
+        on_path = tested[leaves, j]  # (trees, n): the tree's path for the row tests j
+        moved = np.flatnonzero(on_path.any(axis=0))
+        tree_of, row_of = np.nonzero(on_path[:, moved])
+        start = ens.roots[tree_of]
+        moved_leaves = leaves[:, moved]
         drops = np.zeros(repeats)
         for r in range(repeats):
             perm = rng.permutation(n)
-            Xp = X.copy()
-            Xp[:, j] = X[perm, j]
-            drops[r] = s - metric(model, Xp, y)
+            leaf = moved_leaves.copy()
+            leaf[tree_of, row_of] = ens.walk(start, X, moved[row_of], j, perm)
+            part = np.full(moved.size, model.f0)
+            for contribution in model.learning_rate * ens.value[leaf]:
+                part += contribution
+            shuffled = scores.copy()
+            shuffled[moved] = part
+            drops[r] = s - _accuracy(shuffled, y)
         means[j] = drops.mean()
         stds[j] = drops.std()
     names = getattr(model, "feature_names", None) or [f"f{j}" for j in range(d)]

@@ -58,6 +58,9 @@ class TransformerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_model", "n_layers", "d_ff"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be >= 1")
         if self.n_heads < 1 or self.d_model % self.n_heads != 0:
             raise InputError("n_heads must be a positive divisor of d_model")
 
@@ -401,6 +404,10 @@ class TrainConfig:
     steps: int = 500
     learning_rate: float = 1e-2
     weight_decay: float = 0.0
+
+    def __post_init__(self):
+        if self.steps < 1:
+            raise InputError("steps must be >= 1")
 
 
 def embed_dataset(specs, model: TransformerModel):

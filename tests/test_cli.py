@@ -379,6 +379,18 @@ class TestHostileInput:
         assert rc == 1
         assert "not a text CSV" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--d-model", "0"), ("--d-ff", "-1"), ("--n-layers", "-1"), ("--steps", "0"),
+    ], ids=["d_model_0", "d_ff_-1", "n_layers_-1", "steps_0"])
+    def test_transformer_size_below_one_exit_1(self, tmp_path, capsys, flag, value):
+        manifest = make_manifest(str(tmp_path), n_per_class=1, duration_s=1.6)
+        out = tmp_path / "m.json"
+        rc = cli.main(["train", "transformer", "--manifest", manifest,
+                       "--out", str(out), flag, value])
+        assert rc == 1
+        assert "must be >= 1" in one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [
         ("left", lambda tree: [99] + tree["left"][1:]),
         ("feature", lambda tree: [50] + tree["feature"][1:]),

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,64 @@ def walk_tree(tree, x):
         else:
             node = tree.right[node]
     return tree.value[node]
+
+
+def naive_best_split(X, residuals, min_samples_leaf):
+    """Per-node split search oracle: argsort every feature at the node."""
+    n, d = X.shape
+    total_sum = residuals.sum()
+    total_sq = (residuals ** 2).sum()
+    base = total_sq - total_sum ** 2 / n
+    best = None
+    best_gain = 0.0
+    for j in range(d):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        rs = residuals[order]
+        csum = np.cumsum(rs)
+        # candidate split after position i: left = [0..i], right = [i+1..]
+        n_left = np.arange(1, n)
+        valid = (xs[:-1] < xs[1:]) & (n_left >= min_samples_leaf) \
+            & ((n - n_left) >= min_samples_leaf)
+        if not valid.any():
+            continue
+        left_sum = csum[:-1]
+        right_sum = total_sum - left_sum
+        gain = left_sum ** 2 / n_left + right_sum ** 2 / (n - n_left) \
+            - total_sum ** 2 / n
+        gain = np.where(valid, gain, -np.inf)
+        i = int(np.argmax(gain))
+        if gain[i] > best_gain + 1e-12 * max(1.0, base):
+            best_gain = float(gain[i])
+            best = (j, float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def naive_fit_tree(X, residuals, probs, config):
+    """Recursive tree fit over `naive_best_split`, nodes in pre-order."""
+    tree = gbdt.RegressionTree()
+
+    def build(idx, depth):
+        r = residuals[idx]
+        if depth >= config.max_depth or idx.size < 2 * config.min_samples_leaf \
+                or np.ptp(r) == 0:
+            return tree.add_leaf(gbdt._newton_leaf(r, probs[idx]))
+        split = naive_best_split(X[idx], r, config.min_samples_leaf)
+        if split is None:
+            return tree.add_leaf(gbdt._newton_leaf(r, probs[idx]))
+        j, thr = split
+        node = tree.add_split(j, thr)
+        go_left = X[idx, j] <= thr
+        tree.left[node] = build(idx[go_left], depth + 1)
+        tree.right[node] = build(idx[~go_left], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return tree
+
+
+def node_lists(tree):
+    return tree.feature, tree.threshold, tree.left, tree.right, tree.value
 
 
 class TestInitLogOdds:
@@ -98,6 +157,65 @@ class TestFitTree:
         assert tree.feature[0] == -1
 
 
+class TestPresortedSplitSearch:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_node_argsort(self, seed):
+        # few distinct values, so ties are heavy, plus a constant column
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 301))
+        d = int(rng.integers(1, 6))
+        X = np.column_stack([rng.integers(0, 4, (n, d)).astype(float), np.full(n, 2.0)])
+        y = rng.integers(0, 2, n)
+        p = rng.uniform(0.05, 0.95, n)
+        r = y - p
+        for min_samples_leaf in (1, 2, 5):
+            for depth in range(1, 7):
+                cfg = gbdt.GbdtConfig(1, depth, 0.1, min_samples_leaf)
+                assert node_lists(gbdt.fit_tree(X, r, p, cfg)) \
+                    == node_lists(naive_fit_tree(X, r, p, cfg))
+
+    @pytest.mark.parametrize("column,r", [
+        # the midpoint threshold rounds up to the upper value, or overflows to
+        # inf, so one child of the split is empty
+        ([1.0, 1 + 2 ** -52, 1 + 2 ** -51], [-0.5, 0.5, 0.4]),
+        ([1e308, 1.7e308, 1.7e308], [-0.5, 0.5, 0.4]),
+        # every split leaves both means equal: no gain, so a single leaf
+        ([0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0]),
+    ], ids=["midpoint_rounds_up", "midpoint_inf", "zero_gain"])
+    def test_edge_cases(self, column, r):
+        X = np.array(column)[:, None]
+        r = np.array(r)
+        p = np.full(r.size, 0.5)
+        cfg = gbdt.GbdtConfig(1, 3)
+        with np.errstate(over="ignore"):
+            assert node_lists(gbdt.fit_tree(X, r, p, cfg)) \
+                == node_lists(naive_fit_tree(X, r, p, cfg))
+
+    def test_features_in_several_blocks(self, monkeypatch):
+        # a block smaller than one node's rows: every feature is its own block
+        monkeypatch.setattr(gbdt, "SPLIT_BLOCK", 16)
+        rng = np.random.default_rng(99)
+        X = rng.integers(0, 6, (200, 5)).astype(float)
+        r = rng.integers(0, 2, 200) - rng.uniform(0.1, 0.9, 200)
+        p = np.full(200, 0.3)
+        for depth in (2, 6):
+            cfg = gbdt.GbdtConfig(1, depth)
+            assert node_lists(gbdt.fit_tree(X, r, p, cfg)) \
+                == node_lists(naive_fit_tree(X, r, p, cfg))
+
+    def test_trained_ensemble_matches_per_node_argsort(self):
+        X, y = blobs(60, seed=4, d=3)
+        X = np.round(X)  # ties
+        cfg = gbdt.GbdtConfig(10, 4, 0.3)
+        model = gbdt.train(X, y, cfg)
+        scores = np.full(y.size, model.f0)
+        for tree in model.trees:
+            p = gbdt.sigmoid(scores)
+            naive = naive_fit_tree(X, gbdt.pseudo_residuals(y, p), p, cfg)
+            assert node_lists(tree) == node_lists(naive)
+            scores = scores + cfg.learning_rate * tree.predict(X)
+
+
 class TestTrain:
     def test_separable_blobs_high_accuracy(self):
         X, y = blobs(100)
@@ -159,6 +277,11 @@ class TestTrain:
 class TestPredict:
     def test_sigmoid_of_zero(self):
         assert gbdt.sigmoid(0.0) == 0.5
+
+    def test_sigmoid_extremes_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(gbdt.sigmoid([-1000.0, 0.0, 800.0]), [0.0, 0.5, 1.0])
 
     def test_sigmoid_of_ln3(self):
         assert gbdt.sigmoid(np.log(3)) == pytest.approx(0.75)

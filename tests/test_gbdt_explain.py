@@ -42,6 +42,30 @@ class TestPermutationImportance:
         assert np.array_equal(rep.mean_importance, means)
         assert np.array_equal(rep.std_importance, stds)
 
+    def test_deep_trees_on_tied_data_match_reference_exactly(self):
+        # 30 depth-6 trees on few distinct values; column 4 is constant, so
+        # no tree can split on it
+        rng = np.random.default_rng(21)
+        X = np.column_stack([rng.integers(0, 4, (300, 4)).astype(float), np.full(300, 1.0)])
+        y = ((X[:, 0] + X[:, 1] * X[:, 2] + rng.integers(0, 3, 300)) % 2).astype(int)
+        model = gbdt.train(X, y, gbdt.GbdtConfig(30, 6, 0.3))
+        depths = set()
+        for tree in model.trees:
+            depth = {0: 0}
+            for i, f in enumerate(tree.feature):
+                if f >= 0:
+                    depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+                    if f == 0:
+                        depths.add(depth[i])
+        assert len(depths) >= 3
+        assert 4 not in gbdt.used_features(model)
+        rep = gbdt_explain.permutation_importance(model, X, y, repeats=4, seed=3)
+        means, stds = reference_importance(model, X, y, 4, 3)
+        assert np.array_equal(rep.mean_importance, means)
+        assert np.array_equal(rep.std_importance, stds)
+        assert rep.mean_importance[4] == 0.0 and rep.std_importance[4] == 0.0
+        assert rep.mean_importance[0] > 0
+
     def test_unused_feature_exactly_zero(self):
         X, y = planted_dataset(300, 5, seed=2)
         model = gbdt.train(X, y, gbdt.GbdtConfig(30, 2, 0.2))
