@@ -185,36 +185,34 @@ def fit_tree(X, residuals, probs, config: GbdtConfig) -> RegressionTree:
     for k in range(d):
         order[k] = np.argsort(X[:, k], kind="stable")
     tree = RegressionTree()
-    # pending nodes: (columns lo:hi of order, rows ascending, depth, parent
-    # links, parent)
-    stack = [(0, n, np.arange(n), 0, None, -1)]
-    while stack:
-        lo, hi, idx, depth, links, parent = stack.pop()
+
+    def build(lo, hi, idx, depth):
         r = residuals[idx]
-        split = None
-        if depth < config.max_depth and idx.size >= 2 * config.min_samples_leaf \
-                and np.ptp(r) != 0:
-            total_sum = r.sum()
-            base = (r ** 2).sum() - total_sum ** 2 / idx.size
-            split = _best_split(X, residuals, order[:, lo:hi], total_sum, base,
-                                config.min_samples_leaf)
+        if depth >= config.max_depth or idx.size < 2 * config.min_samples_leaf \
+                or np.ptp(r) == 0:
+            return tree.add_leaf(_newton_leaf(r, probs[idx]))
+        total_sum = r.sum()
+        base = (r ** 2).sum() - total_sum ** 2 / idx.size
+        split = _best_split(X, residuals, order[:, lo:hi], total_sum, base,
+                            config.min_samples_leaf)
         if split is None:
-            node = tree.add_leaf(_newton_leaf(r, probs[idx]))
-        else:
-            j, thr = split
-            node = tree.add_split(j, thr)
-            left_rows = X[idx, j] <= thr
-            mid = lo + int(left_rows.sum())
-            step = max(1, SPLIT_BLOCK // idx.size)
-            for first in range(0, d, step):
-                block = order[first:first + step, lo:hi]
-                go_left = X[block, j] <= thr
-                block[:] = np.hstack([block[go_left].reshape(len(block), mid - lo),
-                                      block[~go_left].reshape(len(block), hi - mid)])
-            stack.append((mid, hi, idx[~left_rows], depth + 1, tree.right, node))
-            stack.append((lo, mid, idx[left_rows], depth + 1, tree.left, node))
-        if links is not None:
-            links[parent] = node
+            return tree.add_leaf(_newton_leaf(r, probs[idx]))
+        j, thr = split
+        node = tree.add_split(j, thr)
+        go_left = X[idx, j] <= thr
+        mid = lo + int(go_left.sum())
+        step = max(1, SPLIT_BLOCK // idx.size)
+        for first in range(0, d, step):
+            block = order[first:first + step, lo:hi]
+            block_left = X[block, j] <= thr
+            block[:] = np.hstack([block[block_left].reshape(len(block), mid - lo),
+                                  block[~block_left].reshape(len(block), hi - mid)])
+        tree.left[node] = build(lo, mid, idx[go_left], depth + 1)
+        tree.right[node] = build(mid, hi, idx[~go_left], depth + 1)
+        return node
+
+    build(0, n, np.arange(n), 0)
+    del build  # build's cell refers to build: drop the cycle so `order` is freed now
     return tree
 
 
@@ -285,8 +283,10 @@ def to_json(model: GbdtModel) -> str:
 
 def _checked_tree(doc: dict, n_features: int) -> RegressionTree:
     """A tree from its document, checked so that every walk from the root
-    ends at a leaf: equal-length node lists, split features below
-    `n_features`, and children after their parent, as `fit_tree` writes them."""
+    ends at a leaf and every node lies on exactly one path: equal-length node
+    lists, split features below `n_features`, children after their parent,
+    and each node but the root the child of one split, as `fit_tree` writes
+    them."""
     t = RegressionTree(**doc)
     t.feature, t.left, t.right = ([operator.index(v) for v in col]
                                   for col in (t.feature, t.left, t.right))
@@ -299,6 +299,10 @@ def _checked_tree(doc: dict, n_features: int) -> RegressionTree:
             raise ValueError(f"node {i} splits on feature {f} of {n_features}")
         if f >= 0 and not (i < t.left[i] < n and i < t.right[i] < n):
             raise ValueError(f"node {i} has a child outside nodes {i + 1}..{n - 1}")
+    children = sorted(c for f, lc, rc in zip(t.feature, t.left, t.right) if f >= 0
+                      for c in (lc, rc))
+    if children != list(range(1, n)):
+        raise ValueError("every node but the root must be the child of exactly one split")
     return t
 
 

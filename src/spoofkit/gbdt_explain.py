@@ -63,6 +63,15 @@ def _accuracy(scores, y) -> float:
     return float(((gbdt.sigmoid(scores) >= 0.5).astype(int) == y).mean())
 
 
+def _score_sum(model, leaf_values) -> np.ndarray:
+    """Decision scores from (trees, rows) leaf values, summed in tree order
+    as `gbdt.decision_scores` sums them, so they are bit-identical to it."""
+    scores = np.full(leaf_values.shape[1], model.f0)
+    for contribution in model.learning_rate * leaf_values:
+        scores += contribution
+    return scores
+
+
 class _Ensemble:
     """The nodes of all trees in one set of arrays, children as indices into
     them, and each tree's root."""
@@ -124,8 +133,8 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
 
     Every tree is walked once on X. A shuffle of column j can move a row only
     in the trees whose path for that row tests j, so only those (tree, row)
-    pairs are walked again; a moved row's score is then summed in tree order,
-    as in `gbdt.decision_scores`, so the predictions are bit-identical to it.
+    pairs are walked again. Scores are summed in tree order, as in
+    `gbdt.decision_scores`, so the predictions are bit-identical to it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -133,13 +142,15 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
         raise InputError("repeats must be >= 1")
     if y.size == 0:
         raise MetricError("empty evaluation slice")
-    scores = gbdt.decision_scores(model, X)
-    s = _accuracy(scores, y)
     n, d = X.shape
+    if d != model.n_features:
+        raise InputError(f"expected {model.n_features} features, got {d}")
     ens = _Ensemble(model.trees)
-    rows = np.arange(n)
-    leaves = np.array([ens.walk(np.full(n, root), X, rows) for root in ens.roots],
-                      dtype=np.int32).reshape(-1, n)
+    n_trees = len(model.trees)
+    leaves = ens.walk(np.repeat(ens.roots, n), X,
+                      np.tile(np.arange(n), n_trees)).reshape(n_trees, n)
+    scores = _score_sum(model, ens.value[leaves])
+    s = _accuracy(scores, y)
     tested = ens.path_features(d)
     rng = np.random.default_rng(seed)
     means = np.zeros(d)
@@ -155,11 +166,8 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
             perm = rng.permutation(n)
             leaf = moved_leaves.copy()
             leaf[tree_of, row_of] = ens.walk(start, X, moved[row_of], j, perm)
-            part = np.full(moved.size, model.f0)
-            for contribution in model.learning_rate * ens.value[leaf]:
-                part += contribution
             shuffled = scores.copy()
-            shuffled[moved] = part
+            shuffled[moved] = _score_sum(model, ens.value[leaf])
             drops[r] = s - _accuracy(shuffled, y)
         means[j] = drops.mean()
         stds[j] = drops.std()

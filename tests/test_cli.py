@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spoofkit import bench, cli, dsp, gbdt
+from spoofkit import bench, cli, dsp, gbdt, gbdt_explain
 from spoofkit import transformer as tr
 from spoofkit.dsp import AudioBuffer
 from spoofkit.errors import SpoofkitError
@@ -410,6 +410,24 @@ class TestHostileInput:
         assert rc == 1
         assert "malformed gbdt" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("feature,left,right", [
+        ([0, 1, 2, -1, -1], [1, 3, 3, -1, -1], [2, 4, 4, -1, -1]),
+        ([0, 1, 2, -1], [1, 2, 3, -1], [1, 2, 3, -1]),
+    ], ids=["two_parents", "left_is_right"])
+    def test_gbdt_tree_with_shared_child_exit_1(self, trained_artifacts, tmp_path,
+                                                capsys, feature, left, right):
+        with open(trained_artifacts["gbdt"]) as fh:
+            doc = json.load(fh)
+        doc["trees"][0] = {"feature": feature, "left": left, "right": right,
+                           "threshold": [0.0] * len(feature), "value": [0.0] * len(feature)}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        rc = cli.main(["explain", "importance", "--model", str(model),
+                       "--features", trained_artifacts["features"],
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "child of exactly one split" in one_error_line(capsys)
+
     @pytest.mark.parametrize("edit", [
         lambda params: params.pop("l0.wq"),
         lambda params: params.update(cls={"shape": [3], "data": [0.0, 0.0, 0.0]}),
@@ -496,9 +514,12 @@ class TestFuzz:
                               data.draw(st.text(max_size=20))):
                 try:
                     model = module.from_json(candidate)
-                    # a document that loads must also predict
+                    # a document that loads must also predict and explain
                     if module is gbdt:
                         gbdt.predict_proba(model, np.zeros((1, model.n_features)))
+                        gbdt_explain.permutation_importance(
+                            model, np.zeros((2, model.n_features)), np.array([0, 1]),
+                            repeats=1)
                     else:
                         tr.forward(np.zeros(model.config.input_shape), model)
                 except SpoofkitError:
