@@ -13,6 +13,7 @@ from .errors import InputError
 
 ROW_SUM_TOL = 1e-4
 SEGMENT_PERCENTILE = 90.0
+OCCLUSION_CHUNK = 64  # rows per predict_fn call in occlusion_scan
 
 
 @dataclass
@@ -76,8 +77,11 @@ def occlusion_scan(predict_fn, spec, cfg: OcclusionConfig) -> OcclusionHeatmap:
     """Slide an occlusion box over the spectrogram and record, per position,
     the absolute change in predicted spoof probability.
 
-    Overlapping boxes are aggregated per cell by averaging; cells no box
-    covers stay exactly 0.
+    `predict_fn` maps a (B, H, W) stack to (B,) probabilities. Row 0 of the
+    stack is the unoccluded input and row k its copy with box k filled; the
+    stack goes to `predict_fn` in chunks of OCCLUSION_CHUNK rows, so memory
+    stays bounded however many boxes there are. Overlapping boxes are
+    aggregated per cell by averaging; cells no box covers stay exactly 0.
     """
     values = spec.values if isinstance(spec, MelSpectrogram) else np.asarray(spec, dtype=np.float64)
     H, W = values.shape
@@ -85,15 +89,21 @@ def occlusion_scan(predict_fn, spec, cfg: OcclusionConfig) -> OcclusionHeatmap:
     sh, sw = cfg.stride
     if bh > H or bw > W:
         raise InputError(f"occlusion box {cfg.box} larger than input {values.shape}")
-    base = float(predict_fn(values))
     fill = _fill_value(values, cfg.fill)
-    boxes = []
-    for r0 in range(0, H - bh + 1, sh):
-        for c0 in range(0, W - bw + 1, sw):
-            occluded = values.copy()
-            occluded[r0:r0 + bh, c0:c0 + bw] = fill
-            delta = abs(base - float(predict_fn(occluded)))
-            boxes.append((r0, c0, bh, bw, delta))
+    corners = [None] + [(r0, c0) for r0 in range(0, H - bh + 1, sh)
+                        for c0 in range(0, W - bw + 1, sw)]
+    probs = []
+    for first in range(0, len(corners), OCCLUSION_CHUNK):
+        chunk = corners[first:first + OCCLUSION_CHUNK]
+        stack = np.repeat(values[None], len(chunk), axis=0)
+        for occluded, corner in zip(stack, chunk):
+            if corner is not None:
+                r0, c0 = corner
+                occluded[r0:r0 + bh, c0:c0 + bw] = fill
+        probs.extend(np.asarray(predict_fn(stack), dtype=np.float64).tolist())
+    base = probs[0]
+    boxes = [(r0, c0, bh, bw, abs(base - p))
+             for (r0, c0), p in zip(corners[1:], probs[1:])]
     return OcclusionHeatmap(aggregate_boxes(boxes, (H, W)), base, boxes)
 
 

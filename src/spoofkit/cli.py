@@ -156,26 +156,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_doc(path, expected_kind):
+def _load_model(path, kind, from_json):
+    """The model in the JSON file at `path`, parsed once: its `kind` is
+    checked here, the rest by `from_json`."""
     try:
         with open(require_file(path)) as fh:
-            text = fh.read()
-        kind = json.loads(text).get("kind")
+            doc = json.loads(fh.read())
+        found = doc.get("kind")
     except (AttributeError, ValueError):
         raise InputError(f"{path}: not a JSON model document") from None
-    if kind != expected_kind:
+    if found != kind:
         raise UsageError(
-            f"{path} is a {kind or 'unknown'} model; this explainer needs "
-            f"a {expected_kind} model")
-    return text
-
-
-def _load_gbdt(path):
-    return gbdt.from_json(_load_model_doc(path, "gbdt"))
-
-
-def _load_transformer(path):
-    return transformer.from_json(_load_model_doc(path, "transformer"))
+            f"{path} is a {found or 'unknown'} model; this explainer needs "
+            f"a {kind} model")
+    return from_json(doc)
 
 
 def _spec_for_model(args, model):
@@ -186,10 +180,10 @@ def _spec_for_model(args, model):
 
 
 def cmd_explain(args) -> int:
-    out = ensure_outdir(args.out)
     if args.kind == "importance":
-        model = _load_gbdt(args.model)
+        model = _load_model(args.model, "gbdt", gbdt.from_json)
         X, y = read_features_csv(args.features)
+        out = ensure_outdir(args.out)
         report = gbdt_explain.permutation_importance(
             model, X, y, repeats=args.repeats, seed=args.seed)
         with open(os.path.join(out, "importance.json"), "w") as fh:
@@ -212,7 +206,7 @@ def cmd_explain(args) -> int:
             print(f"{report.names[i]:>20s} {report.mean_importance[i]:+.4f} {bar}")
         return EXIT_OK
 
-    model = _load_transformer(args.model)
+    model = _load_model(args.model, "transformer", transformer.from_json)
     spec = _spec_for_model(args, model)
     if args.kind == "occlusion":
         if args.box:
@@ -221,8 +215,9 @@ def cmd_explain(args) -> int:
                                                fill=args.fill)
         else:
             cfg = attn_explain.default_occlusion_config(spec.values.shape)
-        predict_fn = lambda values: transformer.forward(values, model).prob_spoof
-        heatmap = attn_explain.occlusion_scan(predict_fn, spec, cfg)
+        heatmap = attn_explain.occlusion_scan(
+            lambda stack: transformer.predict_proba(model, stack), spec, cfg)
+        out = ensure_outdir(args.out)
         attn_explain.render_heatmap(heatmap.importance,
                                     os.path.join(out, "occlusion"))
         write_json_artifact(os.path.join(out, "occlusion.json"), {
@@ -237,6 +232,7 @@ def cmd_explain(args) -> int:
         return EXIT_OK
 
     # rollout
+    out = ensure_outdir(args.out)
     fwd = transformer.forward(spec, model)
     if args.rollout == "last":
         # CLS attention of the final layer only, no cross-layer product

@@ -41,12 +41,14 @@ class UsageError(SpoofkitError):
     """CLI invocation error (wrong flags for the selected mode)."""
 
 
-def model_doc(text: str, kind: str, version: int) -> dict:
-    """Parse a serialized model, checking its `kind` and `format_version`."""
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        raise InputError(f"{kind} model document is not valid JSON") from None
+def model_doc(doc, kind: str, version: int) -> dict:
+    """A serialized model's document, checked for its `kind` and
+    `format_version`; `doc` is the JSON text or what it parsed to."""
+    if isinstance(doc, str):
+        try:
+            doc = json.loads(doc)
+        except ValueError:
+            raise InputError(f"{kind} model document is not valid JSON") from None
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise InputError(f"not a {kind} model document")
     if doc.get("format_version") != version:

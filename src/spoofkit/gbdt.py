@@ -178,12 +178,23 @@ def fit_tree(X, residuals, probs, config: GbdtConfig) -> RegressionTree:
     stay in ascending row order, so each node's sorted ids equal the node's
     own stable argsort. Nodes are numbered in pre-order, left subtree first."""
     X = np.asarray(X, dtype=np.float64)
-    residuals = np.asarray(residuals, dtype=np.float64)
-    probs = np.asarray(probs, dtype=np.float64)
+    return _fit_presorted(X, np.asarray(residuals, dtype=np.float64),
+                          np.asarray(probs, dtype=np.float64), config, _presort(X))
+
+
+def _presort(X) -> np.ndarray:
+    """(d, n) int32 row ids that stable-sort each column of X."""
     n, d = X.shape
     order = np.empty((d, n), dtype=np.int32)
     for k in range(d):
         order[k] = np.argsort(X[:, k], kind="stable")
+    return order
+
+
+def _fit_presorted(X, residuals, probs, config: GbdtConfig, order) -> RegressionTree:
+    """`fit_tree` on float64 arrays and X's presort `order`, which the
+    split partitions overwrite."""
+    n, d = X.shape
     tree = RegressionTree()
 
     def build(lo, hi, idx, depth):
@@ -229,10 +240,11 @@ def train(X, labels, config: GbdtConfig, feature_names=None) -> GbdtModel:
         feature_names = [f"f{j}" for j in range(X.shape[1])]
     scores = np.full(y.size, f0)
     trees = []
+    order = _presort(X)
     for _ in range(config.n_estimators):
         p = sigmoid(scores)
         r = pseudo_residuals(y, p)
-        tree = fit_tree(X, r, p, config)
+        tree = _fit_presorted(X, r, p, config, order.copy())
         trees.append(tree)
         scores = scores + config.learning_rate * tree.predict(X)
     return GbdtModel(f0, trees, config.learning_rate, list(feature_names))
@@ -306,8 +318,9 @@ def _checked_tree(doc: dict, n_features: int) -> RegressionTree:
     return t
 
 
-def from_json(text: str) -> GbdtModel:
-    doc = model_doc(text, "gbdt", MODEL_FORMAT_VERSION)
+def from_json(doc) -> GbdtModel:
+    """The model in a JSON document: its text, or the dict it parses to."""
+    doc = model_doc(doc, "gbdt", MODEL_FORMAT_VERSION)
     with malformed("gbdt model document"):
         names = doc["feature_names"]
         trees = [_checked_tree(t, len(names)) for t in doc["trees"]]

@@ -154,12 +154,14 @@ class TransformerModel:
 # Patch extraction / embedding
 
 def extract_patches(values: np.ndarray, geometry: PatchGeometry):
-    """Row-major sliding-window patches flattened to (N, patch_h*patch_w)."""
-    rows, cols = geometry.grid(*values.shape)
-    windows = sliding_window_view(values, (geometry.patch_h, geometry.patch_w))
-    windows = windows[::geometry.stride_h, ::geometry.stride_w]
+    """Row-major sliding-window patches of an (..., H, W) array, flattened to
+    (..., N, patch_h*patch_w)."""
+    rows, cols = geometry.grid(*values.shape[-2:])
+    windows = sliding_window_view(values, (geometry.patch_h, geometry.patch_w),
+                                  axis=(-2, -1))
+    windows = windows[..., ::geometry.stride_h, ::geometry.stride_w, :, :]
     patches = np.array(windows, dtype=np.float64, order="C")
-    return patches.reshape(rows * cols, -1), rows, cols
+    return patches.reshape(*values.shape[:-2], rows * cols, -1), rows, cols
 
 
 def token_time_spans(geometry: PatchGeometry, n_rows: int, n_cols: int,
@@ -172,22 +174,50 @@ def token_time_spans(geometry: PatchGeometry, n_rows: int, n_cols: int,
 
 
 def normalize_spec(values: np.ndarray) -> np.ndarray:
-    """Standardize a spectrogram to mean 0 / std 1 (no-op on constants)."""
-    std = values.std()
-    if std == 0:
-        return values - values.mean()
-    return (values - values.mean()) / std
+    """Standardize each spectrogram of an (..., H, W) stack to mean 0 / std 1
+    (no-op on constants).
+
+    Each spectrogram is reduced as one flat row in its memory order (the Mel
+    spectrograms of `dsp` are column-major), so it gets the same bits in a
+    stack as alone."""
+    rows = values.swapaxes(-1, -2) if _column_major(values) else values
+    flat = rows.reshape(*values.shape[:-2], -1)
+    mean = flat.mean(axis=-1)[..., None, None]
+    std = flat.std(axis=-1)[..., None, None]
+    return (values - mean) / np.where(std == 0, 1.0, std)
 
 
-def _patches(spec, cfg: TransformerConfig):
-    """Patches of one (normalized) spectrogram, checked against the model."""
-    values = spec.values if isinstance(spec, MelSpectrogram) else np.asarray(spec, dtype=np.float64)
+def _column_major(values: np.ndarray) -> bool:
+    return values.swapaxes(-1, -2).flags.c_contiguous and not values.flags.c_contiguous
+
+
+def _values(specs) -> np.ndarray:
+    """float64 values of one spectrogram, of an (..., H, W) stack, or of a
+    list of equally shaped spectrograms, stacked column-major when all of
+    them are (see `normalize_spec`)."""
+    if isinstance(specs, MelSpectrogram):
+        return specs.values
+    if not isinstance(specs, (list, tuple)):
+        return np.asarray(specs, dtype=np.float64)
+    values = [np.asarray(s.values if isinstance(s, MelSpectrogram) else s,
+                         dtype=np.float64) for s in specs]
+    if len({v.shape for v in values}) > 1:
+        raise InputError("spectrograms in one batch must share one shape")
+    if all(v.ndim == 2 and _column_major(v) for v in values):
+        return np.stack([v.T for v in values]).swapaxes(-1, -2)
+    return np.stack(values)
+
+
+def _patches(specs, cfg: TransformerConfig):
+    """(..., N, patch_dim) patches of one spectrogram or of a stack (see
+    `_values`), normalized and checked against the model."""
+    values = _values(specs)
     if cfg.normalize_input:
         values = normalize_spec(values)
     patches, rows, cols = extract_patches(values, cfg.geometry)
-    if patches.shape[0] != cfg.n_patches:
+    if patches.shape[-2] != cfg.n_patches:
         raise InputError(
-            f"spectrogram yields {patches.shape[0]} patches; model expects "
+            f"spectrogram yields {patches.shape[-2]} patches; model expects "
             f"{cfg.n_patches}")
     return patches, rows, cols
 
@@ -411,8 +441,8 @@ class TrainConfig:
 
 
 def embed_dataset(specs, model: TransformerModel):
-    """Stack token/patch batches for a list of spectrograms."""
-    patches = np.stack([_patches(spec, model.config)[0] for spec in specs])
+    """Token and patch batches for a list or stack of spectrograms."""
+    patches = _patches(specs, model.config)[0]
     return _tokens(patches, model.params), patches
 
 
@@ -455,8 +485,8 @@ def train_toy(dataset, config: TransformerConfig,
 
 
 def predict_proba(model: TransformerModel, specs) -> np.ndarray:
-    """Spoof probability for each spectrogram."""
-    tokens, _ = embed_dataset(list(specs), model)
+    """Spoof probability for each spectrogram of a list or (B, H, W) stack."""
+    tokens, _ = embed_dataset(specs, model)
     logits, _, _ = forward_batch(model, tokens)
     return softmax(logits, axis=-1)[:, 1]
 
@@ -484,8 +514,9 @@ def to_json(model: TransformerModel) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def from_json(text: str) -> TransformerModel:
-    doc = model_doc(text, "transformer", PARAMS_FORMAT_VERSION)
+def from_json(doc) -> TransformerModel:
+    """The model in a JSON document: its text, or the dict it parses to."""
+    doc = model_doc(doc, "transformer", PARAMS_FORMAT_VERSION)
     with malformed("transformer model document"):
         c = doc["config"]
         ints = {k: operator.index(c[k])

@@ -258,7 +258,7 @@ def test_criterion_07_occlusion():
         return 1.0 / (1.0 + np.exp(-values[8:12, 8:12].sum()))
 
     cfg = attn_explain.OcclusionConfig(box=(4, 4), stride=(4, 4))
-    hm = attn_explain.occlusion_scan(region_model, spec, cfg)
+    hm = attn_explain.occlusion_scan(lambda stack: [region_model(v) for v in stack], spec, cfg)
     for r0, c0, bh, bw, delta in hm.boxes:
         intersects = r0 < 12 and r0 + bh > 8 and c0 < 12 and c0 + bw > 8
         assert (delta > 0.0) if intersects else (delta == 0.0)
@@ -293,7 +293,8 @@ def test_criterion_07b_padded_region_saliency():
     spec = dsp.mel_spectrogram(padded)
     predict = lambda v: tr.forward(v, model).prob_spoof
     hm = attn_explain.occlusion_scan(
-        predict, spec, attn_explain.default_occlusion_config(spec.values.shape))
+        lambda stack: [predict(v) for v in stack], spec,
+        attn_explain.default_occlusion_config(spec.values.shape))
     hot = max(hm.boxes, key=lambda b: b[4])
     pad_start_col = 7  # ceil(10 * 0.7): first all-padding spectrogram column
     overlaps = hot[1] + hot[3] > pad_start_col

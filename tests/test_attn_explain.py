@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from spoofkit import attn_explain as ax
+from spoofkit import transformer as tr
 from spoofkit.errors import InputError
 
 
@@ -14,6 +15,11 @@ def region_reader(r0, r1, c0, c1):
     def predict(values):
         return sigmoid(values[r0:r1, c0:c1].sum())
     return predict
+
+
+def per_clip(predict):
+    """A stack predict_fn for occlusion_scan from a one-spectrogram predict."""
+    return lambda stack: [predict(v) for v in stack]
 
 
 def random_stochastic(rng, T):
@@ -43,7 +49,7 @@ class TestOcclusionConfig:
 class TestOcclusionScan:
     def test_constant_model_all_zero(self):
         spec = np.random.default_rng(0).normal(0, 1, (16, 16))
-        hm = ax.occlusion_scan(lambda v: 0.7, spec,
+        hm = ax.occlusion_scan(per_clip(lambda v: 0.7), spec,
                                ax.OcclusionConfig(box=(4, 4), stride=(2, 2)))
         assert np.array_equal(hm.importance, np.zeros((16, 16)))
         assert hm.base_prob == 0.7
@@ -56,7 +62,7 @@ class TestOcclusionScan:
         spec = rng.uniform(0.5, 1.5, (16, 16))
         predict = region_reader(8, 12, 8, 12)
         cfg = ax.OcclusionConfig(box=(4, 4), stride=(4, 4))
-        hm = ax.occlusion_scan(predict, spec, cfg)
+        hm = ax.occlusion_scan(per_clip(predict), spec, cfg)
         for r0, c0, bh, bw, delta in hm.boxes:
             intersects = r0 < 12 and r0 + bh > 8 and c0 < 12 and c0 + bw > 8
             if intersects:
@@ -68,7 +74,7 @@ class TestOcclusionScan:
         spec = np.random.default_rng(2).uniform(0.1, 1.0, (8, 8))
         predict = region_reader(0, 8, 0, 8)
         cfg = ax.OcclusionConfig(box=(8, 8), stride=(8, 8))
-        hm = ax.occlusion_scan(predict, spec, cfg)
+        hm = ax.occlusion_scan(per_clip(predict), spec, cfg)
         assert len(hm.boxes) == 1
         expected = abs(predict(spec) - predict(np.zeros((8, 8))))
         assert hm.boxes[0][4] == pytest.approx(expected)
@@ -78,7 +84,7 @@ class TestOcclusionScan:
         # stride 5 with box 2 leaves columns/rows 2..4 etc. uncovered
         spec = np.random.default_rng(3).normal(0, 1, (7, 7))
         cfg = ax.OcclusionConfig(box=(2, 2), stride=(5, 5))
-        hm = ax.occlusion_scan(region_reader(0, 7, 0, 7), spec, cfg)
+        hm = ax.occlusion_scan(per_clip(region_reader(0, 7, 0, 7)), spec, cfg)
         covered = np.zeros((7, 7), dtype=bool)
         for r0, c0, bh, bw, _ in hm.boxes:
             covered[r0:r0 + bh, c0:c0 + bw] = True
@@ -88,7 +94,7 @@ class TestOcclusionScan:
     def test_overlap_average_matches_manual_accumulation(self):
         spec = np.random.default_rng(4).uniform(0.2, 1.0, (10, 10))
         cfg = ax.OcclusionConfig(box=(4, 4), stride=(2, 2))
-        hm = ax.occlusion_scan(region_reader(0, 10, 0, 10), spec, cfg)
+        hm = ax.occlusion_scan(per_clip(region_reader(0, 10, 0, 10)), spec, cfg)
         acc = np.zeros((10, 10))
         cover = np.zeros((10, 10))
         # reversed order: averaging must not depend on scan order
@@ -106,16 +112,73 @@ class TestOcclusionScan:
     def test_fill_modes(self):
         spec = np.full((4, 4), 0.5)
         cfg_one = ax.OcclusionConfig(box=(4, 4), stride=(4, 4), fill="one")
-        hm = ax.occlusion_scan(lambda v: sigmoid(v.sum()), spec, cfg_one)
+        hm = ax.occlusion_scan(per_clip(lambda v: sigmoid(v.sum())), spec, cfg_one)
         assert hm.boxes[0][4] == pytest.approx(abs(sigmoid(8.0) - sigmoid(16.0)))
         cfg_mean = ax.OcclusionConfig(box=(4, 4), stride=(4, 4), fill="mean")
-        hm = ax.occlusion_scan(lambda v: sigmoid(v.sum()), spec, cfg_mean)
+        hm = ax.occlusion_scan(per_clip(lambda v: sigmoid(v.sum())), spec, cfg_mean)
         assert hm.boxes[0][4] == 0.0  # mean fill of a constant input is a no-op
 
     def test_box_larger_than_input_rejected(self):
         with pytest.raises(InputError):
-            ax.occlusion_scan(lambda v: 0.5, np.zeros((8, 8)),
+            ax.occlusion_scan(per_clip(lambda v: 0.5), np.zeros((8, 8)),
                               ax.OcclusionConfig(box=(200, 50), stride=(100, 25)))
+
+
+def naive_occlusion_scan(model, values, cfg):
+    """Per-box oracle: one single-clip forward for the input and one for
+    each occluded copy. Returns (base_prob, boxes)."""
+    H, W = values.shape
+    bh, bw = cfg.box
+    sh, sw = cfg.stride
+    base = tr.forward(values, model).prob_spoof
+    boxes = []
+    for r0 in range(0, H - bh + 1, sh):
+        for c0 in range(0, W - bw + 1, sw):
+            occluded = values.copy()
+            occluded[r0:r0 + bh, c0:c0 + bw] = 0.0
+            delta = abs(base - tr.forward(occluded, model).prob_spoof)
+            boxes.append((r0, c0, bh, bw, delta))
+    return base, boxes
+
+
+@pytest.fixture(scope="module")
+def toy_model():
+    """A transformer trained on 32x16 inputs whose spoofs carry a bright
+    region, and one spoof input."""
+    rng = np.random.default_rng(12)
+    data = []
+    for i in range(16):
+        spec = rng.normal(0, 0.1, (32, 16))
+        if i % 2:
+            spec[8:16, 4:12] += 1.0
+        data.append((spec, i % 2))
+    cfg = tr.TransformerConfig(d_model=8, n_layers=2, n_heads=2, d_ff=16,
+                               geometry=tr.PatchGeometry(8, 8, 8, 8),
+                               input_shape=(32, 16))
+    return tr.train_toy(data, cfg, tr.TrainConfig(steps=40)), data[1][0]
+
+
+class TestBatchedOcclusion:
+    @pytest.mark.parametrize("box", [None, (1, 1)], ids=["default_grid", "1x1_stride_1"])
+    def test_matches_per_box_forward_loop(self, toy_model, box):
+        model, spec = toy_model
+        cfg = ax.OcclusionConfig(box=box, stride=(1, 1)) if box \
+            else ax.default_occlusion_config(spec.shape)
+        sizes = []
+
+        def predict_fn(stack):
+            sizes.append(len(stack))
+            return tr.predict_proba(model, stack)
+
+        hm = ax.occlusion_scan(predict_fn, spec, cfg)
+        base, boxes = naive_occlusion_scan(model, spec, cfg)
+        assert sum(sizes) == len(boxes) + 1
+        assert max(sizes) <= ax.OCCLUSION_CHUNK
+        if box:
+            assert len(sizes) > 1  # more boxes than one chunk holds
+        assert abs(hm.base_prob - base) <= 1e-12
+        assert [b[:4] for b in hm.boxes] == [b[:4] for b in boxes]
+        assert max(abs(got[4] - want[4]) for got, want in zip(hm.boxes, boxes)) <= 1e-12
 
 
 class TestLayerAttentionMaps:

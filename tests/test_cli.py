@@ -331,6 +331,31 @@ class TestHostileInput:
         assert rc == 1
         one_error_line(capsys)
 
+    @pytest.mark.parametrize("kind", ["importance", "occlusion"])
+    @pytest.mark.parametrize("text", ["{not json", '{"kind": "KIND", "format_version": 9}'],
+                             ids=["not_json", "format_version_9"])
+    def test_rejected_model_leaves_no_out_dir(self, trained_artifacts, tmp_path,
+                                              capsys, kind, text):
+        model = tmp_path / "model.json"
+        model.write_text(text.replace("KIND", "gbdt" if kind == "importance"
+                                      else "transformer"))
+        data = ["--features", trained_artifacts["features"]] if kind == "importance" \
+            else ["--wav", trained_artifacts["wav"]]
+        rc = cli.main(["explain", kind, "--model", str(model), *data,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_rejected_occlusion_box_leaves_no_out_dir(self, trained_artifacts,
+                                                      tmp_path, capsys):
+        rc = cli.main(["explain", "occlusion", "--model", trained_artifacts["transformer"],
+                       "--wav", trained_artifacts["wav"], "--box", "500", "4",
+                       "--stride", "1", "1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "larger than input" in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
     def test_generalize_short_clips_exit_1(self, tmp_path, capsys):
         synth = tmp_path / "corp"
         rc = cli.main(["bench", "generalize", "--synth", str(synth),

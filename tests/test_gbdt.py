@@ -215,6 +215,20 @@ class TestPresortedSplitSearch:
             assert node_lists(tree) == node_lists(naive)
             scores = scores + cfg.learning_rate * tree.predict(X)
 
+    def test_rounds_sharing_one_presort_match_fit_tree(self):
+        # train hands every round a copy of one presort; each tree must be
+        # the tree fit_tree grows from scratch on that round's residuals
+        X, y = blobs(80, seed=5, d=4)
+        X[:, 0] = np.round(X[:, 0])  # ties
+        cfg = gbdt.GbdtConfig(8, 5, 0.3)
+        model = gbdt.train(X, y, cfg)
+        scores = np.full(y.size, model.f0)
+        for tree in model.trees:
+            p = gbdt.sigmoid(scores)
+            fresh = gbdt.fit_tree(X, gbdt.pseudo_residuals(y, p), p, cfg)
+            assert node_lists(tree) == node_lists(fresh)
+            scores = scores + cfg.learning_rate * fresh.predict(X)
+
 
 class TestTrain:
     def test_separable_blobs_high_accuracy(self):

@@ -124,6 +124,33 @@ class TestPatchOracles:
                 assert np.array_equal(tokens[i], tok)
                 assert np.array_equal(patches[i], pat)
 
+    def test_normalize_spec_rows_equal_one_clip(self):
+        # each spectrogram of a stack gets the bits it gets alone, row- or
+        # column-major (as dsp's Mel spectrograms are), constant or not
+        rng = np.random.default_rng(9)
+        clips = [rng.normal(3, 7, (20, 13)) for _ in range(3)] + [np.full((20, 13), 2.5)]
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            specs = [layout(c) for c in clips]
+            batch = tr.normalize_spec(tr._values(specs))
+            for row, spec in zip(batch, specs):
+                std = spec.std()
+                alone = spec - spec.mean() if std == 0 else (spec - spec.mean()) / std
+                assert np.array_equal(row, alone)
+                assert np.array_equal(row, tr.normalize_spec(spec))
+
+    def test_predict_proba_on_a_stack_matches_forward(self):
+        model = tr.train_toy(toy_dataset(8), toy_config(), tr.TrainConfig(steps=20))
+        specs = [s for s, _ in toy_dataset(5, seed=3)] + [np.full((32, 32), -1.5)]
+        probs = tr.predict_proba(model, np.stack(specs))
+        assert probs.shape == (len(specs),)
+        for p, spec in zip(probs, specs):
+            assert abs(p - tr.forward(spec, model).prob_spoof) <= 1e-12
+
+    def test_spectrograms_of_unequal_shape_rejected(self):
+        model = tr.TransformerModel(tiny_config(), tr.init_params(tiny_config()))
+        with pytest.raises(InputError, match="one shape"):
+            tr.embed_dataset([np.zeros((4, 6)), np.zeros((4, 7))], model)
+
 
 class TestPatchify:
     def test_patch_contents_row_major(self):
