@@ -211,6 +211,6 @@ def render_heatmap(matrix: np.ndarray, path_stem) -> tuple:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(pixels.tobytes())
     with open(csv_path, "w") as fh:
-        for row in m:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in m.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
     return pgm_path, csv_path

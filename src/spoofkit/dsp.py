@@ -34,6 +34,7 @@ MEL_SPEC_BANDS = 128
 MEL_SPEC_HOP_MS = 100.0
 MEL_SPEC_WIN_MS = 25.0
 LOG_FLOOR = 1e-10
+STFT_BLOCK = 64  # frames per FFT call; bounds the STFT's temporaries
 
 FEATURE_NAMES = (
     [f"mfcc{i}" for i in range(1, N_MFCC + 1)]
@@ -140,10 +141,16 @@ def load_audio(path, sample_rate: int = SAMPLE_RATE) -> AudioBuffer:
 
 def frames_at(x: np.ndarray, starts, frame_len: int) -> np.ndarray:
     """Frames of `frame_len` samples beginning at each of `starts`; samples
-    past the end of `x` read as zeros. Returns (len(starts), frame_len)."""
+    past the end of `x` read as zeros. Returns (len(starts), frame_len): a
+    read-only strided view when the starts are evenly spaced, else a copy."""
+    starts = np.asarray(starts)
     padded = np.zeros(max(x.size, int(starts[-1]) + frame_len))
     padded[: x.size] = x
-    return sliding_window_view(padded, frame_len)[starts]
+    windows = sliding_window_view(padded, frame_len)
+    step = starts[1] - starts[0] if starts.size > 1 else 1
+    if step > 0 and np.all(np.diff(starts) == step):
+        return windows[starts[0]: starts[-1] + 1: step]
+    return windows[starts]
 
 
 def frame(audio: AudioBuffer, frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS) -> np.ndarray:
@@ -170,14 +177,15 @@ def hann(n: int) -> np.ndarray:
 
 
 def power_spectrum(frame_samples: np.ndarray, n_fft: int = N_FFT, window: str = "hann") -> np.ndarray:
-    """|DFT|^2 of the windowed, zero-padded frame; one-sided (n_fft//2+1 bins)."""
+    """|DFT|^2 of each windowed frame, zero-padded to n_fft, over the last
+    axis of a (..., L) array; one-sided (n_fft//2+1 bins)."""
     x = np.asarray(frame_samples, dtype=np.float64)
     if x.size == 0:
         raise InputError("empty frame")
-    if x.size > n_fft:
-        raise InputError(f"frame length {x.size} exceeds n_fft {n_fft}")
+    if x.shape[-1] > n_fft:
+        raise InputError(f"frame length {x.shape[-1]} exceeds n_fft {n_fft}")
     if window == "hann":
-        x = x * hann(x.size)
+        x = x * hann(x.shape[-1])
     elif window != "rect":
         raise InputError(f"unknown window {window!r}")
     spec = np.fft.rfft(x, n=n_fft)
@@ -186,14 +194,23 @@ def power_spectrum(frame_samples: np.ndarray, n_fft: int = N_FFT, window: str = 
 
 def _frame_power(audio: AudioBuffer, frame_ms=FRAME_MS, hop_ms=HOP_MS, n_fft=N_FFT,
                  pre_emphasis: float | None = None):
-    """Shared helper: (frames, power matrix, bin freqs) for the analysis grid."""
+    """Shared helper: (frames, power matrix, bin freqs) for the analysis grid.
+
+    The power matrix is filled STFT_BLOCK frames at a time, so the windowed
+    frames and their complex spectrum exist for one block only. A row
+    depends on its own frame alone, so the matrix is bit for bit the one a
+    single FFT over all frames gives."""
     x = audio.samples
     if pre_emphasis:
         x = np.append(x[0], x[1:] - pre_emphasis * x[:-1])
         audio = AudioBuffer(x, audio.sample_rate)
     frames = frame(audio, frame_ms, hop_ms)
-    spec = np.fft.rfft(frames * hann(frames.shape[1]), n=n_fft, axis=1)
-    power = np.abs(spec) ** 2
+    # a frame longer than n_fft keeps its first n_fft windowed samples
+    win = hann(frames.shape[1])[:n_fft]
+    power = np.empty((len(frames), n_fft // 2 + 1))
+    for i in range(0, len(frames), STFT_BLOCK):
+        block = frames[i: i + STFT_BLOCK, :n_fft] * win
+        power[i: i + STFT_BLOCK] = power_spectrum(block, n_fft, window="rect")
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / audio.sample_rate)
     return frames, power, freqs
 

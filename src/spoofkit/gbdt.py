@@ -164,7 +164,9 @@ def _best_split(X, residuals, order, total_sum, base, min_samples_leaf):
             if top_gain[k] > best_gain + tol:
                 best_gain = float(top_gain[k])
                 i = top[k]
-                best = (first + int(k), float((xs[k, i] + xs[k, i + 1]) / 2.0))
+                lo, hi = float(xs[k, i]), float(xs[k, i + 1])
+                mid = (lo + hi) / 2.0  # may round up to hi, or overflow to inf
+                best = (first + int(k), mid if mid < hi else lo)
     return best
 
 

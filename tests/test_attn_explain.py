@@ -347,3 +347,10 @@ class TestRenderHeatmap:
     def test_non_finite_rejected(self, tmp_path):
         with pytest.raises(InputError):
             ax.render_heatmap(np.array([[0.0, np.nan]]), tmp_path / "bad")
+
+    def test_csv_bytes_match_per_cell_repr(self, tmp_path):
+        m = np.array([[-0.0, 1e-300, 1 / 3], [1e300, 2.5, -7.0]])
+        _, csv = ax.render_heatmap(m, tmp_path / "hm")
+        want = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in m)
+        with open(csv, "rb") as fh:
+            assert fh.read() == want.encode()

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,69 @@ class TestFrame:
             AudioBuffer(np.array([]), SR)
 
 
+class TestFramesAt:
+    def test_even_starts_read_only_view(self):
+        x = np.arange(1000.0)
+        frames = dsp.frames_at(x, np.arange(0, 1000, 160), 320)
+        assert not frames.flags.writeable and not frames.flags.owndata
+        assert frames.shape == (7, 320)
+        assert np.array_equal(frames[2], x[320:640])
+        assert np.array_equal(frames[6], np.r_[x[960:], np.zeros(280)])
+
+    def test_single_start_view(self):
+        frames = dsp.frames_at(np.ones(10), [4], 8)
+        assert not frames.flags.writeable
+        assert np.array_equal(frames, [[1.0] * 6 + [0.0] * 2])
+
+    def test_uneven_starts_copy(self):
+        x = np.arange(1000.0)
+        frames = dsp.frames_at(x, [0, 220, 441], 441)
+        assert frames.flags.writeable and frames.flags.owndata
+        assert np.array_equal(frames[2], x[441:882])
+
+    def test_frame_view_at_16k_copy_at_22050(self):
+        assert not dsp.frame(AudioBuffer(np.ones(SR), SR)).flags.writeable
+        assert dsp.frame(AudioBuffer(np.ones(22050), 22050)).flags.owndata
+
+
+class TestStreamingStft:
+    @pytest.mark.parametrize("sr", [SR, 22050])
+    @pytest.mark.parametrize("n_frames", [dsp.STFT_BLOCK - 1, dsp.STFT_BLOCK,
+                                          dsp.STFT_BLOCK + 1, 2 * dsp.STFT_BLOCK + 1])
+    def test_blocks_equal_one_shot(self, sr, n_frames):
+        # starts at floor(i * 10 ms * sr); the last frame starts inside the clip
+        starts = np.floor(np.arange(n_frames) * dsp.HOP_MS * sr / 1000).astype(int)
+        x = np.random.default_rng(n_frames).standard_normal(starts[-1] + 1)
+        frames, power, freqs = dsp._frame_power(AudioBuffer(x, sr))
+        frame_len = int(round(dsp.FRAME_MS * sr / 1000))
+        one_shot = dsp.power_spectrum(dsp.frames_at(x, starts, frame_len))
+        assert len(frames) == n_frames
+        assert np.array_equal(power, one_shot)
+        assert np.array_equal(freqs, np.fft.rfftfreq(dsp.N_FFT, 1 / sr))
+
+    def test_frame_longer_than_nfft_cropped_after_window(self):
+        # chroma at 22 050 Hz: a 2822-sample frame, a 2048-point FFT
+        x = np.random.default_rng(5).standard_normal(22050 // 2)
+        frames, power, _ = dsp._frame_power(
+            AudioBuffer(x, 22050), dsp.CHROMA_WIN_MS, dsp.HOP_MS, dsp.CHROMA_N_FFT)
+        one_shot = np.abs(np.fft.rfft(frames * dsp.hann(frames.shape[1]),
+                                      n=dsp.CHROMA_N_FFT, axis=1)) ** 2
+        assert frames.shape[1] > dsp.CHROMA_N_FFT
+        assert np.array_equal(power, one_shot)
+
+    def test_extract_features_peak_memory(self):
+        # a one-shot STFT of this 3.6 s clip peaks near 17 MiB
+        audio = AudioBuffer(0.1 * np.random.default_rng(0).standard_normal(int(3.6 * SR)), SR)
+        dsp.extract_features(audio)  # fill the filterbank caches first
+        tracemalloc.start()
+        try:
+            dsp.extract_features(audio)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2 ** 20
+
+
 class TestPowerSpectrum:
     def test_zero_frame(self):
         assert np.all(dsp.power_spectrum(np.zeros(320)) == 0.0)
@@ -109,6 +173,12 @@ class TestPowerSpectrum:
         full = ps.sum() * 2 - ps[0] - ps[-1]
         energy = 512 * np.sum(w ** 2)
         assert full == pytest.approx(energy, rel=1e-6)
+
+    def test_stack_equals_single_frames(self):
+        x = np.random.default_rng(2).standard_normal((2, 3, 320))
+        stacked = dsp.power_spectrum(x)
+        assert stacked.shape == (2, 3, 257)
+        assert np.array_equal(stacked[1, 2], dsp.power_spectrum(x[1, 2]))
 
     def test_frame_longer_than_nfft_rejected(self):
         with pytest.raises(InputError):

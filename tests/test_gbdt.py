@@ -24,15 +24,19 @@ def xor_dataset():
     return X, y
 
 
-def walk_tree(tree, x):
-    """Independent recursive traversal oracle."""
+def leaf_of(tree, x):
+    """Independent traversal oracle: the index of the leaf `x` reaches."""
     node = 0
     while tree.feature[node] >= 0:
         if x[tree.feature[node]] <= tree.threshold[node]:
             node = tree.left[node]
         else:
             node = tree.right[node]
-    return tree.value[node]
+    return node
+
+
+def walk_tree(tree, x):
+    return tree.value[leaf_of(tree, x)]
 
 
 def naive_best_split(X, residuals, min_samples_leaf):
@@ -62,7 +66,9 @@ def naive_best_split(X, residuals, min_samples_leaf):
         i = int(np.argmax(gain))
         if gain[i] > best_gain + 1e-12 * max(1.0, base):
             best_gain = float(gain[i])
-            best = (j, float((xs[i] + xs[i + 1]) / 2.0))
+            lo, hi = float(xs[i]), float(xs[i + 1])
+            mid = (lo + hi) / 2.0
+            best = (j, mid if mid < hi else lo)
     return best
 
 
@@ -174,22 +180,25 @@ class TestPresortedSplitSearch:
                 assert node_lists(gbdt.fit_tree(X, r, p, cfg)) \
                     == node_lists(naive_fit_tree(X, r, p, cfg))
 
-    @pytest.mark.parametrize("column,r", [
-        # the midpoint threshold rounds up to the upper value, or overflows to
-        # inf, so one child of the split is empty
-        ([1.0, 1 + 2 ** -52, 1 + 2 ** -51], [-0.5, 0.5, 0.4]),
-        ([1e308, 1.7e308, 1.7e308], [-0.5, 0.5, 0.4]),
+    @pytest.mark.parametrize("column,r,splits", [
+        # the midpoint of the second split rounds up to the upper value, or
+        # the midpoint overflows to inf: the threshold falls back to the
+        # lower value, so both children get rows
+        ([1.0, 1 + 2 ** -52, 1 + 2 ** -51], [-0.5, 0.5, 0.4], 2),
+        ([1e308, 1.7e308, 1.7e308], [-0.5, 0.5, 0.4], 1),
         # every split leaves both means equal: no gain, so a single leaf
-        ([0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0]),
+        ([0.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0], 0),
     ], ids=["midpoint_rounds_up", "midpoint_inf", "zero_gain"])
-    def test_edge_cases(self, column, r):
+    def test_edge_cases(self, column, r, splits):
         X = np.array(column)[:, None]
         r = np.array(r)
         p = np.full(r.size, 0.5)
         cfg = gbdt.GbdtConfig(1, 3)
-        with np.errstate(over="ignore"):
-            assert node_lists(gbdt.fit_tree(X, r, p, cfg)) \
-                == node_lists(naive_fit_tree(X, r, p, cfg))
+        tree = gbdt.fit_tree(X, r, p, cfg)
+        assert node_lists(tree) == node_lists(naive_fit_tree(X, r, p, cfg))
+        assert sum(f >= 0 for f in tree.feature) == splits
+        # every leaf holds at least one training row
+        assert len({leaf_of(tree, x) for x in X}) == splits + 1
 
     def test_features_in_several_blocks(self, monkeypatch):
         # a block smaller than one node's rows: every feature is its own block

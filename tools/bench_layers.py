@@ -1,0 +1,227 @@
+"""Layer benchmarks of spoofkit, one topic at a time, on seeded synthetic
+inputs:
+
+  gbdt     tree fit, predict and permutation importance on feature tables
+  explain  model load, the occlusion scan, and one `explain occlusion` and
+           one `explain rollout` call, with a transformer trained here
+  dsp      MFCC, chroma, spectral scalars, log-Mel and the 37-dim feature
+           vector of 1.6, 2.6 and 3.6 s clips
+
+    python3 tools/bench_layers.py --topic dsp --label change
+    python3 tools/bench_layers.py --topic dsp --label parent --src ../parent/src
+
+Each case runs the topic's repeat count in this process and records its
+median wall time in seconds, plus a SHA-256 of what it produced, so that two
+sources can be checked for identical output. A dsp case also records the
+tracemalloc peak of one more call. The entry for `--label` (with the
+machine, Python, numpy and scipy versions) is merged into `--out`,
+BENCH_<topic>.json by default; other labels already in the file are kept,
+so the numbers of two sources measured on the same machine sit side by side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import json
+import os
+import platform
+import statistics
+import sys
+import tempfile
+import time
+import tracemalloc
+
+import numpy as np
+import scipy
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+N_FEATURES = 37
+LABEL_FLIP = 0.15  # flipped labels keep classes overlapping, so trees grow deep
+N_PER_CLASS = 8  # transformer training clips per class
+STEPS = 50  # training steps; the timings do not depend on how well it fits
+CUE_HZ = 6500.0  # spoof cue: a sustained tone
+DSP_CLIP_S = (1.6, 2.6, 3.6)
+DSP_STAGES = ("mfcc", "chroma", "spectral_scalars", "mel_spectrogram", "extract_features")
+
+# (name, trees, depth, rows) of each gbdt.train case
+TRAIN_CASES = [
+    ("train_100x3_120x37", 100, 3, 120),
+    ("train_400x8_240x37", 400, 8, 240),
+    ("train_50x8_2000x37", 50, 8, 2000),
+    ("train_5x8_8000x37", 5, 8, 8000),
+]
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def record(cases, name, fn, repeats, digest, peak=False):
+    """Time `repeats` calls of fn; store the median seconds and the digest of
+    the last result (and the tracemalloc peak of one more call) under
+    cases[name]. Returns the last result."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    cases[name] = {"median_s": statistics.median(times), "sha256": digest(result)}
+    if peak:
+        tracemalloc.start()
+        try:
+            fn()
+            cases[name]["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    print(f"{name}: {cases[name]['median_s']:.4f} s", file=sys.stderr)
+    return result
+
+
+def table(n, seed=0):
+    """A seeded (n, 37) table: eight latent factors mixed into correlated
+    features plus noise, labelled by a noisy linear score."""
+    fixed = np.random.default_rng(12345)
+    mixing = fixed.standard_normal((8, N_FEATURES))
+    weights = fixed.standard_normal(N_FEATURES) / np.sqrt(N_FEATURES)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 8)) @ mixing + 0.5 * rng.standard_normal((n, N_FEATURES))
+    score = X @ weights
+    y = (score / score.std() + 0.2 * rng.standard_normal(n) > 0).astype(int)
+    return X, np.where(rng.random(n) < LABEL_FLIP, 1 - y, y)
+
+
+def run_gbdt(sk, repeats) -> dict:
+    cases, models = {}, {}
+    for name, trees, depth, rows in TRAIN_CASES:
+        X, y = table(rows)
+        cfg = sk.gbdt.GbdtConfig(n_estimators=trees, max_depth=depth)
+        models[name] = record(cases, name, lambda: sk.gbdt.train(X, y, cfg), repeats,
+                              lambda model: sha(sk.gbdt.to_json(model).encode()))
+    X, _ = table(8000, seed=1)
+    record(cases, "decision_scores_5x8_8000rows",
+           lambda: sk.gbdt.decision_scores(models["train_5x8_8000x37"], X), repeats,
+           lambda scores: sha(scores.tobytes()))
+    X, y = table(240)
+    record(cases, "importance_400x8_240rows_10repeats",
+           lambda: sk.gbdt_explain.permutation_importance(
+               models["train_400x8_240x37"], X, y, repeats=10, seed=0), repeats,
+           lambda report: sha(report.to_json().encode()))
+    return cases
+
+
+def cli(sk, argv) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = sk.cli.main(argv)
+    if rc != 0:
+        raise RuntimeError(f"spoofkit {' '.join(argv)} exited {rc}")
+
+
+def files_digest(out) -> str:
+    """SHA-256 over the files `explain` wrote, in name order; the `meta`
+    entries are left out, as they hold the output path."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            data = fh.read()
+        if name.endswith(".json"):
+            doc = json.loads(data)
+            doc.pop("meta", None)
+            data = json.dumps(doc, sort_keys=True).encode()
+        h.update(name.encode() + b"\0" + data)
+    return h.hexdigest()[:16]
+
+
+def run_explain(sk, repeats) -> dict:
+    cases = {}
+    with tempfile.TemporaryDirectory() as root:
+        # seeded 1.6 s clips and a transformer trained on them (lr 0.01)
+        rng = np.random.default_rng(0)
+        entries = []
+        for label in (0, 1):
+            for k in range(N_PER_CLASS):
+                tones = [(float(rng.uniform(150, 900)), 0.4)] + [(CUE_HZ, 0.5)] * label
+                clip = sk.bench.synth_clip(rng, sk.bench.DEFAULT_CLIP_S, 0.3, 0.05, tones, [])
+                path = os.path.join(root, f"{label}_{k}.wav")
+                sk.dsp.write_wav(path, clip)
+                entries.append(sk.bench.ManifestEntry(path, label, "-", "train"))
+        manifest, model_path, wav = (os.path.join(root, "clips.csv"),
+                                     os.path.join(root, "model.json"), entries[-1].path)
+        sk.bench.write_manifest(manifest, entries)
+        cli(sk, ["train", "transformer", "--manifest", manifest, "--out", model_path,
+                 "--steps", str(STEPS), "--learning-rate", "0.01"])
+
+        model = record(cases, "model_load", lambda: sk.cli._load_model(
+            model_path, "transformer", sk.transformer.from_json), repeats,
+            lambda m: sha(sk.transformer.to_json(m).encode()))
+        spec = sk.dsp.mel_spectrogram(sk.bench.fit_clip_length(
+            sk.dsp.load_audio(wav), sk.bench.DEFAULT_CLIP_S))
+        cfg = sk.attn_explain.default_occlusion_config(spec.values.shape)
+        heatmap = record(cases, "occlusion_scan_128x16", lambda: sk.attn_explain.occlusion_scan(
+            lambda stack: sk.transformer.predict_proba(model, stack), spec, cfg), repeats,
+            lambda h: sha(np.array([h.base_prob] + [b[4] for b in h.boxes]).tobytes()))
+        cases["occlusion_scan_128x16"]["boxes"] = len(heatmap.boxes)
+        for kind in ("occlusion", "rollout"):
+            out = os.path.join(root, kind)
+            record(cases, f"explain_{kind}", lambda: cli(sk, [
+                "explain", kind, "--model", model_path, "--wav", wav, "--out", out]),
+                repeats, lambda _: files_digest(out))
+    return cases
+
+
+def run_dsp(sk, repeats) -> dict:
+    cases = {}
+    rng = np.random.default_rng(0)
+    for duration in DSP_CLIP_S:
+        clip = sk.bench.synth_clip(
+            rng, duration, 0.3, 0.05, [(float(rng.uniform(150, 900)), 0.4), (CUE_HZ, 0.5)], [])
+        for stage in DSP_STAGES:
+            fn = getattr(sk.dsp, stage)
+            # mel_spectrogram and extract_features return a dataclass with .values
+            record(cases, f"{stage}_{duration}s", lambda: fn(clip), repeats,
+                   lambda out: sha(getattr(out, "values", out).tobytes()),
+                   peak=True)
+    return cases
+
+
+TOPICS = {"gbdt": (run_gbdt, 5), "explain": (run_explain, 20), "dsp": (run_dsp, 20)}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--topic", required=True, choices=sorted(TOPICS))
+    p.add_argument("--label", required=True, help="name of this entry, e.g. parent or change")
+    p.add_argument("--src", default=os.path.join(HERE, "..", "src"),
+                   help="directory holding the spoofkit package to time")
+    p.add_argument("--out", help="JSON file to merge into (default BENCH_<topic>.json)")
+    args = p.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    sk = importlib.import_module("spoofkit")
+    for name in ("attn_explain", "bench", "cli", "dsp", "gbdt", "gbdt_explain", "transformer"):
+        importlib.import_module(f"spoofkit.{name}")
+
+    run, repeats = TOPICS[args.topic]
+    entry = {
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "scipy": scipy.__version__},
+        "repeats": repeats,
+        "cases": run(sk, repeats),
+    }
+    out = args.out or os.path.join(HERE, "..", f"BENCH_{args.topic}.json")
+    doc = {}
+    if os.path.exists(out):
+        with open(out) as fh:
+            doc = json.load(fh)
+    doc[args.label] = entry
+    with open(out, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
