@@ -109,10 +109,9 @@ def occlusion_scan(predict_fn, spec, cfg: OcclusionConfig) -> OcclusionHeatmap:
 
 def layer_attention_maps(record) -> list:
     """Head-averaged attention matrix per layer (rows stay row-stochastic)."""
-    layers = getattr(record, "layers", record)
-    if not len(layers):
+    if not len(record):
         raise InputError("empty attention record")
-    return [np.asarray(a).mean(axis=0) for a in layers]
+    return [np.asarray(a).mean(axis=0) for a in record]
 
 
 def rollout(record, residual_mode: str = "plain",

@@ -384,8 +384,7 @@ class BenchModels:
     gbdt_config: gbdt.GbdtConfig | None = field(
         default_factory=lambda: gbdt.GbdtConfig(n_estimators=100, max_depth=3))
     transformer_config: transformer.TransformerConfig | None = field(
-        default_factory=lambda: transformer.TransformerConfig(
-            geometry=transformer.PatchGeometry(16, 16, 16, 16)))
+        default_factory=transformer.TransformerConfig)
     transformer_train: transformer.TrainConfig = field(
         default_factory=lambda: transformer.TrainConfig(steps=300))
 

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -116,43 +117,43 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    out = args.out
-    if args.kind == "gbdt":
-        X, y = read_features_csv(args.features)
-        cfg = gbdt.GbdtConfig(n_estimators=args.n_estimators,
-                              max_depth=args.max_depth,
-                              learning_rate=args.learning_rate)
-        model = gbdt.train(X, y, cfg, list(dsp.FEATURE_NAMES)
-                           if X.shape[1] == dsp.N_FEATURES else None)
-        acc = float((gbdt.predict(model, X) == y).mean())
-        with open(out, "w") as fh:
-            fh.write(gbdt.to_json(model))
-        print(f"gbdt: {cfg.n_estimators} trees, depth {cfg.max_depth}, "
-              f"train accuracy {acc:.4f}")
-    else:
-        manifest = bench.load_manifest(require_file(args.manifest))
-        entries = manifest.subset("train") or manifest.entries
-        clips = [bench.fit_clip_length(dsp.load_audio(e.path), args.duration)
-                 for e in entries]
-        specs = [dsp.mel_spectrogram(c) for c in clips]
-        labels = [e.label for e in entries]
-        shape = specs[0].values.shape
-        cfg = transformer.TransformerConfig(
-            d_model=args.d_model, n_layers=args.n_layers, n_heads=args.n_heads,
-            d_ff=args.d_ff, input_shape=shape,
-            geometry=transformer.PatchGeometry(16, 16, args.stride, args.stride),
-            seed=args.seed)
-        tc = transformer.TrainConfig(steps=args.steps,
-                                     learning_rate=args.learning_rate,
-                                     weight_decay=args.weight_decay)
-        model = transformer.train_toy(list(zip(specs, labels)), cfg, tc)
-        step, loss, acc = model.history[-1]
-        with open(out, "w") as fh:
-            fh.write(transformer.to_json(model))
-        print(f"transformer: step {step}, loss {loss:.4f}, "
-              f"train accuracy {acc:.4f}")
-    write_json_artifact(out + ".run.json", {"model_path": out}, args)
+def _save_model(args, text) -> None:
+    """The model JSON at --out, plus its `.run.json` provenance sidecar."""
+    with open(args.out, "w") as fh:
+        fh.write(text)
+    write_json_artifact(args.out + ".run.json", {"model_path": args.out}, args)
+
+
+def cmd_train_gbdt(args) -> int:
+    X, y = read_features_csv(args.features)
+    cfg = gbdt.GbdtConfig(n_estimators=args.n_estimators, max_depth=args.max_depth,
+                          learning_rate=args.learning_rate)
+    model = gbdt.train(X, y, cfg, list(dsp.FEATURE_NAMES))
+    acc = float((gbdt.predict(model, X) == y).mean())
+    _save_model(args, gbdt.to_json(model))
+    print(f"gbdt: {cfg.n_estimators} trees, depth {cfg.max_depth}, "
+          f"train accuracy {acc:.4f}")
+    return EXIT_OK
+
+
+def cmd_train_transformer(args) -> int:
+    manifest = bench.load_manifest(require_file(args.manifest))
+    entries = manifest.subset("train") or manifest.entries
+    specs = [dsp.mel_spectrogram(bench.fit_clip_length(dsp.load_audio(e.path),
+                                                       args.duration))
+             for e in entries]
+    cfg = transformer.TransformerConfig(
+        d_model=args.d_model, n_layers=args.n_layers, n_heads=args.n_heads,
+        d_ff=args.d_ff, input_shape=specs[0].values.shape,
+        geometry=transformer.PatchGeometry(stride_h=args.stride, stride_w=args.stride),
+        seed=args.seed)
+    tc = transformer.TrainConfig(steps=args.steps, learning_rate=args.learning_rate,
+                                 weight_decay=args.weight_decay)
+    model = transformer.train_toy(list(zip(specs, [e.label for e in entries])), cfg, tc)
+    step, loss, acc = model.history[-1]
+    _save_model(args, transformer.to_json(model))
+    print(f"transformer: step {step}, loss {loss:.4f}, "
+          f"train accuracy {acc:.4f}")
     return EXIT_OK
 
 
@@ -172,75 +173,76 @@ def _load_model(path, kind, from_json):
     return from_json(doc)
 
 
-def _spec_for_model(args, model):
+def _transformer_and_spec(args):
+    """The transformer at --model and the log-Mel of --wav, fitted to the
+    clip length the model was built for."""
+    model = _load_model(args.model, "transformer", transformer.from_json)
     audio = dsp.load_audio(require_file(args.wav))
     duration = model.config.input_shape[1] / (1000.0 / dsp.MEL_SPEC_HOP_MS)
-    audio = bench.fit_clip_length(audio, duration)
-    return dsp.mel_spectrogram(audio)
+    return model, dsp.mel_spectrogram(bench.fit_clip_length(audio, duration))
 
 
-def cmd_explain(args) -> int:
-    if args.kind == "importance":
-        model = _load_model(args.model, "gbdt", gbdt.from_json)
-        X, y = read_features_csv(args.features)
-        out = ensure_outdir(args.out)
-        report = gbdt_explain.permutation_importance(
-            model, X, y, repeats=args.repeats, seed=args.seed)
-        with open(os.path.join(out, "importance.json"), "w") as fh:
-            fh.write(report.to_json())
-        with open(os.path.join(out, "importance.csv"), "w") as fh:
-            fh.write(report.to_csv())
-        corr = gbdt_explain.spearman_matrix(X)
-        clustering = gbdt_explain.ward_cluster(corr, args.cluster_threshold)
-        reps = gbdt_explain.select_representatives(clustering, report)
-        with open(os.path.join(out, "clusters.json"), "w") as fh:
-            fh.write(clustering.to_json())
-        write_json_artifact(os.path.join(out, "explain_run.json"),
-                            {"kind": "importance",
-                             "representatives": [report.names[r] for r in reps]},
-                            args)
-        top = np.argsort(-report.mean_importance)[: args.top_k]
-        for i in top:
-            bar = "#" * max(1, int(50 * max(report.mean_importance[i], 0)
-                                   / max(report.mean_importance.max(), 1e-12)))
-            print(f"{report.names[i]:>20s} {report.mean_importance[i]:+.4f} {bar}")
-        return EXIT_OK
+def cmd_explain_importance(args) -> int:
+    model = _load_model(args.model, "gbdt", gbdt.from_json)
+    X, y = read_features_csv(args.features)
+    out = ensure_outdir(args.out)
+    report = gbdt_explain.permutation_importance(
+        model, X, y, repeats=args.repeats, seed=args.seed)
+    with open(os.path.join(out, "importance.json"), "w") as fh:
+        fh.write(report.to_json())
+    with open(os.path.join(out, "importance.csv"), "w") as fh:
+        fh.write(report.to_csv())
+    corr = gbdt_explain.spearman_matrix(X)
+    clustering = gbdt_explain.ward_cluster(corr, args.cluster_threshold)
+    reps = gbdt_explain.select_representatives(clustering, report)
+    with open(os.path.join(out, "clusters.json"), "w") as fh:
+        fh.write(clustering.to_json())
+    write_json_artifact(os.path.join(out, "explain_run.json"),
+                        {"kind": "importance",
+                         "representatives": [report.names[r] for r in reps]},
+                        args)
+    top = np.argsort(-report.mean_importance)[: args.top_k]
+    for i in top:
+        bar = "#" * max(1, int(50 * max(report.mean_importance[i], 0)
+                               / max(report.mean_importance.max(), 1e-12)))
+        print(f"{report.names[i]:>20s} {report.mean_importance[i]:+.4f} {bar}")
+    return EXIT_OK
 
-    model = _load_model(args.model, "transformer", transformer.from_json)
-    spec = _spec_for_model(args, model)
-    if args.kind == "occlusion":
-        if args.box:
-            cfg = attn_explain.OcclusionConfig(box=tuple(args.box),
-                                               stride=tuple(args.stride),
-                                               fill=args.fill)
-        else:
-            cfg = attn_explain.default_occlusion_config(spec.values.shape)
-        heatmap = attn_explain.occlusion_scan(
-            lambda stack: transformer.predict_proba(model, stack), spec, cfg)
-        out = ensure_outdir(args.out)
-        attn_explain.render_heatmap(heatmap.importance,
-                                    os.path.join(out, "occlusion"))
-        write_json_artifact(os.path.join(out, "occlusion.json"), {
-            "base_prob": heatmap.base_prob,
-            "box": list(cfg.box), "stride": list(cfg.stride), "fill": cfg.fill,
-            "boxes": [{"row": r, "col": c, "h": h, "w": w, "delta": d}
-                      for r, c, h, w, d in heatmap.boxes],
-        }, args)
-        hot = max(heatmap.boxes, key=lambda b: b[4])
-        print(f"base prob_spoof {heatmap.base_prob:.4f}; strongest box at "
-              f"(row {hot[0]}, col {hot[1]}) delta {hot[4]:.4f}")
-        return EXIT_OK
 
-    # rollout
+def cmd_explain_occlusion(args) -> int:
+    if args.box and not args.stride:
+        raise UsageError("--box requires --stride")
+    model, spec = _transformer_and_spec(args)
+    if args.box:
+        cfg = attn_explain.OcclusionConfig(box=tuple(args.box),
+                                           stride=tuple(args.stride),
+                                           fill=args.fill)
+    else:
+        cfg = attn_explain.default_occlusion_config(spec.values.shape)
+    heatmap = attn_explain.occlusion_scan(
+        lambda stack: transformer.predict_proba(model, stack), spec, cfg)
+    out = ensure_outdir(args.out)
+    attn_explain.render_heatmap(heatmap.importance,
+                                os.path.join(out, "occlusion"))
+    write_json_artifact(os.path.join(out, "occlusion.json"), {
+        "base_prob": heatmap.base_prob,
+        "box": list(cfg.box), "stride": list(cfg.stride), "fill": cfg.fill,
+        "boxes": [{"row": r, "col": c, "h": h, "w": w, "delta": d}
+                  for r, c, h, w, d in heatmap.boxes],
+    }, args)
+    hot = max(heatmap.boxes, key=lambda b: b[4])
+    print(f"base prob_spoof {heatmap.base_prob:.4f}; strongest box at "
+          f"(row {hot[0]}, col {hot[1]}) delta {hot[4]:.4f}")
+    return EXIT_OK
+
+
+def cmd_explain_rollout(args) -> int:
+    model, spec = _transformer_and_spec(args)
     out = ensure_outdir(args.out)
     fwd = transformer.forward(spec, model)
-    if args.rollout == "last":
-        # CLS attention of the final layer only, no cross-layer product
-        mode = "plain"
-        record = [fwd.attention.layers[-1]]
-    else:
-        mode = "residual_half" if args.rollout == "residual" else "plain"
-        record = fwd.attention
+    # "last": CLS attention of the final layer only, no cross-layer product
+    record = fwd.attention[-1:] if args.rollout == "last" else fwd.attention
+    mode = "residual_half" if args.rollout == "residual" else "plain"
     rmap = attn_explain.rollout(record, mode,
                                 token_time_spans=fwd.token_time_spans)
     timeline = attn_explain.cls_timeline(rmap)
@@ -258,15 +260,16 @@ def cmd_explain(args) -> int:
 
 
 def _bench_models(args):
-    gcfg = None if args.models and "gbdt" not in args.models else \
-        gbdt.GbdtConfig(n_estimators=args.n_estimators, max_depth=args.max_depth)
-    tcfg = None
-    ttrain = transformer.TrainConfig(steps=args.steps)
-    if not args.models or "transformer" in args.models:
-        tcfg = transformer.TransformerConfig(
-            geometry=transformer.PatchGeometry(16, 16, 16, 16), seed=args.seed)
-    return bench.BenchModels(gbdt_config=gcfg, transformer_config=tcfg,
-                             transformer_train=ttrain)
+    """`BenchModels()` with the study flags applied; `--models` keeps only
+    the detectors it names."""
+    base = bench.BenchModels()
+    return bench.BenchModels(
+        gbdt_config=replace(base.gbdt_config, n_estimators=args.n_estimators,
+                            max_depth=args.max_depth)
+        if not args.models or "gbdt" in args.models else None,
+        transformer_config=replace(base.transformer_config, seed=args.seed)
+        if not args.models or "transformer" in args.models else None,
+        transformer_train=replace(base.transformer_train, steps=args.steps))
 
 
 def _write_reports(out, reports, markdown, args, stem):
@@ -281,51 +284,74 @@ def _write_reports(out, reports, markdown, args, stem):
     print(markdown)
 
 
-def cmd_bench(args) -> int:
-    out = ensure_outdir(args.out)
-    models = _bench_models(args)
-    if args.mode == "generalize":
-        if args.synth:
-            a, b = bench.make_generalization_corpora(
-                ensure_outdir(args.synth), seed=args.seed,
-                duration_s=args.duration)
-        else:
-            if not args.train_manifest or not args.eval_manifest:
-                raise UsageError("provide --train-manifest and --eval-manifest, "
-                                 "or --synth DIR")
-            a = bench.load_manifest(require_file(args.train_manifest))
-            b = bench.load_manifest(require_file(args.eval_manifest))
-        reports, markdown = bench.run_generalization(
-            a, b, models, balance_n=args.balance_n, seed=args.seed,
-            duration_s=args.duration)
-        _write_reports(out, reports, markdown, args, "generalization")
+def cmd_bench_generalize(args) -> int:
+    out, models = ensure_outdir(args.out), _bench_models(args)
+    if args.synth:
+        a, b = bench.make_generalization_corpora(
+            ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)
     else:
-        if args.synth:
-            manifest = bench.make_augmentation_corpus(
-                ensure_outdir(args.synth), seed=args.seed,
-                duration_s=args.duration)
-        else:
-            if not args.manifest:
-                raise UsageError("provide --manifest or --synth DIR")
-            manifest = bench.load_manifest(require_file(args.manifest))
-        reports, markdown = bench.run_augmentation_study(
-            manifest, args.augmentations.split(","), models, seed=args.seed,
-            duration_s=args.duration)
-        _write_reports(out, reports, markdown, args, "augmentation")
+        if not args.train_manifest or not args.eval_manifest:
+            raise UsageError("provide --train-manifest and --eval-manifest, "
+                             "or --synth DIR")
+        a = bench.load_manifest(require_file(args.train_manifest))
+        b = bench.load_manifest(require_file(args.eval_manifest))
+    reports, markdown = bench.run_generalization(
+        a, b, models, balance_n=args.balance_n, seed=args.seed,
+        duration_s=args.duration)
+    _write_reports(out, reports, markdown, args, "generalization")
+    return EXIT_OK
+
+
+def cmd_bench_augment(args) -> int:
+    out, models = ensure_outdir(args.out), _bench_models(args)
+    if args.synth:
+        manifest = bench.make_augmentation_corpus(
+            ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)
+    else:
+        if not args.manifest:
+            raise UsageError("provide --manifest or --synth DIR")
+        manifest = bench.load_manifest(require_file(args.manifest))
+    reports, markdown = bench.run_augmentation_study(
+        manifest, args.augmentations.split(","), models, seed=args.seed,
+        duration_s=args.duration)
+    _write_reports(out, reports, markdown, args, "augmentation")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
+class Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are UsageErrors: one `error:` line, exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
+def _parent(*names, **kwargs) -> Parser:
+    """A parent parser holding one flag, for the modes that share it."""
+    p = Parser(add_help=False)
+    p.add_argument(*names, **kwargs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One parser per mode, declaring exactly the flags its `cmd_*` function
+    reads; flag defaults are read from the config objects the flags fill."""
+    gbdt_cfg, study = gbdt.GbdtConfig(), bench.BenchModels()
+    tr_cfg, tr_train = transformer.TransformerConfig(), transformer.TrainConfig()
+    out = _parent("--out", required=True)
+    duration = _parent("--duration", type=float, default=bench.DEFAULT_CLIP_S)
+    model = _parent("--model", required=True)
+    wav = _parent("--wav", required=True, help="audio file")
+
+    parser = Parser(
         prog="spoofkit",
         description="Audio deepfake detection and explainability toolkit")
     parser.add_argument("--seed", type=int, default=0)
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="manifest -> 37-feature CSV")
+    p = commands.add_parser("extract", help="manifest -> 37-feature CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--duration", type=float, default=0.0,
@@ -334,88 +360,73 @@ def build_parser() -> argparse.ArgumentParser:
                    help="strip leading/trailing silence before extraction")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train a gbdt or transformer model")
-    p.add_argument("kind", choices=["gbdt", "transformer"])
-    p.add_argument("--features", help="feature CSV (gbdt)")
-    p.add_argument("--manifest", help="audio manifest (transformer)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--n-estimators", type=int, default=400)
-    p.add_argument("--max-depth", type=int, default=8)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--d-model", type=int, default=16)
-    p.add_argument("--n-layers", type=int, default=2)
-    p.add_argument("--n-heads", type=int, default=2)
-    p.add_argument("--d-ff", type=int, default=32)
-    p.add_argument("--stride", type=int, default=16)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--duration", type=float, default=bench.DEFAULT_CLIP_S)
-    p.set_defaults(func=cmd_train)
+    modes = commands.add_parser("train", help="train a gbdt or transformer model"
+                                ).add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("gbdt", parents=[out])
+    p.add_argument("--features", required=True, help="feature CSV")
+    p.add_argument("--n-estimators", type=int, default=gbdt_cfg.n_estimators)
+    p.add_argument("--max-depth", type=int, default=gbdt_cfg.max_depth)
+    p.add_argument("--learning-rate", type=float, default=gbdt_cfg.learning_rate)
+    p.set_defaults(func=cmd_train_gbdt)
+    p = modes.add_parser("transformer", parents=[out, duration])
+    p.add_argument("--manifest", required=True, help="audio manifest")
+    p.add_argument("--steps", type=int, default=tr_train.steps)
+    p.add_argument("--learning-rate", type=float, default=tr_train.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=tr_train.weight_decay)
+    p.add_argument("--d-model", type=int, default=tr_cfg.d_model)
+    p.add_argument("--n-layers", type=int, default=tr_cfg.n_layers)
+    p.add_argument("--n-heads", type=int, default=tr_cfg.n_heads)
+    p.add_argument("--d-ff", type=int, default=tr_cfg.d_ff)
+    p.add_argument("--stride", type=int, default=tr_cfg.geometry.stride_h)
+    p.set_defaults(func=cmd_train_transformer)
 
-    p = sub.add_parser("explain", help="model explanations")
-    p.add_argument("kind", choices=["importance", "occlusion", "rollout"])
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", help="feature CSV (importance)")
-    p.add_argument("--wav", help="audio file (occlusion / rollout)")
-    p.add_argument("--out", required=True)
+    modes = commands.add_parser("explain", help="model explanations"
+                                ).add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("importance", parents=[model, out])
+    p.add_argument("--features", required=True, help="feature CSV")
     p.add_argument("--repeats", type=int, default=gbdt_explain.DEFAULT_REPEATS)
     p.add_argument("--cluster-threshold", type=float,
                    default=gbdt_explain.DEFAULT_CLUSTER_THRESHOLD)
     p.add_argument("--top-k", type=int, default=10)
+    p.set_defaults(func=cmd_explain_importance)
+    p = modes.add_parser("occlusion", parents=[model, wav, out])
     p.add_argument("--box", type=int, nargs=2, metavar=("H", "W"))
-    p.add_argument("--stride", type=int, nargs=2, metavar=("H", "W"),
-                   default=None)
+    p.add_argument("--stride", type=int, nargs=2, metavar=("H", "W"))
     p.add_argument("--fill", choices=["zero", "one", "mean"], default="zero")
+    p.set_defaults(func=cmd_explain_occlusion)
+    p = modes.add_parser("rollout", parents=[model, wav, out])
     p.add_argument("--rollout", choices=["plain", "residual", "last"],
                    default="plain")
-    p.set_defaults(func=cmd_explain)
+    p.set_defaults(func=cmd_explain_rollout)
 
-    p = sub.add_parser("bench", help="benchmark studies")
-    p.add_argument("mode", choices=["generalize", "augment"])
+    studies = Parser(add_help=False, parents=[out, duration])
+    studies.add_argument("--synth", help="generate a synthetic corpus in this dir")
+    studies.add_argument("--models", help="comma list: gbdt,transformer")
+    studies.add_argument("--n-estimators", type=int,
+                         default=study.gbdt_config.n_estimators)
+    studies.add_argument("--max-depth", type=int, default=study.gbdt_config.max_depth)
+    studies.add_argument("--steps", type=int, default=study.transformer_train.steps)
+    modes = commands.add_parser("bench", help="benchmark studies"
+                                ).add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("generalize", parents=[studies])
     p.add_argument("--train-manifest")
     p.add_argument("--eval-manifest")
-    p.add_argument("--manifest")
-    p.add_argument("--synth", help="generate a synthetic corpus in this dir")
-    p.add_argument("--out", required=True)
     p.add_argument("--balance-n", type=int, default=30)
-    p.add_argument("--models", help="comma list: gbdt,transformer")
+    p.set_defaults(func=cmd_bench_generalize)
+    p = modes.add_parser("augment", parents=[studies])
+    p.add_argument("--manifest")
     p.add_argument("--augmentations", default="identity,codec,rerecord")
-    p.add_argument("--n-estimators", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--steps", type=int, default=300)
-    p.add_argument("--duration", type=float, default=bench.DEFAULT_CLIP_S)
-    p.set_defaults(func=cmd_bench)
-
+    p.set_defaults(func=cmd_bench_augment)
     return parser
 
 
-def validate_args(args) -> None:
-    if args.command == "train":
-        if args.kind == "gbdt" and not args.features:
-            raise UsageError("train gbdt requires --features")
-        if args.kind == "transformer" and not args.manifest:
-            raise UsageError("train transformer requires --manifest")
-    if args.command == "explain":
-        if args.kind == "importance" and not args.features:
-            raise UsageError("explain importance requires --features")
-        if args.kind in ("occlusion", "rollout") and not args.wav:
-            raise UsageError(f"explain {args.kind} requires --wav")
-        if args.kind == "occlusion" and args.box and not args.stride:
-            raise UsageError("--box requires --stride")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        validate_args(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (SpoofkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_COMPUTE
 
 
 if __name__ == "__main__":

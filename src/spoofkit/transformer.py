@@ -29,8 +29,8 @@ ADAM_EPS = 1e-8
 class PatchGeometry:
     patch_h: int = 16
     patch_w: int = 16
-    stride_h: int = 10
-    stride_w: int = 10
+    stride_h: int = 16
+    stride_w: int = 16
 
     def __post_init__(self):
         if min(self.patch_h, self.patch_w, self.stride_h, self.stride_w) < 1:
@@ -75,19 +75,10 @@ class TransformerConfig:
 
 
 @dataclass
-class AttentionRecord:
-    """Per-layer (n_heads, T, T) row-stochastic attention matrices."""
-    layers: list
-
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-
-@dataclass
 class ForwardOutput:
     logits: np.ndarray  # (2,) = (bonafide, spoof)
     prob_spoof: float
-    attention: AttentionRecord
+    attention: list  # per layer, (n_heads, T, T) row-stochastic weights
     cls_final: np.ndarray
     token_time_spans: list
 
@@ -331,8 +322,8 @@ def forward(spec, model: TransformerModel) -> ForwardOutput:
     tokens, _, spans = embed(spec, model)
     logits, attn, (_, cls) = forward_batch(model, tokens[None])
     probs = softmax(logits[0])
-    record = AttentionRecord([a[0] for a in attn])
-    return ForwardOutput(logits[0], float(probs[1]), record, cls[0], spans)
+    return ForwardOutput(logits[0], float(probs[1]), [a[0] for a in attn],
+                         cls[0], spans)
 
 
 # ---------------------------------------------------------------------------

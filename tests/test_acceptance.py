@@ -219,7 +219,7 @@ def test_criterion_05_transformer_numerics():
     assert elapsed < 60
 
     out = tr.forward(data[0][0], model)
-    for layer in out.attention.layers:
+    for layer in out.attention:
         assert np.abs(layer.sum(axis=-1) - 1.0).max() <= 1e-6
     report("criterion 5 (transformer numerics)", True,
            f"grad rel err {worst:.2e}, toy acc {best_acc:.3f} in {elapsed:.1f} s")

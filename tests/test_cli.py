@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -584,3 +585,222 @@ class TestFuzz:
         except SpoofkitError:
             return
         assert audio.samples.ndim == 1
+
+
+# The flags each mode reads; any other flag is a usage error.
+MODE_FLAGS = {
+    ("train", "gbdt"): {"--features", "--out", "--n-estimators", "--max-depth",
+                        "--learning-rate"},
+    ("train", "transformer"): {"--manifest", "--out", "--duration", "--steps",
+                               "--learning-rate", "--weight-decay", "--d-model",
+                               "--n-layers", "--n-heads", "--d-ff", "--stride"},
+    ("explain", "importance"): {"--model", "--features", "--out", "--repeats",
+                                "--cluster-threshold", "--top-k"},
+    ("explain", "occlusion"): {"--model", "--wav", "--out", "--box", "--stride",
+                               "--fill"},
+    ("explain", "rollout"): {"--model", "--wav", "--out", "--rollout"},
+    ("bench", "generalize"): {"--train-manifest", "--eval-manifest", "--synth",
+                              "--out", "--balance-n", "--models", "--n-estimators",
+                              "--max-depth", "--steps", "--duration"},
+    ("bench", "augment"): {"--manifest", "--synth", "--out", "--models",
+                           "--augmentations", "--n-estimators", "--max-depth",
+                           "--steps", "--duration"},
+}
+
+
+
+def foreign_flags():
+    """(command, mode, flag) for each flag that another mode of the same
+    command reads but this mode does not."""
+    for (command, mode), flags in MODE_FLAGS.items():
+        siblings = set().union(*(f for (c, _), f in MODE_FLAGS.items() if c == command))
+        for flag in sorted(siblings - flags):
+            yield command, mode, flag
+
+
+# a value of the kind the mode that reads the flag takes
+FLAG_VALUES = {
+    "--manifest": ["m.csv"], "--train-manifest": ["m.csv"],
+    "--eval-manifest": ["m.csv"], "--features": ["f.csv"], "--wav": ["c.wav"],
+    "--steps": ["7"], "--d-model": ["99"], "--n-layers": ["1"], "--n-heads": ["1"],
+    "--d-ff": ["8"], "--weight-decay": ["5"], "--duration": ["1.6"],
+    "--n-estimators": ["3"], "--max-depth": ["2"], "--repeats": ["2"],
+    "--cluster-threshold": ["0.5"], "--top-k": ["3"], "--box": ["2", "2"],
+    "--fill": ["mean"], "--rollout": ["last"], "--balance-n": ["5"],
+    "--augmentations": ["identity"],
+}
+
+
+def mode_argv(command, mode, out):
+    """A command line of `mode` that passes every required flag."""
+    required = {"gbdt": ["--features", "f.csv"],
+                "transformer": ["--manifest", "m.csv"],
+                "importance": ["--model", "g.json", "--features", "f.csv"],
+                "occlusion": ["--model", "t.json", "--wav", "c.wav"],
+                "rollout": ["--model", "t.json", "--wav", "c.wav"],
+                "generalize": ["--train-manifest", "a.csv", "--eval-manifest", "b.csv"],
+                "augment": ["--manifest", "m.csv"]}[mode]
+    return [command, mode, *required, "--out", str(out)]
+
+
+def mode_parsers():
+    """{(command, mode): parser} of every mode parser."""
+    def subparsers(parser):
+        return next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    commands = subparsers(cli.build_parser())
+    return {(c, m): p for c in ("train", "explain", "bench")
+            for m, p in subparsers(commands[c]).items()}
+
+
+class TestModeParsers:
+    def test_each_mode_declares_exactly_the_flags_it_reads(self):
+        declared = {key: {s for a in p._actions for s in a.option_strings
+                          if s.startswith("--") and s != "--help"}
+                    for key, p in mode_parsers().items()}
+        assert declared == MODE_FLAGS
+        assert sum(len(flags) for flags in declared.values()) == 51
+
+    def test_34_foreign_flags(self):
+        assert len(list(foreign_flags())) == 34
+
+    @pytest.mark.parametrize("command,mode,flag", list(foreign_flags()),
+                             ids=lambda v: v.lstrip("-"))
+    def test_flag_of_another_mode_is_usage_error(self, tmp_path, capsys, command,
+                                                 mode, flag):
+        out = tmp_path / "out"
+        value = {"train": ["3"], "explain": ["2", "2"]}[command] \
+            if flag == "--stride" else FLAG_VALUES[flag]
+        rc = cli.main(mode_argv(command, mode, out) + [flag, *value])
+        assert rc == 2
+        assert flag in one_error_line(capsys)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["train", "gbdt", "--features", "f.csv"], "--out"),
+        (["explain", "rollout", "--model", "t.json", "--out", "o"], "--wav"),
+        (["explain", "occlusion", "--model", "t.json", "--wav", "c.wav",
+          "--out", "o", "--fill", "noise"], "noise"),
+        (["train", "forest", "--out", "o"], "forest"),
+        (["explain"], "mode"),
+        (["train", "gbdt", "--features", "f.csv", "--out", "o",
+          "--n-estimators", "many"], "many"),
+        ([], "command"),
+    ], ids=["missing_out", "missing_wav", "bad_fill", "unknown_mode", "no_mode",
+            "bad_int", "no_command"])
+    def test_argparse_errors_are_one_line_exit_2(self, tmp_path, capsys,
+                                                 monkeypatch, argv, needle):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        assert needle in one_error_line(capsys)
+        assert os.listdir(tmp_path) == []
+
+    def test_box_without_stride_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(mode_argv("explain", "occlusion", out) + ["--box", "2", "2"])
+        assert rc == 2
+        assert "--box requires --stride" in one_error_line(capsys)
+        assert not out.exists()
+
+
+def parsed(argv):
+    return cli.build_parser().parse_args(argv)
+
+
+class TestParserDefaults:
+    def test_train_gbdt_reads_gbdt_config(self):
+        args, cfg = parsed(mode_argv("train", "gbdt", "o")), gbdt.GbdtConfig()
+        assert (args.n_estimators, args.max_depth, args.learning_rate) == \
+            (cfg.n_estimators, cfg.max_depth, cfg.learning_rate) == (400, 8, 0.1)
+
+    def test_train_transformer_reads_transformer_configs(self):
+        args = parsed(mode_argv("train", "transformer", "o"))
+        cfg, tc, geometry = tr.TransformerConfig(), tr.TrainConfig(), tr.PatchGeometry()
+        assert (args.steps, args.learning_rate, args.weight_decay) == \
+            (tc.steps, tc.learning_rate, tc.weight_decay) == (500, 0.01, 0.0)
+        assert (args.d_model, args.n_layers, args.n_heads, args.d_ff) == \
+            (cfg.d_model, cfg.n_layers, cfg.n_heads, cfg.d_ff)
+        assert args.stride == geometry.stride_h == geometry.stride_w == 16
+        assert (geometry.patch_h, geometry.patch_w) == (16, 16)
+        assert args.duration == bench.DEFAULT_CLIP_S
+
+    @pytest.mark.parametrize("mode", ["generalize", "augment"])
+    def test_bench_reads_bench_models(self, mode):
+        args = parsed(mode_argv("bench", mode, "o"))
+        models = bench.BenchModels()
+        assert (args.n_estimators, args.max_depth, args.steps) == (
+            models.gbdt_config.n_estimators, models.gbdt_config.max_depth,
+            models.transformer_train.steps) == (100, 3, 300)
+        assert cli._bench_models(args) == models
+
+    def test_bench_models_flags_applied(self):
+        args = parsed(["--seed", "4"] + mode_argv("bench", "augment", "o") + [
+            "--models", "transformer", "--steps", "9", "--n-estimators", "2"])
+        models = cli._bench_models(args)
+        assert models.gbdt_config is None
+        assert models.transformer_config.seed == 4
+        assert models.transformer_train == tr.TrainConfig(steps=9)
+
+
+# Command lines copied from perfbench/workloads.py (full and smoke sizes),
+# tools/bench_layers.py and the README; each must parse to the mode it names.
+KNOWN_CALLS = [
+    ["--seed", "0", "train", "transformer", "--manifest", "inputs/clips.csv",
+     "--out", "inputs/model.json", "--steps", "300", "--learning-rate", "0.01"],
+    ["--seed", "1", "train", "transformer", "--manifest", "inputs/clips.csv",
+     "--out", "inputs/model.json", "--steps", "5", "--learning-rate", "0.01"],
+    ["--seed", "0", "bench", "augment", "--manifest", "inputs/corpus.csv",
+     "--out", "out/augment"],
+    ["--seed", "1", "bench", "augment", "--manifest", "inputs/corpus.csv",
+     "--out", "out/augment", "--steps", "5", "--n-estimators", "3"],
+    ["--seed", "0", "train", "gbdt", "--features", "inputs/train.csv",
+     "--out", "out/train/gbdt.json", "--n-estimators", "5", "--max-depth", "8"],
+    ["--seed", "1", "train", "gbdt", "--features", "inputs/train.csv",
+     "--out", "out/train/gbdt.json", "--n-estimators", "2", "--max-depth", "8"],
+    ["--seed", "0", "explain", "importance", "--model", "out/train/gbdt.json",
+     "--features", "inputs/train.csv", "--out", "out/importance", "--repeats", "5"],
+    ["--seed", "1", "explain", "importance", "--model", "out/train/gbdt.json",
+     "--features", "inputs/train.csv", "--out", "out/importance", "--repeats", "1"],
+    ["--seed", "0", "extract", "--manifest", "inputs/clips.csv",
+     "--out-csv", "out/extract/features.csv"],
+    ["--seed", "0", "explain", "occlusion", "--model", "inputs/model.json",
+     "--wav", "inputs/eval_bonafide_000.wav", "--out",
+     "out/eval_bonafide_000/occlusion"],
+    ["--seed", "0", "explain", "rollout", "--model", "inputs/model.json",
+     "--wav", "inputs/eval_bonafide_000.wav", "--out",
+     "out/eval_bonafide_000/rollout"],
+    ["train", "transformer", "--manifest", "clips.csv", "--out", "model.json",
+     "--steps", "50", "--learning-rate", "0.01"],
+    ["explain", "occlusion", "--model", "model.json", "--wav", "1_7.wav",
+     "--out", "occlusion"],
+    ["explain", "rollout", "--model", "model.json", "--wav", "1_7.wav",
+     "--out", "rollout"],
+    ["extract", "--manifest", "data/manifest.csv", "--out-csv", "features.csv"],
+    ["train", "gbdt", "--features", "features.csv", "--out", "gbdt.json",
+     "--n-estimators", "400", "--max-depth", "8"],
+    ["train", "transformer", "--manifest", "data/manifest.csv", "--out", "tr.json",
+     "--steps", "500", "--d-model", "16", "--n-layers", "2", "--n-heads", "2"],
+    ["explain", "importance", "--model", "gbdt.json", "--features", "features.csv",
+     "--out", "report/"],
+    ["explain", "occlusion", "--model", "tr.json", "--wav", "clip.wav",
+     "--out", "report/", "--box", "32", "4", "--stride", "16", "2",
+     "--fill", "zero"],
+    ["explain", "rollout", "--model", "tr.json", "--wav", "clip.wav",
+     "--out", "report/", "--rollout", "plain"],
+    ["bench", "generalize", "--synth", "corpus/", "--out", "report/",
+     "--balance-n", "30"],
+    ["bench", "augment", "--synth", "corpus/", "--out", "report/",
+     "--augmentations", "identity,codec,rerecord"],
+]
+
+
+@pytest.mark.parametrize("argv", KNOWN_CALLS)
+def test_known_call_parses_to_its_mode(argv):
+    words = argv[2:] if argv[0] == "--seed" else argv
+    args = parsed(argv)
+    assert args.command == words[0]
+    if words[0] == "extract":
+        assert args.func is cli.cmd_extract
+    else:
+        assert args.mode == words[1]
+        assert args.func is getattr(cli, f"cmd_{words[0]}_{words[1]}")

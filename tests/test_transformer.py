@@ -310,8 +310,8 @@ class TestForward:
             assert 0.0 <= out.prob_spoof <= 1.0
             assert out.logits.shape == (2,)
             assert out.cls_final.shape == (cfg.d_model,)
-            assert out.attention.n_layers() == 2
-            for layer in out.attention.layers:
+            assert len(out.attention) == 2
+            for layer in out.attention:
                 assert layer.shape == (2, cfg.n_tokens, cfg.n_tokens)
                 assert np.allclose(layer.sum(axis=-1), 1.0)
             assert len(out.token_time_spans) == cfg.n_patches

@@ -10,9 +10,10 @@ inputs:
     python3 tools/bench_layers.py --topic dsp --label change
     python3 tools/bench_layers.py --topic dsp --label parent --src ../parent/src
 
-Each case runs the topic's repeat count in this process and records its
-median wall time in seconds, plus a SHA-256 of what it produced, so that two
-sources can be checked for identical output. A dsp case also records the
+After a fixed warm-up (WARMUP_S seconds of feature extraction), each case
+runs the topic's repeat count in this process and records its median wall
+time in seconds, plus a SHA-256 of what it produced, so that two sources can
+be checked for identical output. A dsp case also records the
 tracemalloc peak of one more call. The entry for `--label` (with the
 machine, Python, numpy and scipy versions) is merged into `--out`,
 BENCH_<topic>.json by default; other labels already in the file are kept,
@@ -46,6 +47,7 @@ STEPS = 50  # training steps; the timings do not depend on how well it fits
 CUE_HZ = 6500.0  # spoof cue: a sustained tone
 DSP_CLIP_S = (1.6, 2.6, 3.6)
 DSP_STAGES = ("mfcc", "chroma", "spectral_scalars", "mel_spectrogram", "extract_features")
+WARMUP_S = 3.0  # the first ~1 s of calls in a fresh process run several times slower
 
 # (name, trees, depth, rows) of each gbdt.train case
 TRAIN_CASES = [
@@ -79,6 +81,17 @@ def record(cases, name, fn, repeats, digest, peak=False):
             tracemalloc.stop()
     print(f"{name}: {cases[name]['median_s']:.4f} s", file=sys.stderr)
     return result
+
+
+def warm_up(sk) -> None:
+    """Extract features from a fixed clip for WARMUP_S seconds, so that no case
+    is timed in the slow first second of the process. It draws from its own
+    generator, so the cases' inputs do not change."""
+    clip = sk.bench.synth_clip(np.random.default_rng(1), sk.bench.DEFAULT_CLIP_S,
+                               0.3, 0.05, [(440.0, 0.4), (CUE_HZ, 0.5)], [])
+    end = time.perf_counter() + WARMUP_S
+    while time.perf_counter() < end:
+        sk.dsp.extract_features(clip)
 
 
 def table(n, seed=0):
@@ -204,6 +217,7 @@ def main(argv=None) -> int:
         importlib.import_module(f"spoofkit.{name}")
 
     run, repeats = TOPICS[args.topic]
+    warm_up(sk)
     entry = {
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
