@@ -212,6 +212,8 @@ def cmd_explain_importance(args) -> int:
 def cmd_explain_occlusion(args) -> int:
     if args.box and not args.stride:
         raise UsageError("--box requires --stride")
+    if args.stride and not args.box:
+        raise UsageError("--stride requires --box")
     model, spec = _transformer_and_spec(args)
     if args.box:
         cfg = attn_explain.OcclusionConfig(box=tuple(args.box),
@@ -260,15 +262,21 @@ def cmd_explain_rollout(args) -> int:
 
 
 def _bench_models(args):
-    """`BenchModels()` with the study flags applied; `--models` keeps only
-    the detectors it names."""
+    """`BenchModels()` with the study flags applied; `--models`, a comma
+    list, keeps only the detectors it names."""
+    known = ("gbdt", "transformer")
+    names = args.models.split(",") if args.models else known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise UsageError(f"--models: unknown {', '.join(map(repr, unknown))}; "
+                         f"choose from {', '.join(known)}")
     base = bench.BenchModels()
     return bench.BenchModels(
         gbdt_config=replace(base.gbdt_config, n_estimators=args.n_estimators,
                             max_depth=args.max_depth)
-        if not args.models or "gbdt" in args.models else None,
+        if "gbdt" in names else None,
         transformer_config=replace(base.transformer_config, seed=args.seed)
-        if not args.models or "transformer" in args.models else None,
+        if "transformer" in names else None,
         transformer_train=replace(base.transformer_train, steps=args.steps))
 
 
@@ -285,7 +293,7 @@ def _write_reports(out, reports, markdown, args, stem):
 
 
 def cmd_bench_generalize(args) -> int:
-    out, models = ensure_outdir(args.out), _bench_models(args)
+    models, out = _bench_models(args), ensure_outdir(args.out)
     if args.synth:
         a, b = bench.make_generalization_corpora(
             ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)
@@ -303,7 +311,7 @@ def cmd_bench_generalize(args) -> int:
 
 
 def cmd_bench_augment(args) -> int:
-    out, models = ensure_outdir(args.out), _bench_models(args)
+    models, out = _bench_models(args), ensure_outdir(args.out)
     if args.synth:
         manifest = bench.make_augmentation_corpus(
             ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)

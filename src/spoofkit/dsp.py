@@ -8,7 +8,7 @@ samples in [-1, 1] at a known sample rate.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,14 +66,12 @@ class AudioBuffer:
 @dataclass
 class MelSpectrogram:
     values: np.ndarray  # (n_bands, n_steps), log-energy
-    band_centers: np.ndarray  # Hz
     hop_ms: float
 
 
 @dataclass
 class FeatureVector:
     values: np.ndarray  # length 37, FEATURE_NAMES order
-    names: list = field(default_factory=lambda: list(FEATURE_NAMES))
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -365,7 +363,7 @@ def mel_spectrogram(audio: AudioBuffer, n_bands: int = MEL_SPEC_BANDS,
     """Log-Mel time-frequency matrix (n_bands x T); at the default 100 ms hop
     a t-second clip yields T = ceil(10 t) columns."""
     _, power, _ = _frame_power(audio, win_ms, hop_ms, n_fft)
-    fb, centers = mel_filterbank(n_bands, n_fft, audio.sample_rate)
+    fb, _ = mel_filterbank(n_bands, n_fft, audio.sample_rate)
     mel_energy = power @ fb.T
     values = np.log(np.maximum(mel_energy, LOG_FLOOR)).T
-    return MelSpectrogram(values, centers, hop_ms)
+    return MelSpectrogram(values, hop_ms)

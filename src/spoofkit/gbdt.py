@@ -63,24 +63,6 @@ class RegressionTree:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        feat = np.asarray(self.feature)
-        thr = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        val = np.asarray(self.value)
-        node = np.zeros(X.shape[0], dtype=int)
-        while True:
-            internal = feat[node] >= 0
-            if not internal.any():
-                break
-            idx = np.where(internal)[0]
-            f = feat[node[idx]]
-            go_left = X[idx, f] <= thr[node[idx]]
-            node[idx] = np.where(go_left, left[node[idx]], right[node[idx]])
-        return val[node]
-
 
 @dataclass
 class GbdtModel:
@@ -92,6 +74,73 @@ class GbdtModel:
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
+
+
+class Ensemble:
+    """A model's trees as one set of node arrays, children as indices into
+    them, and each tree's root: the one walk and the one score sum."""
+
+    def __init__(self, model: GbdtModel):
+        self.f0 = model.f0
+        self.learning_rate = model.learning_rate
+        trees = model.trees
+        sizes = np.array([len(t.feature) for t in trees], dtype=int)
+        self.roots = np.cumsum(sizes) - sizes
+        shift = np.repeat(self.roots, sizes)
+
+        def cat(name, dtype):
+            return np.array([v for t in trees for v in getattr(t, name)], dtype=dtype)
+
+        self.feature = cat("feature", int)
+        self.threshold = cat("threshold", np.float64)
+        self.left = cat("left", int) + shift
+        self.right = cat("right", int) + shift
+        self.value = cat("value", np.float64)
+
+    def walk(self, node, X, rows, shuffled=-1, perm=None):
+        """Leaf reached by row X[rows[i]] from node[i]: left where the split
+        feature is <= the threshold. With a `shuffled` column and `perm`, row
+        k reads that column from row perm[k] instead."""
+        node = node.copy()
+        active = np.flatnonzero(self.feature[node] >= 0)
+        while active.size:
+            at = node[active]
+            f = self.feature[at]
+            r = rows[active]
+            if perm is not None:
+                r = np.where(f == shuffled, perm[r], r)
+            go_left = X[r, f] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+            active = active[self.feature[node[active]] >= 0]
+        return node
+
+    def leaves(self, X) -> np.ndarray:
+        """(trees, rows): the leaf each row of X reaches in each tree."""
+        n, n_trees = X.shape[0], self.roots.size
+        return self.walk(np.repeat(self.roots, n), X,
+                         np.tile(np.arange(n), n_trees)).reshape(n_trees, n)
+
+    def scores(self, leaves) -> np.ndarray:
+        """Decision scores of (trees, rows) leaves: f0 plus the shrunken leaf
+        values, summed in tree order."""
+        scores = np.full(leaves.shape[1], self.f0)
+        for contribution in self.learning_rate * self.value[leaves]:
+            scores += contribution
+        return scores
+
+    def path_features(self, d) -> np.ndarray:
+        """(nodes, d) bool: entry (i, j) says whether a split on the path from
+        its root to node i tests feature j."""
+        tested = np.zeros((self.feature.size, d), dtype=bool)
+        level = self.roots
+        while level.size:
+            level = level[self.feature[level] >= 0]
+            rows = tested[level]
+            rows[np.arange(level.size), self.feature[level]] = True
+            tested[self.left[level]] = rows
+            tested[self.right[level]] = rows
+            level = np.r_[self.left[level], self.right[level]]
+        return tested
 
 
 def sigmoid(z):
@@ -181,7 +230,7 @@ def fit_tree(X, residuals, probs, config: GbdtConfig) -> RegressionTree:
     own stable argsort. Nodes are numbered in pre-order, left subtree first."""
     X = np.asarray(X, dtype=np.float64)
     return _fit_presorted(X, np.asarray(residuals, dtype=np.float64),
-                          np.asarray(probs, dtype=np.float64), config, _presort(X))
+                          np.asarray(probs, dtype=np.float64), config, _presort(X))[0]
 
 
 def _presort(X) -> np.ndarray:
@@ -193,23 +242,29 @@ def _presort(X) -> np.ndarray:
     return order
 
 
-def _fit_presorted(X, residuals, probs, config: GbdtConfig, order) -> RegressionTree:
+def _fit_presorted(X, residuals, probs, config: GbdtConfig, order):
     """`fit_tree` on float64 arrays and X's presort `order`, which the
-    split partitions overwrite."""
+    split partitions overwrite. Returns the tree and the (n,) value of the
+    leaf each row of X lands in."""
     n, d = X.shape
     tree = RegressionTree()
+    fitted = np.empty(n)
+
+    def leaf(idx, r):
+        fitted[idx] = value = _newton_leaf(r, probs[idx])
+        return tree.add_leaf(value)
 
     def build(lo, hi, idx, depth):
         r = residuals[idx]
         if depth >= config.max_depth or idx.size < 2 * config.min_samples_leaf \
                 or np.ptp(r) == 0:
-            return tree.add_leaf(_newton_leaf(r, probs[idx]))
+            return leaf(idx, r)
         total_sum = r.sum()
         base = (r ** 2).sum() - total_sum ** 2 / idx.size
         split = _best_split(X, residuals, order[:, lo:hi], total_sum, base,
                             config.min_samples_leaf)
         if split is None:
-            return tree.add_leaf(_newton_leaf(r, probs[idx]))
+            return leaf(idx, r)
         j, thr = split
         node = tree.add_split(j, thr)
         go_left = X[idx, j] <= thr
@@ -226,7 +281,7 @@ def _fit_presorted(X, residuals, probs, config: GbdtConfig, order) -> Regression
 
     build(0, n, np.arange(n), 0)
     del build  # build's cell refers to build: drop the cycle so `order` is freed now
-    return tree
+    return tree, fitted
 
 
 def train(X, labels, config: GbdtConfig, feature_names=None) -> GbdtModel:
@@ -246,9 +301,9 @@ def train(X, labels, config: GbdtConfig, feature_names=None) -> GbdtModel:
     for _ in range(config.n_estimators):
         p = sigmoid(scores)
         r = pseudo_residuals(y, p)
-        tree = _fit_presorted(X, r, p, config, order.copy())
+        tree, fitted = _fit_presorted(X, r, p, config, order.copy())
         trees.append(tree)
-        scores = scores + config.learning_rate * tree.predict(X)
+        scores = scores + config.learning_rate * fitted
     return GbdtModel(f0, trees, config.learning_rate, list(feature_names))
 
 
@@ -257,10 +312,8 @@ def decision_scores(model: GbdtModel, X) -> np.ndarray:
     if X.shape[1] != model.n_features:
         raise InputError(
             f"expected {model.n_features} features, got {X.shape[1]}")
-    scores = np.full(X.shape[0], model.f0)
-    for tree in model.trees:
-        scores += model.learning_rate * tree.predict(X)
-    return scores
+    ens = Ensemble(model)
+    return ens.scores(ens.leaves(X))
 
 
 def predict_proba(model: GbdtModel, X) -> np.ndarray:
@@ -270,14 +323,6 @@ def predict_proba(model: GbdtModel, X) -> np.ndarray:
 
 def predict(model: GbdtModel, X, threshold: float = 0.5) -> np.ndarray:
     return (predict_proba(model, X) >= threshold).astype(int)
-
-
-def used_features(model: GbdtModel) -> set:
-    """Indices of features that appear in at least one split."""
-    used = set()
-    for tree in model.trees:
-        used.update(f for f in tree.feature if f >= 0)
-    return used
 
 
 # ---------------------------------------------------------------------------

@@ -63,65 +63,6 @@ def _accuracy(scores, y) -> float:
     return float(((gbdt.sigmoid(scores) >= 0.5).astype(int) == y).mean())
 
 
-def _score_sum(model, leaf_values) -> np.ndarray:
-    """Decision scores from (trees, rows) leaf values, summed in tree order
-    as `gbdt.decision_scores` sums them, so they are bit-identical to it."""
-    scores = np.full(leaf_values.shape[1], model.f0)
-    for contribution in model.learning_rate * leaf_values:
-        scores += contribution
-    return scores
-
-
-class _Ensemble:
-    """The nodes of all trees in one set of arrays, children as indices into
-    them, and each tree's root."""
-
-    def __init__(self, trees):
-        sizes = np.array([len(t.feature) for t in trees], dtype=int)
-        self.roots = np.cumsum(sizes) - sizes
-        shift = np.repeat(self.roots, sizes)
-
-        def cat(name, dtype):
-            return np.array([v for t in trees for v in getattr(t, name)], dtype=dtype)
-
-        self.feature = cat("feature", int)
-        self.threshold = cat("threshold", np.float64)
-        self.left = cat("left", int) + shift
-        self.right = cat("right", int) + shift
-        self.value = cat("value", np.float64)
-
-    def walk(self, node, X, rows, shuffled=-1, perm=None):
-        """Leaf reached by row X[rows[i]] from node[i], as `RegressionTree.predict`
-        walks. With a `shuffled` column and `perm`, row k reads that column
-        from row perm[k] instead."""
-        node = node.copy()
-        active = np.flatnonzero(self.feature[node] >= 0)
-        while active.size:
-            at = node[active]
-            f = self.feature[at]
-            r = rows[active]
-            if perm is not None:
-                r = np.where(f == shuffled, perm[r], r)
-            go_left = X[r, f] <= self.threshold[at]
-            node[active] = np.where(go_left, self.left[at], self.right[at])
-            active = active[self.feature[node[active]] >= 0]
-        return node
-
-    def path_features(self, d) -> np.ndarray:
-        """(nodes, d) bool: entry (i, j) says whether a split on the path from
-        its root to node i tests feature j."""
-        tested = np.zeros((self.feature.size, d), dtype=bool)
-        level = self.roots
-        while level.size:
-            level = level[self.feature[level] >= 0]
-            rows = tested[level]
-            rows[np.arange(level.size), self.feature[level]] = True
-            tested[self.left[level]] = rows
-            tested[self.right[level]] = rows
-            level = np.r_[self.left[level], self.right[level]]
-        return tested
-
-
 def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
                            seed: int = 0) -> ImportanceReport:
     """Per-feature drop in the accuracy of `gbdt.predict` when that column is
@@ -131,10 +72,9 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
     std is taken over the per-repeat drops. Each (feature, repeat) pair draws
     an independent shuffle from a seeded stream.
 
-    Every tree is walked once on X. A shuffle of column j can move a row only
-    in the trees whose path for that row tests j, so only those (tree, row)
-    pairs are walked again. Scores are summed in tree order, as in
-    `gbdt.decision_scores`, so the predictions are bit-identical to it.
+    Every tree is walked once on X, as in `gbdt.decision_scores`. A shuffle
+    of column j can move a row only in the trees whose path for that row
+    tests j, so only those (tree, row) pairs are walked again.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -145,11 +85,9 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
     n, d = X.shape
     if d != model.n_features:
         raise InputError(f"expected {model.n_features} features, got {d}")
-    ens = _Ensemble(model.trees)
-    n_trees = len(model.trees)
-    leaves = ens.walk(np.repeat(ens.roots, n), X,
-                      np.tile(np.arange(n), n_trees)).reshape(n_trees, n)
-    scores = _score_sum(model, ens.value[leaves])
+    ens = gbdt.Ensemble(model)
+    leaves = ens.leaves(X)
+    scores = ens.scores(leaves)
     s = _accuracy(scores, y)
     tested = ens.path_features(d)
     rng = np.random.default_rng(seed)
@@ -167,7 +105,7 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
             leaf = moved_leaves.copy()
             leaf[tree_of, row_of] = ens.walk(start, X, moved[row_of], j, perm)
             shuffled = scores.copy()
-            shuffled[moved] = _score_sum(model, ens.value[leaf])
+            shuffled[moved] = ens.scores(leaf)
             drops[r] = s - _accuracy(shuffled, y)
         means[j] = drops.mean()
         stds[j] = drops.std()

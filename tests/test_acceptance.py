@@ -64,6 +64,15 @@ def test_criterion_01_dsp_oracles():
 # ---------------------------------------------------------------------------
 # 2. GBDT correctness
 
+def walk_tree(tree, x):
+    """Independent traversal oracle: the value of the leaf `x` reaches."""
+    node = 0
+    while tree.feature[node] >= 0:
+        go_left = x[tree.feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return tree.value[node]
+
+
 def test_criterion_02_gbdt():
     t0 = time.perf_counter()
     assert gbdt.init_log_odds([1] * 50 + [0] * 50) == 0.0
@@ -76,7 +85,7 @@ def test_criterion_02_gbdt():
     scores = np.full(y.size, model.f0)
     prev = gbdt.logistic_loss(y, gbdt.sigmoid(scores))
     for tree in model.trees:
-        scores = scores + 0.1 * tree.predict(X)
+        scores = scores + 0.1 * np.array([walk_tree(tree, x) for x in X])
         cur = gbdt.logistic_loss(y, gbdt.sigmoid(scores))
         assert cur <= prev + 1e-12
         prev = cur
@@ -117,7 +126,7 @@ def test_criterion_03_permutation_importance():
             drops.append(base - (gbdt.predict(model, Xp) == y).mean())
         assert rep.mean_importance[j] == np.mean(drops)
 
-    used = gbdt.used_features(model)
+    used = {f for tree in model.trees for f in tree.feature}
     for j in range(6):
         if j not in used:
             assert rep.mean_importance[j] == 0.0

@@ -695,11 +695,15 @@ class TestModeParsers:
         assert needle in one_error_line(capsys)
         assert os.listdir(tmp_path) == []
 
-    def test_box_without_stride_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag,needle", [
+        ("--box", "--box requires --stride"),
+        ("--stride", "--stride requires --box"),
+    ], ids=["box_alone", "stride_alone"])
+    def test_box_without_stride_exit_2(self, tmp_path, capsys, flag, needle):
         out = tmp_path / "out"
-        rc = cli.main(mode_argv("explain", "occlusion", out) + ["--box", "2", "2"])
+        rc = cli.main(mode_argv("explain", "occlusion", out) + [flag, "2", "2"])
         assert rc == 2
-        assert "--box requires --stride" in one_error_line(capsys)
+        assert needle in one_error_line(capsys)
         assert not out.exists()
 
 
@@ -740,6 +744,27 @@ class TestParserDefaults:
         assert models.gbdt_config is None
         assert models.transformer_config.seed == 4
         assert models.transformer_train == tr.TrainConfig(steps=9)
+
+    @pytest.mark.parametrize("names,gbdt_on,transformer_on", [
+        ("gbdt", True, False), ("transformer", False, True),
+        ("gbdt,transformer", True, True),
+    ])
+    def test_bench_models_names(self, names, gbdt_on, transformer_on):
+        models = cli._bench_models(parsed(
+            mode_argv("bench", "augment", "o") + ["--models", names]))
+        assert (models.gbdt_config is not None) == gbdt_on
+        assert (models.transformer_config is not None) == transformer_on
+
+    @pytest.mark.parametrize("mode", ["generalize", "augment"])
+    @pytest.mark.parametrize("names,unknown", [
+        ("foo", "'foo'"), ("gbdt,tranformer", "'tranformer'"), (",", "'', ''"),
+    ])
+    def test_bench_unknown_model_exit_2(self, tmp_path, capsys, mode, names, unknown):
+        out = tmp_path / "out"
+        rc = cli.main(mode_argv("bench", mode, out) + ["--models", names])
+        assert rc == 2
+        assert f"--models: unknown {unknown};" in one_error_line(capsys)
+        assert not out.exists()
 
 
 # Command lines copied from perfbench/workloads.py (full and smoke sizes),

@@ -39,6 +39,11 @@ def walk_tree(tree, x):
     return tree.value[leaf_of(tree, x)]
 
 
+def tree_values(tree, X):
+    """`walk_tree` on each row of X."""
+    return np.array([walk_tree(tree, x) for x in X])
+
+
 def naive_best_split(X, residuals, min_samples_leaf):
     """Per-node split search oracle: argsort every feature at the node."""
     n, d = X.shape
@@ -222,7 +227,7 @@ class TestPresortedSplitSearch:
             p = gbdt.sigmoid(scores)
             naive = naive_fit_tree(X, gbdt.pseudo_residuals(y, p), p, cfg)
             assert node_lists(tree) == node_lists(naive)
-            scores = scores + cfg.learning_rate * tree.predict(X)
+            scores = scores + cfg.learning_rate * tree_values(tree, X)
 
     def test_rounds_sharing_one_presort_match_fit_tree(self):
         # train hands every round a copy of one presort; each tree must be
@@ -236,7 +241,7 @@ class TestPresortedSplitSearch:
             p = gbdt.sigmoid(scores)
             fresh = gbdt.fit_tree(X, gbdt.pseudo_residuals(y, p), p, cfg)
             assert node_lists(tree) == node_lists(fresh)
-            scores = scores + cfg.learning_rate * fresh.predict(X)
+            scores = scores + cfg.learning_rate * tree_values(fresh, X)
 
 
 class TestTrain:
@@ -261,7 +266,7 @@ class TestTrain:
     def test_single_round_is_f0_plus_scaled_tree(self):
         X, y = blobs(20)
         model = gbdt.train(X, y, gbdt.GbdtConfig(1, 2, 0.3))
-        expected = gbdt.sigmoid(model.f0 + 0.3 * model.trees[0].predict(X))
+        expected = gbdt.sigmoid(model.f0 + 0.3 * tree_values(model.trees[0], X))
         assert np.array_equal(gbdt.predict_proba(model, X), expected)
 
     def test_monotone_training_loss(self):
@@ -270,7 +275,7 @@ class TestTrain:
         scores = np.full(y.size, model.f0)
         prev = gbdt.logistic_loss(y, gbdt.sigmoid(scores))
         for tree in model.trees:
-            scores = scores + model.learning_rate * tree.predict(X)
+            scores = scores + model.learning_rate * tree_values(tree, X)
             cur = gbdt.logistic_loss(y, gbdt.sigmoid(scores))
             assert cur <= prev + 1e-12
             prev = cur
@@ -312,13 +317,25 @@ class TestPredict:
     def test_matches_independent_tree_walk(self):
         X, y = blobs(40, seed=5, d=4)
         model = gbdt.train(X, y, gbdt.GbdtConfig(15, 3, 0.1))
-        probs = gbdt.predict_proba(model, X)
-        for i, x in enumerate(X):
-            # Eq-style recursion: score_m = score_{m-1} + lr * h_m(x)
-            score = model.f0
-            for t in model.trees:
-                score = score + model.learning_rate * walk_tree(t, x)
-            assert probs[i] == gbdt.sigmoid(score)
+        # trained on integers, the thresholds are halves: rows rounded to
+        # halves sit exactly on some of them
+        tied = gbdt.train(np.round(X), y, gbdt.GbdtConfig(15, 3, 0.1))
+        halves = np.round(X * 2) / 2
+        assert any(x[f] == thr for x in halves for t in tied.trees
+                   for f, thr in zip(t.feature, t.threshold) if f >= 0)
+        first, last = gbdt.RegressionTree(), gbdt.RegressionTree()
+        first.add_leaf(0.25)
+        last.add_leaf(-0.5)
+        leafy = gbdt.GbdtModel(model.f0, [first] + model.trees + [last],
+                               model.learning_rate, model.feature_names)
+        for m, rows in ((model, X), (tied, halves), (leafy, X), (model, X[3])):
+            probs = gbdt.predict_proba(m, rows)
+            for i, x in enumerate(np.atleast_2d(rows)):
+                # Eq-style recursion: score_m = score_{m-1} + lr * h_m(x)
+                score = m.f0
+                for t in m.trees:
+                    score = score + m.learning_rate * walk_tree(t, x)
+                assert probs[i] == gbdt.sigmoid(score)
 
     def test_dimension_mismatch(self):
         X, y = blobs(10)

@@ -58,7 +58,7 @@ class TestPermutationImportance:
                     if f == 0:
                         depths.add(depth[i])
         assert len(depths) >= 3
-        assert 4 not in gbdt.used_features(model)
+        assert all(4 not in tree.feature for tree in model.trees)
         rep = gbdt_explain.permutation_importance(model, X, y, repeats=4, seed=3)
         means, stds = reference_importance(model, X, y, 4, 3)
         assert np.array_equal(rep.mean_importance, means)
@@ -70,7 +70,7 @@ class TestPermutationImportance:
         X, y = planted_dataset(300, 5, seed=2)
         model = gbdt.train(X, y, gbdt.GbdtConfig(30, 2, 0.2))
         rep = gbdt_explain.permutation_importance(model, X, y, repeats=5, seed=0)
-        used = gbdt.used_features(model)
+        used = {f for tree in model.trees for f in tree.feature}
         for j in range(5):
             if j not in used:
                 assert rep.mean_importance[j] == 0.0
