@@ -10,6 +10,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -90,6 +91,9 @@ def read_features_csv(path):
             for row in rows:
                 X.append([float(v) for v in row[:n]])
                 y.append(bench.LABELS.index(row[n]))
+                if not all(map(math.isfinite, X[-1])):
+                    raise UsageError(f"{path}:{reader.line_num}: features must "
+                                     "be finite numbers (no nan or inf)")
         except UnicodeDecodeError:
             raise UsageError(f"{path}: not a text CSV file") from None
         except (IndexError, ValueError, csv.Error):

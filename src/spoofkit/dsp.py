@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 from .errors import InputError
 
@@ -251,6 +250,8 @@ def mfcc(audio: AudioBuffer, n_mfcc: int = N_MFCC, n_mels: int = N_MELS,
          pre_emphasis: float = PRE_EMPHASIS) -> np.ndarray:
     """Per-frame MFCCs: pre-emphasis -> frame -> Hann -> FFT power -> Mel ->
     log -> orthonormal DCT-II. Returns (n_frames, n_mfcc)."""
+    from scipy.fft import dct  # loaded on first use: `import spoofkit` needs numpy only
+
     if not 1 <= n_mfcc <= n_mels:
         raise InputError("n_mfcc must be in [1, n_mels]")
     frame_len = int(round(frame_ms * audio.sample_rate / 1000.0))

@@ -9,9 +9,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import squareform
-from scipy.stats import rankdata
 
 from . import bench, gbdt
 from .errors import InputError, MetricError
@@ -113,6 +110,26 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
     return ImportanceReport(list(names), means, stds, repeats)
 
 
+def _average_ranks(X) -> np.ndarray:
+    """Ranks 1..n within each column of the (n, d) matrix X; a run of tied
+    values shares the mean of its ranks, as in `scipy.stats.rankdata`.
+
+    Those means are whole or half numbers, so they are exact in float64."""
+    n = X.shape[0]
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    pos = np.arange(n)[:, None]
+    first = np.ones(X.shape, dtype=bool)  # sorted position opens a tie run
+    first[1:] = xs[1:] != xs[:-1]
+    last = np.ones(X.shape, dtype=bool)  # sorted position closes a tie run
+    last[:-1] = first[1:]
+    lo = np.maximum.accumulate(np.where(first, pos, 0), axis=0)
+    hi = np.minimum.accumulate(np.where(last, pos, n)[::-1], axis=0)[::-1]
+    ranks = np.empty(X.shape)
+    np.put_along_axis(ranks, order, (lo + hi) / 2.0 + 1.0, axis=0)
+    return ranks
+
+
 def spearman_matrix(X) -> np.ndarray:
     """Spearman rank-order correlation between feature columns.
 
@@ -122,7 +139,9 @@ def spearman_matrix(X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise InputError("need a (n_samples >= 2, n_features) matrix")
-    ranks = np.column_stack([rankdata(X[:, j]) for j in range(X.shape[1])])
+    if not np.all(np.isfinite(X)):
+        raise InputError("features contain NaN or inf")
+    ranks = _average_ranks(X)
     centered = ranks - ranks.mean(axis=0)
     norms = np.sqrt((centered ** 2).sum(axis=0))
     constant = norms == 0
@@ -139,6 +158,8 @@ def spearman_matrix(X) -> np.ndarray:
 def ward_cluster(corr: np.ndarray, threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> FeatureClustering:
     """Ward-linkage agglomerative clustering on distance d = 1 - rho, with
     flat clusters cut at `threshold`."""
+    from scipy.cluster.hierarchy import fcluster, linkage  # loaded on first use
+
     corr = np.asarray(corr, dtype=np.float64)
     if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
         raise InputError("correlation matrix must be square")
@@ -147,7 +168,8 @@ def ward_cluster(corr: np.ndarray, threshold: float = DEFAULT_CLUSTER_THRESHOLD)
     dist = 1.0 - corr
     np.fill_diagonal(dist, 0.0)
     dist = np.clip(dist, 0.0, None)
-    condensed = squareform((dist + dist.T) / 2.0, checks=False)
+    # condensed form: the upper triangle, row by row
+    condensed = ((dist + dist.T) / 2.0)[np.triu_indices(len(dist), 1)]
     merge_tree = linkage(condensed, method="ward")
     labels = fcluster(merge_tree, t=threshold, criterion="distance")
     clusters = {}

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -471,6 +473,81 @@ class TestHostileInput:
         assert rc == 1
         assert "malformed transformer" in one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["train", "importance"])
+    def test_non_finite_features_exit_2(self, trained_artifacts, tmp_path, capsys,
+                                        command):
+        # a nan cell on line 3 and an inf cell on line 4: the reader stops
+        # at the first, before --out is created
+        path = tmp_path / "f.csv"
+        rest = ",".join(["0.5"] * (dsp.N_FEATURES - 1))
+        path.write_text(f"{FEATURE_HEADER}\n{FEATURE_ROW},spoof\n"
+                        f"nan,{rest},bonafide\n{rest},inf,spoof\n")
+        argv = ["train", "gbdt"] if command == "train" else \
+            ["explain", "importance", "--model", trained_artifacts["gbdt"]]
+        rc = cli.main([*argv, "--features", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"{path}:3: features must be finite" in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def modules_loaded_by(code):
+    """Names of the modules a fresh interpreter loads while it runs `code`,
+    with the spoofkit package of this checkout on its path."""
+    probe = ("import sys\n_before = set(sys.modules)\n" + code
+             + "\nprint(*sorted(set(sys.modules) - _before))")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def cli_modules(argv):
+    """`modules_loaded_by` one `cli.main(argv)` call that exits 0."""
+    return modules_loaded_by(f"from spoofkit import cli\nassert cli.main({argv!r}) == 0")
+
+
+def scipy_modules(names):
+    return {name for name in names if name.split(".")[0] == "scipy"}
+
+
+class TestStartup:
+    """scipy is loaded only by the functions that call it: `dsp.mfcc`
+    (scipy.fft) and `gbdt_explain.ward_cluster` (scipy.cluster)."""
+
+    def test_import_loads_numpy_and_the_standard_library_only(self):
+        loaded = modules_loaded_by("import spoofkit.cli")
+        roots = {name.split(".")[0] for name in loaded} - set(sys.stdlib_module_names)
+        assert roots == {"numpy", "spoofkit"}
+
+    def test_explain_rollout_and_train_gbdt_load_no_scipy(self, trained_artifacts,
+                                                          tmp_path):
+        assert not scipy_modules(cli_modules([
+            "explain", "rollout", "--model", trained_artifacts["transformer"],
+            "--wav", trained_artifacts["wav"], "--out", str(tmp_path / "rollout")]))
+        assert not scipy_modules(cli_modules([
+            "train", "gbdt", "--features", trained_artifacts["features"],
+            "--out", str(tmp_path / "gbdt.json"), "--n-estimators", "2"]))
+
+    def test_extract_loads_scipy_fft_not_stats(self, trained_artifacts, tmp_path):
+        loaded = scipy_modules(cli_modules([
+            "extract", "--manifest", os.path.join(trained_artifacts["root"], "manifest.csv"),
+            "--out-csv", str(tmp_path / "f.csv")]))
+        assert "scipy.fft" in loaded
+        assert not {"scipy.stats", "scipy.cluster"} & loaded
+
+    def test_explain_importance_loads_scipy_cluster_not_stats(self, trained_artifacts,
+                                                               tmp_path):
+        loaded = scipy_modules(cli_modules([
+            "explain", "importance", "--model", trained_artifacts["gbdt"],
+            "--features", trained_artifacts["features"], "--repeats", "1",
+            "--out", str(tmp_path / "out")]))
+        assert "scipy.cluster.hierarchy" in loaded
+        assert "scipy.stats" not in loaded
+
 
 CSV_LINES = st.one_of(
     st.just(FEATURE_HEADER), st.just(FEATURE_ROW + ",spoof"), st.text(max_size=30),
@@ -523,6 +600,7 @@ class TestFuzz:
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=st.lists(CSV_LINES, max_size=6))
+    @example(lines=[FEATURE_HEADER, "nan," + FEATURE_ROW[len("0.5,"):] + ",spoof"])
     def test_read_features_csv_succeeds_or_raises_spoofkit_error(self, tmp_path, lines):
         path = tmp_path / "f.csv"
         path.write_text("\n".join(lines))
@@ -531,6 +609,7 @@ class TestFuzz:
         except SpoofkitError:
             return
         assert X.shape == (len(y), dsp.N_FEATURES)
+        assert np.isfinite(X).all()
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())

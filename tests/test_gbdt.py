@@ -104,6 +104,16 @@ def node_lists(tree):
     return tree.feature, tree.threshold, tree.left, tree.right, tree.value
 
 
+def node_depths(tree):
+    """Depth of each node; nodes are numbered in pre-order, so a parent
+    comes before its children."""
+    depth = [0] * len(tree.feature)
+    for node, feature in enumerate(tree.feature):
+        if feature >= 0:
+            depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return depth
+
+
 class TestInitLogOdds:
     def test_balanced(self):
         assert gbdt.init_log_odds([1] * 50 + [0] * 50) == 0.0
@@ -228,6 +238,31 @@ class TestPresortedSplitSearch:
             naive = naive_fit_tree(X, gbdt.pseudo_residuals(y, p), p, cfg)
             assert node_lists(tree) == node_lists(naive)
             scores = scores + cfg.learning_rate * tree_values(tree, X)
+
+    def test_unsplittable_leaves_match_per_node_argsort(self):
+        # four distinct rows, each repeated with both labels: a node that
+        # holds copies of one row has unequal residuals but no split, so it
+        # is a leaf above max_depth, and train must add its value to the
+        # scores of its rows like that of any other leaf
+        X = np.repeat([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], 15, axis=0)
+        y = np.random.default_rng(11).integers(0, 2, len(X))
+        cfg = gbdt.GbdtConfig(6, 5, 0.3)
+        model = gbdt.train(X, y, cfg)
+        scores = np.full(y.size, model.f0)
+        unsplittable = 0
+        for tree in model.trees:
+            p = gbdt.sigmoid(scores)
+            r = gbdt.pseudo_residuals(y, p)
+            assert node_lists(tree) == node_lists(naive_fit_tree(X, r, p, cfg))
+            leaves = np.array([leaf_of(tree, x) for x in X])
+            depth = node_depths(tree)
+            for leaf in np.unique(leaves):
+                rows = leaves == leaf
+                unsplittable += bool(depth[leaf] < cfg.max_depth
+                                     and rows.sum() >= 2 * cfg.min_samples_leaf
+                                     and np.ptp(r[rows]) > 0)
+            scores = scores + cfg.learning_rate * tree_values(tree, X)
+        assert unsplittable > 0
 
     def test_rounds_sharing_one_presort_match_fit_tree(self):
         # train hands every round a copy of one presort; each tree must be

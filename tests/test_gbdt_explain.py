@@ -165,6 +165,25 @@ class TestSpearman:
         with pytest.raises(InputError):
             gbdt_explain.spearman_matrix(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        X = np.random.default_rng(5).normal(0, 1, (10, 3))
+        X[4, 1] = value
+        with pytest.raises(InputError, match="NaN or inf"):
+            gbdt_explain.spearman_matrix(X)
+
+    @pytest.mark.parametrize("X", [
+        np.random.default_rng(6).normal(0, 1, (300, 37)),
+        np.round(np.random.default_rng(7).normal(0, 1, (500, 6)), 1),  # heavy ties
+        np.random.default_rng(8).integers(0, 3, (9, 4)).astype(float),
+        np.zeros((20, 3)),  # constant columns
+        np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0], [-0.0, -1.0]]),  # +-0.0 tie
+        np.array([[1.0, 2.0, 5.0], [1.0, 1.0, -5.0]]),  # two rows
+    ], ids=["normal", "rounded", "small_ints", "constant", "signed_zero", "two_rows"])
+    def test_ranks_equal_rankdata(self, X):
+        expected = np.column_stack([rankdata(X[:, j]) for j in range(X.shape[1])])
+        assert np.array_equal(gbdt_explain._average_ranks(X), expected)
+
 
 def lance_williams_ward(dist):
     """Brute-force Ward agglomeration oracle via the Lance-Williams update."""

@@ -6,6 +6,9 @@ inputs:
            one `explain rollout` call, with a transformer trained here
   dsp      MFCC, chroma, spectral scalars, log-Mel and the 37-dim feature
            vector of 1.6, 2.6 and 3.6 s clips
+  startup  `import spoofkit.cli` (seconds and ru_maxrss) and one whole
+           `explain rollout` and `explain importance` process, each in a
+           fresh interpreter
 
     python3 tools/bench_layers.py --topic dsp --label change
     python3 tools/bench_layers.py --topic dsp --label parent --src ../parent/src
@@ -14,10 +17,12 @@ After a fixed warm-up (WARMUP_S seconds of feature extraction), each case
 runs the topic's repeat count in this process and records its median wall
 time in seconds, plus a SHA-256 of what it produced, so that two sources can
 be checked for identical output. A dsp case also records the
-tracemalloc peak of one more call. The entry for `--label` (with the
-machine, Python, numpy and scipy versions) is merged into `--out`,
-BENCH_<topic>.json by default; other labels already in the file are kept,
-so the numbers of two sources measured on the same machine sit side by side.
+tracemalloc peak of one more call. A startup case is instead the median
+over fresh interpreters that import the `--src` package. The entry for
+`--label` (with the machine, Python, numpy and scipy versions) is merged
+into `--out`, BENCH_<topic>.json by default; other labels already in the
+file are kept, so the numbers of two sources measured on the same machine
+sit side by side.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -148,25 +154,29 @@ def files_digest(out) -> str:
     return h.hexdigest()[:16]
 
 
+def train_transformer(sk, root):
+    """Seeded 1.6 s clips in `root` and a transformer trained on them (lr
+    0.01); returns the model path and the path of one clip."""
+    rng = np.random.default_rng(0)
+    entries = []
+    for label in (0, 1):
+        for k in range(N_PER_CLASS):
+            tones = [(float(rng.uniform(150, 900)), 0.4)] + [(CUE_HZ, 0.5)] * label
+            clip = sk.bench.synth_clip(rng, sk.bench.DEFAULT_CLIP_S, 0.3, 0.05, tones, [])
+            path = os.path.join(root, f"{label}_{k}.wav")
+            sk.dsp.write_wav(path, clip)
+            entries.append(sk.bench.ManifestEntry(path, label, "-", "train"))
+    manifest, model_path = os.path.join(root, "clips.csv"), os.path.join(root, "model.json")
+    sk.bench.write_manifest(manifest, entries)
+    cli(sk, ["train", "transformer", "--manifest", manifest, "--out", model_path,
+             "--steps", str(STEPS), "--learning-rate", "0.01"])
+    return model_path, entries[-1].path
+
+
 def run_explain(sk, repeats) -> dict:
     cases = {}
     with tempfile.TemporaryDirectory() as root:
-        # seeded 1.6 s clips and a transformer trained on them (lr 0.01)
-        rng = np.random.default_rng(0)
-        entries = []
-        for label in (0, 1):
-            for k in range(N_PER_CLASS):
-                tones = [(float(rng.uniform(150, 900)), 0.4)] + [(CUE_HZ, 0.5)] * label
-                clip = sk.bench.synth_clip(rng, sk.bench.DEFAULT_CLIP_S, 0.3, 0.05, tones, [])
-                path = os.path.join(root, f"{label}_{k}.wav")
-                sk.dsp.write_wav(path, clip)
-                entries.append(sk.bench.ManifestEntry(path, label, "-", "train"))
-        manifest, model_path, wav = (os.path.join(root, "clips.csv"),
-                                     os.path.join(root, "model.json"), entries[-1].path)
-        sk.bench.write_manifest(manifest, entries)
-        cli(sk, ["train", "transformer", "--manifest", manifest, "--out", model_path,
-                 "--steps", str(STEPS), "--learning-rate", "0.01"])
-
+        model_path, wav = train_transformer(sk, root)
         model = record(cases, "model_load", lambda: sk.cli._load_model(
             model_path, "transformer", sk.transformer.from_json), repeats,
             lambda m: sha(sk.transformer.to_json(m).encode()))
@@ -200,7 +210,44 @@ def run_dsp(sk, repeats) -> dict:
     return cases
 
 
-TOPICS = {"gbdt": (run_gbdt, 5), "explain": (run_explain, 20), "dsp": (run_dsp, 20)}
+IMPORT_PROBE = """\
+import resource, time
+start = time.perf_counter()
+import spoofkit.cli
+print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def child(sk, *args) -> str:
+    """stdout of `python *args` in a fresh interpreter that imports the
+    spoofkit package `sk` was loaded from."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sk.__file__))}
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def run_startup(sk, repeats) -> dict:
+    runs = [child(sk, "-c", IMPORT_PROBE).split() for _ in range(repeats)]
+    cases = {"import_cli": {"median_s": statistics.median(float(s) for s, _ in runs),
+                            "maxrss_mb": statistics.median(int(kb) for _, kb in runs) / 1024}}
+    print(f"import_cli: {cases['import_cli']['median_s']:.4f} s", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as root:
+        model_path, wav = train_transformer(sk, root)
+        features, gbdt_path = os.path.join(root, "features.csv"), os.path.join(root, "gbdt.json")
+        sk.cli.write_features_csv(features, *table(400), argparse.Namespace(seed=0))
+        cli(sk, ["train", "gbdt", "--features", features, "--out", gbdt_path,
+                 "--n-estimators", "50", "--max-depth", "4"])
+        for kind, inputs in (("rollout", ["--model", model_path, "--wav", wav]),
+                             ("importance", ["--model", gbdt_path, "--features", features])):
+            out = os.path.join(root, kind)
+            record(cases, f"explain_{kind}_process", lambda: child(
+                sk, "-m", "spoofkit.cli", "explain", kind, *inputs, "--out", out),
+                repeats, lambda _: files_digest(out))
+    return cases
+
+
+TOPICS = {"gbdt": (run_gbdt, 5), "explain": (run_explain, 20), "dsp": (run_dsp, 20),
+          "startup": (run_startup, 10)}
 
 
 def main(argv=None) -> int:
