@@ -252,7 +252,10 @@ def augment_rerecord(audio: AudioBuffer, seed: int = 0, rt60_s: float = 0.25,
     additive noise at the configured SNR. Deterministic given the seed."""
     rng = np.random.default_rng(seed)
     h = room_impulse_response(audio.sample_rate, rt60_s, tail_gain, rng)
-    out = np.convolve(audio.samples, h)[: audio.samples.size]
+    x = audio.samples
+    # FFT convolution; n >= x.size + h.size - 1 keeps it linear, not circular
+    n = 1 << (x.size + h.size - 2).bit_length()
+    out = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(h, n), n)[: x.size]
     if snr_db is not None and np.isfinite(snr_db):
         sig_power = float((out ** 2).mean())
         if sig_power > 0:

@@ -189,16 +189,16 @@ def _transformer_and_spec(args):
 def cmd_explain_importance(args) -> int:
     model = _load_model(args.model, "gbdt", gbdt.from_json)
     X, y = read_features_csv(args.features)
-    out = ensure_outdir(args.out)
     report = gbdt_explain.permutation_importance(
         model, X, y, repeats=args.repeats, seed=args.seed)
+    corr = gbdt_explain.spearman_matrix(X)
+    clustering = gbdt_explain.ward_cluster(corr, args.cluster_threshold)
+    reps = gbdt_explain.select_representatives(clustering, report)
+    out = ensure_outdir(args.out)
     with open(os.path.join(out, "importance.json"), "w") as fh:
         fh.write(report.to_json())
     with open(os.path.join(out, "importance.csv"), "w") as fh:
         fh.write(report.to_csv())
-    corr = gbdt_explain.spearman_matrix(X)
-    clustering = gbdt_explain.ward_cluster(corr, args.cluster_threshold)
-    reps = gbdt_explain.select_representatives(clustering, report)
     with open(os.path.join(out, "clusters.json"), "w") as fh:
         fh.write(clustering.to_json())
     write_json_artifact(os.path.join(out, "explain_run.json"),
@@ -340,6 +340,18 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _number(kind, low, strict=False):
+    """An argparse `type`: a finite `kind` >= `low` (> `low` if `strict`)."""
+    def parse(text):
+        value = kind(text)
+        if not ((value > low if strict else value >= low) and value < math.inf):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a finite number {'>' if strict else '>='} {low}")
+        return value
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..." message
+    return parse
+
+
 def _parent(*names, **kwargs) -> Parser:
     """A parent parser holding one flag, for the modes that share it."""
     p = Parser(add_help=False)
@@ -353,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     gbdt_cfg, study = gbdt.GbdtConfig(), bench.BenchModels()
     tr_cfg, tr_train = transformer.TransformerConfig(), transformer.TrainConfig()
     out = _parent("--out", required=True)
-    duration = _parent("--duration", type=float, default=bench.DEFAULT_CLIP_S)
+    duration = _parent("--duration", type=_number(float, 0, strict=True),
+                       default=bench.DEFAULT_CLIP_S)
     model = _parent("--model", required=True)
     wav = _parent("--wav", required=True, help="audio file")
 
@@ -366,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("extract", help="manifest -> 37-feature CSV")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-csv", required=True)
-    p.add_argument("--duration", type=float, default=0.0,
+    p.add_argument("--duration", type=_number(float, 0), default=0.0,
                    help="pad/truncate clips to this many seconds (0 = keep)")
     p.add_argument("--trim", action="store_true",
                    help="strip leading/trailing silence before extraction")
@@ -397,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = modes.add_parser("importance", parents=[model, out])
     p.add_argument("--features", required=True, help="feature CSV")
     p.add_argument("--repeats", type=int, default=gbdt_explain.DEFAULT_REPEATS)
-    p.add_argument("--cluster-threshold", type=float,
+    p.add_argument("--cluster-threshold", type=_number(float, 0, strict=True),
                    default=gbdt_explain.DEFAULT_CLUSTER_THRESHOLD)
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=_number(int, 1), default=10)
     p.set_defaults(func=cmd_explain_importance)
     p = modes.add_parser("occlusion", parents=[model, wav, out])
     p.add_argument("--box", type=int, nargs=2, metavar=("H", "W"))

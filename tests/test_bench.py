@@ -259,7 +259,26 @@ class TestAugmentRerecord:
                                         np.random.default_rng(3))
         expected = np.zeros(6000)
         expected[: h.size] = h
-        assert np.array_equal(out.samples, expected)
+        # FFT rounding: measured max error 1.1e-16
+        assert out.samples.size == 6000
+        np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n,rt60_s", [
+        (25600, 0.25), (7001, 0.25), (4000, 0.25), (999, 0.25), (1, 0.25),
+        (4001, 0.0), (6000, 0.0),
+    ], ids=["1.6s", "odd", "even", "shorter_than_h", "one_sample",
+            "rt60_0_odd", "rt60_0_even"])
+    def test_matches_direct_convolution(self, n, rt60_s):
+        x = 0.3 * np.random.default_rng(n).standard_normal(n)
+        out = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE), seed=5,
+                                     rt60_s=rt60_s, snr_db=None)
+        h = bench.room_impulse_response(dsp.SAMPLE_RATE, rt60_s, 0.3,
+                                        np.random.default_rng(5))
+        assert h.size == (1 if rt60_s == 0 else 4001)
+        # the naive oracle: direct summation, cut to the clip length
+        expected = np.convolve(x, h)[: x.size]
+        np.testing.assert_allclose(out.samples, expected, rtol=0,
+                                   atol=1e-12 * np.abs(h).max())
 
     def test_degenerate_parameters_identity(self):
         rng = np.random.default_rng(8)

@@ -489,6 +489,70 @@ class TestHostileInput:
         assert f"{path}:3: features must be finite" in one_error_line(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_importance_on_one_row_exit_1_writes_nothing(self, trained_artifacts,
+                                                         tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text(f"{FEATURE_HEADER}\n{FEATURE_ROW},spoof\n")
+        rc = cli.main(["explain", "importance", "--model", trained_artifacts["gbdt"],
+                       "--features", str(path), "--repeats", "1",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "n_samples >= 2" in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+
+# (command line, flag) of each mode with a range-checked number flag;
+# every output path is relative, so a run that creates one leaves it in cwd
+RANGED_FLAGS = [
+    (["extract", "--manifest", "m.csv", "--out-csv", "f.csv"], "--duration"),
+    (["train", "transformer", "--manifest", "m.csv", "--out", "t.json"], "--duration"),
+    (["bench", "generalize", "--synth", "corpus", "--out", "out"], "--duration"),
+    (["bench", "augment", "--synth", "corpus", "--out", "out"], "--duration"),
+    (["explain", "importance", "--model", "g.json", "--features", "f.csv",
+      "--out", "out"], "--cluster-threshold"),
+    (["explain", "importance", "--model", "g.json", "--features", "f.csv",
+      "--out", "out"], "--top-k"),
+]
+# values outside each flag's range: extract's --duration takes 0 (keep the
+# clip), --top-k is an integer >= 1
+BAD_VALUES = {"--duration": ["nan", "inf", "-1", "0"],
+              "--cluster-threshold": ["nan", "inf", "-1", "0"],
+              "--top-k": ["-3", "0"]}
+
+
+def bad_ranged_values():
+    for argv, flag in RANGED_FLAGS:
+        mode = "-".join(a for a in argv[:2] if not a.startswith("-"))
+        for value in BAD_VALUES[flag]:
+            if not (mode == "extract" and value == "0"):
+                yield pytest.param(argv, flag, value, id=f"{mode}{flag}={value}")
+
+
+class TestRangedFlags:
+    @pytest.mark.parametrize("argv,flag,value", list(bad_ranged_values()))
+    def test_out_of_range_exit_2_before_any_output(self, tmp_path, argv, flag, value):
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "spoofkit.cli", *argv, f"{flag}={value}"],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert flag in lines[0] and repr(value) in lines[0]
+        assert proc.stdout == ""
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv,flag,value,expected", [
+        (RANGED_FLAGS[0][0], "--duration", "0", 0.0),
+        (RANGED_FLAGS[3][0], "--duration", "1e-3", 1e-3),
+        (RANGED_FLAGS[4][0], "--cluster-threshold", "1e-9", 1e-9),
+        (RANGED_FLAGS[5][0], "--top-k", "1", 1),
+    ], ids=["extract_keep", "duration", "cluster_threshold", "top_k"])
+    def test_in_range_values_parse(self, argv, flag, value, expected):
+        args = parsed(argv + [flag, value])
+        assert getattr(args, flag[2:].replace("-", "_")) == expected
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

@@ -6,6 +6,7 @@ inputs:
            one `explain rollout` call, with a transformer trained here
   dsp      MFCC, chroma, spectral scalars, log-Mel and the 37-dim feature
            vector of 1.6, 2.6 and 3.6 s clips
+  augment  the codec and rerecord simulators on the same clips
   startup  `import spoofkit.cli` (seconds and ru_maxrss) and one whole
            `explain rollout` and `explain importance` process, each in a
            fresh interpreter
@@ -16,7 +17,7 @@ inputs:
 After a fixed warm-up (WARMUP_S seconds of feature extraction), each case
 runs the topic's repeat count in this process and records its median wall
 time in seconds, plus a SHA-256 of what it produced, so that two sources can
-be checked for identical output. A dsp case also records the
+be checked for identical output. A dsp or augment case also records the
 tracemalloc peak of one more call. A startup case is instead the median
 over fresh interpreters that import the `--src` package. The entry for
 `--label` (with the machine, Python, numpy and scipy versions) is merged
@@ -195,18 +196,42 @@ def run_explain(sk, repeats) -> dict:
     return cases
 
 
-def run_dsp(sk, repeats) -> dict:
-    cases = {}
+def dsp_clips(sk):
+    """(duration, clip) for each of DSP_CLIP_S: seeded tone-plus-cue clips."""
     rng = np.random.default_rng(0)
     for duration in DSP_CLIP_S:
-        clip = sk.bench.synth_clip(
+        yield duration, sk.bench.synth_clip(
             rng, duration, 0.3, 0.05, [(float(rng.uniform(150, 900)), 0.4), (CUE_HZ, 0.5)], [])
+
+
+def run_dsp(sk, repeats) -> dict:
+    cases = {}
+    for duration, clip in dsp_clips(sk):
         for stage in DSP_STAGES:
             fn = getattr(sk.dsp, stage)
             # mel_spectrogram and extract_features return a dataclass with .values
             record(cases, f"{stage}_{duration}s", lambda: fn(clip), repeats,
                    lambda out: sha(getattr(out, "values", out).tobytes()),
                    peak=True)
+    return cases
+
+
+def run_augment(sk, repeats) -> dict:
+    """The codec and rerecord simulators as `bench augment` calls them. A
+    rerecord case also records the largest difference of its reverb (no
+    noise) from direct convolution with the same room response."""
+    cases = {}
+    for duration, clip in dsp_clips(sk):
+        record(cases, f"augment_codec_{duration}s", lambda: sk.bench.augment_codec(clip),
+               repeats, lambda out: sha(out.samples.tobytes()), peak=True)
+        name = f"augment_rerecord_{duration}s"
+        record(cases, name, lambda: sk.bench.augment_rerecord(clip, seed=0), repeats,
+               lambda out: sha(out.samples.tobytes()), peak=True)
+        h = sk.bench.room_impulse_response(clip.sample_rate, 0.25, 0.3,
+                                           np.random.default_rng(0))
+        reverb = sk.bench.augment_rerecord(clip, seed=0, snr_db=None).samples
+        direct = np.convolve(clip.samples, h)[: clip.samples.size]
+        cases[name]["max_abs_diff_vs_direct"] = float(np.abs(reverb - direct).max())
     return cases
 
 
@@ -247,7 +272,7 @@ def run_startup(sk, repeats) -> dict:
 
 
 TOPICS = {"gbdt": (run_gbdt, 5), "explain": (run_explain, 20), "dsp": (run_dsp, 20),
-          "startup": (run_startup, 10)}
+          "augment": (run_augment, 20), "startup": (run_startup, 10)}
 
 
 def main(argv=None) -> int:
