@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +22,7 @@ DEFAULT_CLIP_S = 1.6
 CODEC_CUTOFF_REF_HZ = 16000.0
 CODEC_REF_RATE = 44100.0
 CODEC_QUANT_LEVELS = 64
+GENERALIZATION_MIN_S = 0.6  # a spoof's 0.4 s burst starts in [0.1, duration - 0.5] s
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +312,9 @@ def make_generalization_corpora(root, seed: int = 0, n_train: int = 60,
     keyed to overall level aces A and collapses on B; one keyed to the burst
     transfers. Returns (manifest_a, manifest_b).
     """
-    # a spoof clip holds a 0.4 s burst starting in [0.1, duration_s - 0.5] s
-    if not duration_s >= 0.6:
-        raise InputError(f"generalization clips must last at least 0.6 s, "
-                         f"got {duration_s} s")
+    if not duration_s >= GENERALIZATION_MIN_S:
+        raise InputError(f"generalization clips must last at least "
+                         f"{GENERALIZATION_MIN_S} s, got {duration_s} s")
     rng = np.random.default_rng(seed)
     os.makedirs(root, exist_ok=True)
     burst_freq = 6200.0
@@ -378,18 +379,35 @@ def make_augmentation_corpus(root, seed: int = 0, n_train: int = 60,
 
 
 # ---------------------------------------------------------------------------
-# Orchestration
+# Detectors and the studies
 
-@dataclass
-class BenchModels:
-    """Model configurations for a benchmark run; omit one to skip it. The
-    transformer's input shape comes from the training spectrograms."""
-    gbdt_config: gbdt.GbdtConfig | None = field(
-        default_factory=lambda: gbdt.GbdtConfig(n_estimators=100, max_depth=3))
-    transformer_config: transformer.TransformerConfig | None = field(
-        default_factory=transformer.TransformerConfig)
-    transformer_train: transformer.TrainConfig = field(
-        default_factory=lambda: transformer.TrainConfig(steps=300))
+STUDY_GBDT = gbdt.GbdtConfig(n_estimators=100, max_depth=3)
+STUDY_TRAIN = transformer.TrainConfig(steps=300)
+
+
+# A detector as the studies see it: `front` maps a clip to the model's input,
+# `train(inputs, labels)` fits a model on a list of inputs, and
+# `predict_proba(model, inputs)` gives their spoof probabilities.
+Detector = namedtuple("Detector", "front train predict_proba")
+
+
+def gbdt_detector(cfg: gbdt.GbdtConfig) -> Detector:
+    """Boosted trees on the 37-feature vector."""
+    return Detector(
+        lambda audio: dsp.extract_features(audio).values,
+        lambda X, y: gbdt.train(np.stack(X), y, cfg, dsp.FEATURE_NAMES),
+        lambda model, X: gbdt.predict_proba(model, np.stack(X)))
+
+
+def transformer_detector(cfg: transformer.TransformerConfig,
+                         train_cfg: transformer.TrainConfig) -> Detector:
+    """The patch transformer on the log-Mel; its input shape comes from the
+    training spectrograms."""
+    def train(specs, labels):
+        return transformer.train_toy(
+            list(zip(specs, labels)),
+            replace(cfg, input_shape=specs[0].values.shape), train_cfg)
+    return Detector(dsp.mel_spectrogram, train, transformer.predict_proba)
 
 
 def fit_clip_length(audio: AudioBuffer, duration_s: float) -> AudioBuffer:
@@ -416,103 +434,84 @@ def balanced_indices(labels, n_per_class: int, rng) -> np.ndarray:
     return np.sort(np.concatenate(chosen))
 
 
-def _inputs(models: BenchModels, entries, duration_s, augmentation="identity",
-            seed=0):
-    """(features or None, spectrograms or None, labels) of `entries`, each clip
-    fitted to `duration_s` and augmented with seed `seed + i`."""
-    need_f = models.gbdt_config is not None
-    need_s = models.transformer_config is not None
-    feats, specs = [], []
-    for i, e in enumerate(entries):
-        audio = fit_clip_length(dsp.load_audio(e.path), duration_s)
+def _split(manifest: DatasetManifest, split: str) -> list:
+    """The manifest's entries of `split`; a ManifestError if it has none."""
+    entries = manifest.subset(split)
+    if not entries:
+        raise ManifestError(f"{manifest.name}: no {split} split")
+    return entries
+
+
+def _inputs(detectors, entries, idx, duration_s, augmentation, seed):
+    """Each detector's inputs ({name: list}) of the entries at `idx`; clip i
+    is fitted to `duration_s` and augmented with seed `seed + i`."""
+    inputs = {name: [] for name in detectors}
+    for i in idx:
+        audio = fit_clip_length(dsp.load_audio(entries[i].path), duration_s)
         audio = AUGMENTATIONS[augmentation](audio, seed + i)
-        if need_f:
-            feats.append(dsp.extract_features(audio).values)
-        if need_s:
-            specs.append(dsp.mel_spectrogram(audio))
-    return (np.stack(feats) if need_f else None, specs if need_s else None,
-            np.array([e.label for e in entries]))
+        for name, detector in detectors.items():
+            inputs[name].append(detector.front(audio))
+    return inputs
 
 
-def _train_models(models: BenchModels, feats, specs, labels, seed: int):
-    trained = {}
-    y = np.asarray(labels)
-    n_min = min(int((y == 0).sum()), int((y == 1).sum()))
-    idx = balanced_indices(y, n_min, np.random.default_rng(seed))
-    if models.gbdt_config is not None:
-        trained["gbdt"] = gbdt.train(feats[idx], y[idx], models.gbdt_config,
-                                     dsp.FEATURE_NAMES)
-    if models.transformer_config is not None:
-        cfg = replace(models.transformer_config, input_shape=specs[0].values.shape)
-        trained["transformer"] = transformer.train_toy(
-            [(specs[i], int(y[i])) for i in idx], cfg, models.transformer_train)
-    return trained
-
-
-def _score(trained, feats, specs, labels, idx, **ids):
-    """One EvalReport per trained model on the clips `idx`."""
+def _study(detectors, train_entries, eval_sets, seed, duration_s,
+           augmentation="identity", balance_n=None):
+    """Train each detector on the seed's class-balanced draw of
+    `train_entries`; score it on each `(entries, report ids)` eval set, drawn
+    down to `balance_n` per class with seed `seed + 1` unless that is None.
+    Eval clips take augmentation seeds from `seed + 10_000`."""
+    labels = np.array([e.label for e in train_entries])
+    idx = balanced_indices(labels, min(np.bincount(labels, minlength=2)),
+                           np.random.default_rng(seed))
+    inputs = _inputs(detectors, train_entries, idx, duration_s, augmentation, seed)
+    models = {name: d.train(inputs[name], labels[idx]) for name, d in detectors.items()}
     reports = []
-    for name, model in trained.items():
-        if name == "gbdt":
-            probs = gbdt.predict_proba(model, feats[idx])
-        else:
-            probs = transformer.predict_proba(model, [specs[i] for i in idx])
-        reports.append(evaluate(labels[idx], probs, model_id=name, **ids))
+    for entries, ids in eval_sets:
+        labels = np.array([e.label for e in entries])
+        idx = np.arange(labels.size) if balance_n is None else balanced_indices(
+            labels, min(balance_n, *np.bincount(labels, minlength=2)),
+            np.random.default_rng(seed + 1))
+        inputs = _inputs(detectors, entries, idx, duration_s, augmentation, seed + 10_000)
+        for name, d in detectors.items():
+            probs = d.predict_proba(models[name], inputs[name])
+            reports.append(evaluate(labels[idx], probs, model_id=name, **ids))
     return reports
 
 
 def run_generalization(train_manifest: DatasetManifest,
-                       eval_manifest: DatasetManifest,
-                       models: BenchModels, balance_n: int,
-                       seed: int = 0,
+                       eval_manifest: DatasetManifest, detectors: dict,
+                       balance_n: int, seed: int = 0,
                        duration_s: float = DEFAULT_CLIP_S):
     """Train on A's train split; evaluate in-domain (A eval) and cross-domain
-    (B eval, downsampled to balance_n per class). Returns a report list and a
-    Markdown table."""
+    (B eval), each downsampled to balance_n per class. Returns a report list
+    and a Markdown table."""
     if balance_n < 1:
         raise BalanceError("balance_n must be >= 1")
-    train_entries = train_manifest.subset("train")
-    if not train_entries:
-        raise ManifestError(f"{train_manifest.name}: no train split")
-    trained = _train_models(models, *_inputs(models, train_entries, duration_s),
-                            seed)
-
-    reports = []
-    eval_sets = [("in-domain", train_manifest)]
+    train_entries = _split(train_manifest, "train")
+    domains = [("in-domain", train_manifest)]
     if train_manifest.name != eval_manifest.name:
-        eval_sets.append(("cross-domain", eval_manifest))
-    for tag, manifest in eval_sets:
-        entries = manifest.subset("eval")
-        if not entries:
-            raise ManifestError(f"{manifest.name}: no eval split")
-        feats, specs, labels = _inputs(models, entries, duration_s)
-        n = min(balance_n, min(manifest.class_counts("eval").values()))
-        idx = balanced_indices(labels, n, np.random.default_rng(seed + 1))
-        reports += _score(trained, feats, specs, labels, idx,
-                          dataset_id=f"{manifest.name} ({tag})")
+        domains.append(("cross-domain", eval_manifest))
+    eval_sets = [(_split(m, "eval"), {"dataset_id": f"{m.name} ({tag})"})
+                 for tag, m in domains]
+    reports = _study(detectors, train_entries, eval_sets, seed, duration_s,
+                     balance_n=balance_n)
     return reports, generalization_markdown(reports)
 
 
 def run_augmentation_study(manifest: DatasetManifest, augmentations,
-                           models: BenchModels, seed: int = 0,
+                           detectors: dict, seed: int = 0,
                            duration_s: float = DEFAULT_CLIP_S):
     """Train and evaluate once per augmentation condition (train and eval
     audio both pass through the condition)."""
     for a in augmentations:
         if a not in AUGMENTATIONS:
             raise InputError(f"unknown augmentation {a!r}")
-    train_entries = manifest.subset("train")
-    eval_entries = manifest.subset("eval")
-    if not train_entries or not eval_entries:
-        raise ManifestError(f"{manifest.name}: needs both train and eval splits")
+    train_entries, eval_entries = _split(manifest, "train"), _split(manifest, "eval")
     reports = []
     for aug in augmentations:
-        trained = _train_models(
-            models, *_inputs(models, train_entries, duration_s, aug, seed), seed)
-        feats, specs, labels = _inputs(models, eval_entries, duration_s, aug,
-                                       seed + 10_000)
-        reports += _score(trained, feats, specs, labels, np.arange(labels.size),
-                          dataset_id=manifest.name, augmentation_id=aug)
+        ids = {"dataset_id": manifest.name, "augmentation_id": aug}
+        reports += _study(detectors, train_entries, [(eval_entries, ids)],
+                          seed, duration_s, aug)
     return reports, augmentation_markdown(reports)
 
 
@@ -523,31 +522,28 @@ def _fmt(x):
     return "-" if x is None else f"{x:.3f}"
 
 
+def _markdown(header, rows) -> str:
+    lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+    return "\n".join(lines + ["| " + " | ".join(row) + " |" for row in rows]) + "\n"
+
+
+def _spoof_scores(r) -> list:
+    """The spoof class's precision, recall and F1, then accuracy."""
+    sp = r.per_class["spoof"]
+    return [_fmt(v) for v in (sp["precision"], sp["recall"], sp["f1"], r.accuracy)]
+
+
 def generalization_markdown(reports) -> str:
-    lines = [
-        "| Model | Dataset | Precision | Recall | F1 | Accuracy | ROC-AUC |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for r in reports:
-        sp = r.per_class["spoof"]
-        lines.append(
-            f"| {r.model_id} | {r.dataset_id} | {_fmt(sp['precision'])} | "
-            f"{_fmt(sp['recall'])} | {_fmt(sp['f1'])} | {_fmt(r.accuracy)} | "
-            f"{_fmt(r.roc_auc)} |")
-    return "\n".join(lines) + "\n"
+    return _markdown(
+        ["Model", "Dataset", "Precision", "Recall", "F1", "Accuracy", "ROC-AUC"],
+        [[r.model_id, r.dataset_id, *_spoof_scores(r), _fmt(r.roc_auc)]
+         for r in reports])
 
 
 def augmentation_markdown(reports) -> str:
-    lines = [
-        "| Augmentation | Model | Precision | Recall | F1 | Accuracy |",
-        "|---|---|---|---|---|---|",
-    ]
-    for r in reports:
-        sp = r.per_class["spoof"]
-        lines.append(
-            f"| {r.augmentation_id} | {r.model_id} | {_fmt(sp['precision'])} | "
-            f"{_fmt(sp['recall'])} | {_fmt(sp['f1'])} | {_fmt(r.accuracy)} |")
-    return "\n".join(lines) + "\n"
+    return _markdown(
+        ["Augmentation", "Model", "Precision", "Recall", "F1", "Accuracy"],
+        [[r.augmentation_id, r.model_id, *_spoof_scores(r)] for r in reports])
 
 
 def reports_to_csv(reports) -> str:

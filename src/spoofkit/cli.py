@@ -248,8 +248,8 @@ def cmd_explain_rollout(args) -> int:
     fwd = transformer.forward(spec, model)
     # "last": CLS attention of the final layer only, no cross-layer product
     record = fwd.attention[-1:] if args.rollout == "last" else fwd.attention
-    mode = "residual_half" if args.rollout == "residual" else "plain"
-    rmap = attn_explain.rollout(record, mode,
+    mode = {"residual": "residual_half"}.get(args.rollout, args.rollout)
+    rmap = attn_explain.rollout(record, "plain" if mode == "last" else mode,
                                 token_time_spans=fwd.token_time_spans)
     timeline = attn_explain.cls_timeline(rmap)
     attn_explain.render_heatmap(rmap.matrix, os.path.join(out, "rollout"))
@@ -265,23 +265,29 @@ def cmd_explain_rollout(args) -> int:
     return EXIT_OK
 
 
-def _bench_models(args):
-    """`BenchModels()` with the study flags applied; `--models`, a comma
-    list, keeps only the detectors it names."""
-    known = ("gbdt", "transformer")
-    names = args.models.split(",") if args.models else known
+def _names(flag, text, known):
+    """The names in the comma list `text` of `flag`, each one of `known`."""
+    names = text.split(",")
     unknown = [name for name in names if name not in known]
     if unknown:
-        raise UsageError(f"--models: unknown {', '.join(map(repr, unknown))}; "
+        raise UsageError(f"{flag}: unknown {', '.join(map(repr, unknown))}; "
                          f"choose from {', '.join(known)}")
-    base = bench.BenchModels()
-    return bench.BenchModels(
-        gbdt_config=replace(base.gbdt_config, n_estimators=args.n_estimators,
-                            max_depth=args.max_depth)
-        if "gbdt" in names else None,
-        transformer_config=replace(base.transformer_config, seed=args.seed)
-        if "transformer" in names else None,
-        transformer_train=replace(base.transformer_train, steps=args.steps))
+    return names
+
+
+def _detectors(args):
+    """The detectors by name, gbdt first, built from the study flags;
+    `--models`, a comma list, keeps only the ones it names."""
+    factories = {
+        "gbdt": lambda: bench.gbdt_detector(replace(
+            bench.STUDY_GBDT, n_estimators=args.n_estimators,
+            max_depth=args.max_depth)),
+        "transformer": lambda: bench.transformer_detector(
+            transformer.TransformerConfig(seed=args.seed),
+            replace(bench.STUDY_TRAIN, steps=args.steps)),
+    }
+    names = _names("--models", args.models, factories) if args.models else factories
+    return {name: make() for name, make in factories.items() if name in names}
 
 
 def _write_reports(out, reports, markdown, args, stem):
@@ -297,7 +303,10 @@ def _write_reports(out, reports, markdown, args, stem):
 
 
 def cmd_bench_generalize(args) -> int:
-    models, out = _bench_models(args), ensure_outdir(args.out)
+    if args.synth and args.duration < bench.GENERALIZATION_MIN_S:
+        raise UsageError(f"--duration: generalization clips must last at least "
+                         f"{bench.GENERALIZATION_MIN_S} s, got {args.duration} s")
+    detectors, out = _detectors(args), ensure_outdir(args.out)
     if args.synth:
         a, b = bench.make_generalization_corpora(
             ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)
@@ -308,14 +317,15 @@ def cmd_bench_generalize(args) -> int:
         a = bench.load_manifest(require_file(args.train_manifest))
         b = bench.load_manifest(require_file(args.eval_manifest))
     reports, markdown = bench.run_generalization(
-        a, b, models, balance_n=args.balance_n, seed=args.seed,
+        a, b, detectors, balance_n=args.balance_n, seed=args.seed,
         duration_s=args.duration)
     _write_reports(out, reports, markdown, args, "generalization")
     return EXIT_OK
 
 
 def cmd_bench_augment(args) -> int:
-    models, out = _bench_models(args), ensure_outdir(args.out)
+    augmentations = _names("--augmentations", args.augmentations, bench.AUGMENTATIONS)
+    detectors, out = _detectors(args), ensure_outdir(args.out)
     if args.synth:
         manifest = bench.make_augmentation_corpus(
             ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)
@@ -324,7 +334,7 @@ def cmd_bench_augment(args) -> int:
             raise UsageError("provide --manifest or --synth DIR")
         manifest = bench.load_manifest(require_file(args.manifest))
     reports, markdown = bench.run_augmentation_study(
-        manifest, args.augmentations.split(","), models, seed=args.seed,
+        manifest, augmentations, detectors, seed=args.seed,
         duration_s=args.duration)
     _write_reports(out, reports, markdown, args, "augmentation")
     return EXIT_OK
@@ -362,10 +372,10 @@ def _parent(*names, **kwargs) -> Parser:
 def build_parser() -> argparse.ArgumentParser:
     """One parser per mode, declaring exactly the flags its `cmd_*` function
     reads; flag defaults are read from the config objects the flags fill."""
-    gbdt_cfg, study = gbdt.GbdtConfig(), bench.BenchModels()
+    gbdt_cfg = gbdt.GbdtConfig()
     tr_cfg, tr_train = transformer.TransformerConfig(), transformer.TrainConfig()
     out = _parent("--out", required=True)
-    duration = _parent("--duration", type=_number(float, 0, strict=True),
+    duration = _parent("--duration", type=_number(float, 1 / dsp.SAMPLE_RATE),
                        default=bench.DEFAULT_CLIP_S)
     model = _parent("--model", required=True)
     wav = _parent("--wav", required=True, help="audio file")
@@ -428,15 +438,15 @@ def build_parser() -> argparse.ArgumentParser:
     studies.add_argument("--synth", help="generate a synthetic corpus in this dir")
     studies.add_argument("--models", help="comma list: gbdt,transformer")
     studies.add_argument("--n-estimators", type=int,
-                         default=study.gbdt_config.n_estimators)
-    studies.add_argument("--max-depth", type=int, default=study.gbdt_config.max_depth)
-    studies.add_argument("--steps", type=int, default=study.transformer_train.steps)
+                         default=bench.STUDY_GBDT.n_estimators)
+    studies.add_argument("--max-depth", type=int, default=bench.STUDY_GBDT.max_depth)
+    studies.add_argument("--steps", type=int, default=bench.STUDY_TRAIN.steps)
     modes = commands.add_parser("bench", help="benchmark studies"
                                 ).add_subparsers(dest="mode", required=True)
     p = modes.add_parser("generalize", parents=[studies])
     p.add_argument("--train-manifest")
     p.add_argument("--eval-manifest")
-    p.add_argument("--balance-n", type=int, default=30)
+    p.add_argument("--balance-n", type=_number(int, 1), default=30)
     p.set_defaults(func=cmd_bench_generalize)
     p = modes.add_parser("augment", parents=[studies])
     p.add_argument("--manifest")

@@ -25,7 +25,6 @@ class GbdtConfig:
     n_estimators: int = 400
     max_depth: int = 8
     learning_rate: float = 0.1
-    min_samples_leaf: int = 1
 
     def __post_init__(self):
         if self.n_estimators < 1:
@@ -34,8 +33,6 @@ class GbdtConfig:
             raise InputError("max_depth must be >= 1")
         if not 0.0 < self.learning_rate <= 1.0:
             raise InputError("learning_rate must be in (0, 1]")
-        if self.min_samples_leaf < 1:
-            raise InputError("min_samples_leaf must be >= 1")
 
 
 @dataclass
@@ -177,7 +174,7 @@ def _newton_leaf(residuals, probs) -> float:
     return float(np.clip(residuals.sum() / denom, -LEAF_CLAMP, LEAF_CLAMP))
 
 
-def _best_split(X, residuals, order, total_sum, base, min_samples_leaf):
+def _best_split(X, residuals, order, total_sum, base):
     """Greedy variance-reduction split; ties break to the lowest feature
     index, then the lowest threshold. Returns (feature, threshold) or None.
 
@@ -186,7 +183,6 @@ def _best_split(X, residuals, order, total_sum, base, min_samples_leaf):
     the temporaries stay near SPLIT_BLOCK elements."""
     d, m = order.shape
     n_left = np.arange(1, m)
-    sizes_ok = (n_left >= min_samples_leaf) & ((m - n_left) >= min_samples_leaf)
     tol = 1e-12 * max(1.0, base)
     best = None
     best_gain = 0.0
@@ -195,7 +191,6 @@ def _best_split(X, residuals, order, total_sum, base, min_samples_leaf):
         rows = order[first:first + step]
         xs = X[rows, np.arange(first, first + len(rows))[:, None]]
         valid = xs[:, :-1] < xs[:, 1:]
-        valid &= sizes_ok
         # candidate split after position i: left = [0..i], right = [i+1..]
         gain = np.cumsum(residuals[rows], axis=1)[:, :-1]
         right = total_sum - gain
@@ -256,13 +251,11 @@ def _fit_presorted(X, residuals, probs, config: GbdtConfig, order):
 
     def build(lo, hi, idx, depth):
         r = residuals[idx]
-        if depth >= config.max_depth or idx.size < 2 * config.min_samples_leaf \
-                or np.ptp(r) == 0:
+        if depth >= config.max_depth or idx.size < 2 or np.ptp(r) == 0:
             return leaf(idx, r)
         total_sum = r.sum()
         base = (r ** 2).sum() - total_sum ** 2 / idx.size
-        split = _best_split(X, residuals, order[:, lo:hi], total_sum, base,
-                            config.min_samples_leaf)
+        split = _best_split(X, residuals, order[:, lo:hi], total_sum, base)
         if split is None:
             return leaf(idx, r)
         j, thr = split

@@ -351,8 +351,12 @@ def test_criterion_08_metrics():
 def test_criterion_09_generalization(tmp_path):
     t0 = time.perf_counter()
     a, b = bench.make_generalization_corpora(tmp_path / "gen", seed=0)
-    reports, _ = bench.run_generalization(a, b, bench.BenchModels(),
-                                          balance_n=30)
+    detectors = {
+        "gbdt": bench.gbdt_detector(bench.STUDY_GBDT),
+        "transformer": bench.transformer_detector(tr.TransformerConfig(),
+                                                  bench.STUDY_TRAIN),
+    }
+    reports, _ = bench.run_generalization(a, b, detectors, balance_n=30)
     acc = {(r.model_id, r.dataset_id.split(" ")[1]): r.accuracy
            for r in reports}
     gbdt_drop = acc[("gbdt", "(in-domain)")] - acc[("gbdt", "(cross-domain)")]
@@ -372,7 +376,7 @@ def test_criterion_09_generalization(tmp_path):
 
 def test_criterion_10_augmentation(tmp_path):
     manifest = bench.make_augmentation_corpus(tmp_path / "aug", seed=0)
-    models = bench.BenchModels(transformer_config=None)
+    models = {"gbdt": bench.gbdt_detector(bench.STUDY_GBDT)}
     reports, _ = bench.run_augmentation_study(
         manifest, ["identity", "codec"], models)
     identity, codec = reports

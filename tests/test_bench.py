@@ -343,9 +343,20 @@ def small_corpora(tmp_path_factory):
 
 
 def gbdt_only():
-    return bench.BenchModels(
-        gbdt_config=gbdt.GbdtConfig(n_estimators=20, max_depth=2),
-        transformer_config=None)
+    return {"gbdt": bench.gbdt_detector(gbdt.GbdtConfig(n_estimators=20,
+                                                        max_depth=2))}
+
+
+def rms_threshold():
+    """A detector no study knows: clip RMS against the midpoint of the two
+    class means of the training clips."""
+    def train(rms, labels):
+        rms = np.asarray(rms)
+        return (rms[labels == 0].mean() + rms[labels == 1].mean()) / 2
+
+    return bench.Detector(
+        lambda audio: float(np.sqrt(np.mean(audio.samples ** 2))), train,
+        lambda cut, rms: 1.0 / (1.0 + np.exp(-1000.0 * (np.asarray(rms) - cut))))
 
 
 class TestRunGeneralization:
@@ -406,14 +417,37 @@ class TestRunAugmentationStudy:
     def test_input_shape_from_spectrograms(self, small_corpora):
         # 3.13 s gives 32 spectrogram columns; the config keeps (128, 60)
         _, _, aug = small_corpora
-        models = bench.BenchModels(
-            gbdt_config=None,
-            transformer_config=transformer.TransformerConfig(
+        detectors = {"transformer": bench.transformer_detector(
+            transformer.TransformerConfig(
                 geometry=transformer.PatchGeometry(16, 16, 16, 16)),
-            transformer_train=transformer.TrainConfig(steps=2))
-        reports, _ = bench.run_augmentation_study(aug, ["identity"], models,
+            transformer.TrainConfig(steps=2))}
+        reports, _ = bench.run_augmentation_study(aug, ["identity"], detectors,
                                                   duration_s=3.13)
         assert [r.model_id for r in reports] == ["transformer"]
+
+
+class TestDetectorTable:
+    def test_detector_of_the_test_runs_both_studies(self, small_corpora):
+        # the studies name no model kind: a detector defined here runs
+        # through both, one report per eval set
+        a, b, aug = small_corpora
+        detectors = {"rms": rms_threshold(), **gbdt_only()}
+        reports, _ = bench.run_generalization(a, b, detectors, balance_n=5)
+        assert [(r.model_id, r.dataset_id) for r in reports] == [
+            ("rms", "domain_a (in-domain)"), ("gbdt", "domain_a (in-domain)"),
+            ("rms", "domain_b (cross-domain)"), ("gbdt", "domain_b (cross-domain)")]
+        # domain A's spoofs are loud, B's quiet: loudness aces A, fails B
+        assert reports[0].accuracy == 1.0
+        assert reports[2].accuracy == 0.0
+        reports, _ = bench.run_augmentation_study(
+            aug, ["identity", "codec"], {"rms": rms_threshold()})
+        assert [(r.model_id, r.augmentation_id) for r in reports] == [
+            ("rms", "identity"), ("rms", "codec")]
+        assert all(r.tp + r.fp + r.fn + r.tn == 12 for r in reports)
+
+    def test_study_defaults(self):
+        assert (bench.STUDY_GBDT.n_estimators, bench.STUDY_GBDT.max_depth,
+                bench.STUDY_TRAIN.steps) == (100, 3, 300)
 
 
 class TestReports:

@@ -182,6 +182,17 @@ class TestExplain:
         doc = json.loads((tmp_path / "rollout.json").read_text())
         assert sum(doc["cls_importance"]) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("variant,mode", [
+        ("plain", "plain"), ("residual", "residual_half"), ("last", "last")])
+    def test_rollout_json_names_the_variant_that_ran(self, trained_artifacts,
+                                                     tmp_path, variant, mode):
+        rc = cli.main(["explain", "rollout",
+                       "--model", trained_artifacts["transformer"],
+                       "--wav", trained_artifacts["wav"],
+                       "--out", str(tmp_path), "--rollout", variant])
+        assert rc == 0
+        assert json.loads((tmp_path / "rollout.json").read_text())["mode"] == mode
+
     def test_occlusion_artifacts(self, trained_artifacts, tmp_path):
         rc = cli.main(["explain", "occlusion",
                        "--model", trained_artifacts["transformer"],
@@ -257,6 +268,15 @@ class TestBench:
         doc = json.loads((tmp_path / "augmentation.json").read_text())
         assert [r["augmentation"] for r in doc["reports"]] == \
             ["identity", "rerecord"]
+
+    def test_models_listed_out_of_order_report_gbdt_first(self, corpora, tmp_path):
+        rc = cli.main(["bench", "augment", "--manifest", corpora["aug"],
+                       "--out", str(tmp_path), "--models", "transformer,gbdt",
+                       "--augmentations", "identity", "--steps", "2",
+                       "--n-estimators", "2"])
+        assert rc == 0
+        doc = json.loads((tmp_path / "augmentation.json").read_text())
+        assert [r["model"] for r in doc["reports"]] == ["gbdt", "transformer"]
 
     def test_augment_synth_relative_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -358,14 +378,6 @@ class TestHostileInput:
         assert rc == 1
         assert "larger than input" in one_error_line(capsys)
         assert not (tmp_path / "out").exists()
-
-    def test_generalize_short_clips_exit_1(self, tmp_path, capsys):
-        synth = tmp_path / "corp"
-        rc = cli.main(["bench", "generalize", "--synth", str(synth),
-                       "--duration", "0.5", "--out", str(tmp_path / "out")])
-        assert rc == 1
-        assert "0.6" in one_error_line(capsys)
-        assert not list(synth.rglob("*.wav"))
 
     @pytest.mark.parametrize("argv", [
         ["explain", "importance", "--model", "{dir}", "--features", "{features}",
@@ -528,20 +540,41 @@ def bad_ranged_values():
                 yield pytest.param(argv, flag, value, id=f"{mode}{flag}={value}")
 
 
+def usage_error_line(tmp_path, argv):
+    """The one `error:` line of a `spoofkit` process run in `tmp_path` that
+    exits 2 with no output and leaves `tmp_path` empty."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "spoofkit.cli", *argv],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert proc.stdout == ""
+    assert os.listdir(tmp_path) == []
+    return lines[0]
+
+
 class TestRangedFlags:
     @pytest.mark.parametrize("argv,flag,value", list(bad_ranged_values()))
     def test_out_of_range_exit_2_before_any_output(self, tmp_path, argv, flag, value):
-        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "spoofkit.cli", *argv, f"{flag}={value}"],
-            cwd=tmp_path, capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path})
-        assert proc.returncode == 2
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert flag in lines[0] and repr(value) in lines[0]
-        assert proc.stdout == ""
-        assert os.listdir(tmp_path) == []
+        line = usage_error_line(tmp_path, [*argv, f"{flag}={value}"])
+        assert flag in line and repr(value) in line
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["augment", "--augmentations", "identity,mp3"],
+         "--augmentations: unknown 'mp3'; choose from identity, codec, rerecord"),
+        (["generalize", "--balance-n", "0"], "--balance-n: '0' is not"),
+        (["augment", "--duration", "0.00001"],
+         "--duration: '0.00001' is not a finite number >= 6.25e-05"),
+        (["generalize", "--duration", "0.5"], "at least 0.6 s, got 0.5 s"),
+    ], ids=["unknown_augmentation", "balance_zero", "augment_no_sample",
+            "generalize_below_burst"])
+    def test_study_flags_exit_2_before_any_output(self, tmp_path, argv, needle):
+        # with --synth, a study that ran would create the corpus and --out
+        line = usage_error_line(tmp_path, ["bench", argv[0], "--synth", "corpus",
+                                           "--out", "out", *argv[1:]])
+        assert needle in line
 
     @pytest.mark.parametrize("argv,flag,value,expected", [
         (RANGED_FLAGS[0][0], "--duration", "0", 0.0),
@@ -555,6 +588,16 @@ class TestRangedFlags:
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def test_pyproject_reads_the_one_version_constant():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as fh:
+        doc = tomllib.load(fh)
+    assert "version" not in doc["project"]
+    assert doc["project"]["dynamic"] == ["version"]
+    assert doc["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "spoofkit.__version__"}
 
 
 def modules_loaded_by(code):
@@ -854,6 +897,17 @@ def parsed(argv):
     return cli.build_parser().parse_args(argv)
 
 
+def record_factories(monkeypatch):
+    """Swap the two detector factories for ones that record their
+    arguments in the returned list and build nothing."""
+    calls = []
+    monkeypatch.setattr(bench, "gbdt_detector",
+                        lambda cfg: calls.append(("gbdt", cfg)))
+    monkeypatch.setattr(bench, "transformer_detector", lambda cfg, train_cfg:
+                        calls.append(("transformer", cfg, train_cfg)))
+    return calls
+
+
 class TestParserDefaults:
     def test_train_gbdt_reads_gbdt_config(self):
         args, cfg = parsed(mode_argv("train", "gbdt", "o")), gbdt.GbdtConfig()
@@ -872,31 +926,41 @@ class TestParserDefaults:
         assert args.duration == bench.DEFAULT_CLIP_S
 
     @pytest.mark.parametrize("mode", ["generalize", "augment"])
-    def test_bench_reads_bench_models(self, mode):
+    def test_bench_reads_study_defaults(self, mode, monkeypatch):
         args = parsed(mode_argv("bench", mode, "o"))
-        models = bench.BenchModels()
         assert (args.n_estimators, args.max_depth, args.steps) == (
-            models.gbdt_config.n_estimators, models.gbdt_config.max_depth,
-            models.transformer_train.steps) == (100, 3, 300)
-        assert cli._bench_models(args) == models
+            bench.STUDY_GBDT.n_estimators, bench.STUDY_GBDT.max_depth,
+            bench.STUDY_TRAIN.steps) == (100, 3, 300)
+        calls = record_factories(monkeypatch)
+        assert list(cli._detectors(args)) == ["gbdt", "transformer"]
+        assert calls == [("gbdt", bench.STUDY_GBDT),
+                         ("transformer", tr.TransformerConfig(), bench.STUDY_TRAIN)]
 
-    def test_bench_models_flags_applied(self):
+    @pytest.mark.parametrize("names,calls", [
+        (None, [("gbdt", gbdt.GbdtConfig(2, 5)),
+                ("transformer", tr.TransformerConfig(seed=4), tr.TrainConfig(steps=9))]),
+        ("transformer", [("transformer", tr.TransformerConfig(seed=4),
+                          tr.TrainConfig(steps=9))]),
+        ("gbdt", [("gbdt", gbdt.GbdtConfig(2, 5))]),
+    ], ids=["all", "transformer", "gbdt"])
+    def test_study_flags_reach_the_factories(self, monkeypatch, names, calls):
         args = parsed(["--seed", "4"] + mode_argv("bench", "augment", "o") + [
-            "--models", "transformer", "--steps", "9", "--n-estimators", "2"])
-        models = cli._bench_models(args)
-        assert models.gbdt_config is None
-        assert models.transformer_config.seed == 4
-        assert models.transformer_train == tr.TrainConfig(steps=9)
+            "--steps", "9", "--n-estimators", "2", "--max-depth", "5"]
+            + (["--models", names] if names else []))
+        recorded = record_factories(monkeypatch)
+        assert list(cli._detectors(args)) == [call[0] for call in calls]
+        assert recorded == calls
 
-    @pytest.mark.parametrize("names,gbdt_on,transformer_on", [
-        ("gbdt", True, False), ("transformer", False, True),
-        ("gbdt,transformer", True, True),
+    @pytest.mark.parametrize("names,keys", [
+        ("gbdt", ["gbdt"]), ("transformer", ["transformer"]),
+        ("gbdt,transformer", ["gbdt", "transformer"]),
+        ("transformer,gbdt", ["gbdt", "transformer"]),
     ])
-    def test_bench_models_names(self, names, gbdt_on, transformer_on):
-        models = cli._bench_models(parsed(
+    def test_bench_detector_names(self, names, keys):
+        detectors = cli._detectors(parsed(
             mode_argv("bench", "augment", "o") + ["--models", names]))
-        assert (models.gbdt_config is not None) == gbdt_on
-        assert (models.transformer_config is not None) == transformer_on
+        assert list(detectors) == keys
+        assert all(isinstance(d, bench.Detector) for d in detectors.values())
 
     @pytest.mark.parametrize("mode", ["generalize", "augment"])
     @pytest.mark.parametrize("names,unknown", [

@@ -44,7 +44,7 @@ def tree_values(tree, X):
     return np.array([walk_tree(tree, x) for x in X])
 
 
-def naive_best_split(X, residuals, min_samples_leaf):
+def naive_best_split(X, residuals):
     """Per-node split search oracle: argsort every feature at the node."""
     n, d = X.shape
     total_sum = residuals.sum()
@@ -59,8 +59,7 @@ def naive_best_split(X, residuals, min_samples_leaf):
         csum = np.cumsum(rs)
         # candidate split after position i: left = [0..i], right = [i+1..]
         n_left = np.arange(1, n)
-        valid = (xs[:-1] < xs[1:]) & (n_left >= min_samples_leaf) \
-            & ((n - n_left) >= min_samples_leaf)
+        valid = xs[:-1] < xs[1:]
         if not valid.any():
             continue
         left_sum = csum[:-1]
@@ -83,10 +82,9 @@ def naive_fit_tree(X, residuals, probs, config):
 
     def build(idx, depth):
         r = residuals[idx]
-        if depth >= config.max_depth or idx.size < 2 * config.min_samples_leaf \
-                or np.ptp(r) == 0:
+        if depth >= config.max_depth or idx.size < 2 or np.ptp(r) == 0:
             return tree.add_leaf(gbdt._newton_leaf(r, probs[idx]))
-        split = naive_best_split(X[idx], r, config.min_samples_leaf)
+        split = naive_best_split(X[idx], r)
         if split is None:
             return tree.add_leaf(gbdt._newton_leaf(r, probs[idx]))
         j, thr = split
@@ -168,15 +166,6 @@ class TestFitTree:
         tree = gbdt.fit_tree(X, r, p, gbdt.GbdtConfig(n_estimators=1, max_depth=2))
         assert tree.value[0] == 4.0
 
-    def test_min_samples_leaf_rejects_split(self):
-        X = np.array([[0.0], [1.0], [2.0]])
-        r = np.array([-1.0, 0.0, 1.0])
-        p = np.full(3, 0.5)
-        cfg = gbdt.GbdtConfig(n_estimators=1, max_depth=3, min_samples_leaf=2)
-        tree = gbdt.fit_tree(X, r, p, cfg)
-        # only 3 samples: no split can give both children >= 2
-        assert tree.feature[0] == -1
-
 
 class TestPresortedSplitSearch:
     @pytest.mark.parametrize("seed", range(12))
@@ -189,11 +178,10 @@ class TestPresortedSplitSearch:
         y = rng.integers(0, 2, n)
         p = rng.uniform(0.05, 0.95, n)
         r = y - p
-        for min_samples_leaf in (1, 2, 5):
-            for depth in range(1, 7):
-                cfg = gbdt.GbdtConfig(1, depth, 0.1, min_samples_leaf)
-                assert node_lists(gbdt.fit_tree(X, r, p, cfg)) \
-                    == node_lists(naive_fit_tree(X, r, p, cfg))
+        for depth in range(1, 7):
+            cfg = gbdt.GbdtConfig(1, depth, 0.1)
+            assert node_lists(gbdt.fit_tree(X, r, p, cfg)) \
+                == node_lists(naive_fit_tree(X, r, p, cfg))
 
     @pytest.mark.parametrize("column,r,splits", [
         # the midpoint of the second split rounds up to the upper value, or
@@ -259,7 +247,7 @@ class TestPresortedSplitSearch:
             for leaf in np.unique(leaves):
                 rows = leaves == leaf
                 unsplittable += bool(depth[leaf] < cfg.max_depth
-                                     and rows.sum() >= 2 * cfg.min_samples_leaf
+                                     and rows.sum() >= 2
                                      and np.ptp(r[rows]) > 0)
             scores = scores + cfg.learning_rate * tree_values(tree, X)
         assert unsplittable > 0
