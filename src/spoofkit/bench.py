@@ -44,11 +44,6 @@ class DatasetManifest:
     def subset(self, split: str) -> list:
         return [e for e in self.entries if e.split == split]
 
-    def class_counts(self, split: str | None = None):
-        rows = self.entries if split is None else self.subset(split)
-        pos = sum(e.label for e in rows)
-        return {"bonafide": len(rows) - pos, "spoof": pos}
-
 
 def load_manifest(path, name: str | None = None) -> DatasetManifest:
     """Load and validate a `path,label,attack,split` CSV manifest."""
@@ -388,26 +383,31 @@ STUDY_TRAIN = transformer.TrainConfig(steps=300)
 # A detector as the studies see it: `front` maps a clip to the model's input,
 # `train(inputs, labels)` fits a model on a list of inputs, and
 # `predict_proba(model, inputs)` gives their spoof probabilities.
-Detector = namedtuple("Detector", "front train predict_proba")
+# `min_samples` is the fewest samples at SAMPLE_RATE a clip needs.
+Detector = namedtuple("Detector", "front train predict_proba min_samples",
+                      defaults=(1,))
 
 
 def gbdt_detector(cfg: gbdt.GbdtConfig) -> Detector:
-    """Boosted trees on the 37-feature vector."""
+    """Boosted trees on the 37-feature vector; a clip needs one MFCC frame."""
     return Detector(
         lambda audio: dsp.extract_features(audio).values,
         lambda X, y: gbdt.train(np.stack(X), y, cfg, dsp.FEATURE_NAMES),
-        lambda model, X: gbdt.predict_proba(model, np.stack(X)))
+        lambda model, X: gbdt.predict_proba(model, np.stack(X)),
+        dsp.frame_length(dsp.FRAME_MS, dsp.SAMPLE_RATE))
 
 
 def transformer_detector(cfg: transformer.TransformerConfig,
                          train_cfg: transformer.TrainConfig) -> Detector:
     """The patch transformer on the log-Mel; its input shape comes from the
-    training spectrograms."""
+    training spectrograms, which need one patch width of log-Mel columns."""
     def train(specs, labels):
         return transformer.train_toy(
             list(zip(specs, labels)),
             replace(cfg, input_shape=specs[0].values.shape), train_cfg)
-    return Detector(dsp.mel_spectrogram, train, transformer.predict_proba)
+    return Detector(dsp.mel_spectrogram, train, transformer.predict_proba,
+                    dsp.samples_for_frames(cfg.geometry.patch_w, dsp.MEL_SPEC_HOP_MS,
+                                           dsp.SAMPLE_RATE))
 
 
 def fit_clip_length(audio: AudioBuffer, duration_s: float) -> AudioBuffer:

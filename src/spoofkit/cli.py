@@ -287,7 +287,13 @@ def _detectors(args):
             replace(bench.STUDY_TRAIN, steps=args.steps)),
     }
     names = _names("--models", args.models, factories) if args.models else factories
-    return {name: make() for name, make in factories.items() if name in names}
+    detectors = {name: make() for name, make in factories.items() if name in names}
+    for name, detector in detectors.items():
+        if round(args.duration * dsp.SAMPLE_RATE) < detector.min_samples:
+            raise UsageError(f"--duration: the {name} detector needs clips of at "
+                             f"least {detector.min_samples / dsp.SAMPLE_RATE} s, "
+                             f"got {args.duration} s")
+    return detectors
 
 
 def _write_reports(out, reports, markdown, args, stem):
@@ -306,16 +312,17 @@ def cmd_bench_generalize(args) -> int:
     if args.synth and args.duration < bench.GENERALIZATION_MIN_S:
         raise UsageError(f"--duration: generalization clips must last at least "
                          f"{bench.GENERALIZATION_MIN_S} s, got {args.duration} s")
-    detectors, out = _detectors(args), ensure_outdir(args.out)
-    if args.synth:
-        a, b = bench.make_generalization_corpora(
-            ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)
-    else:
+    detectors = _detectors(args)
+    if not args.synth:
         if not args.train_manifest or not args.eval_manifest:
             raise UsageError("provide --train-manifest and --eval-manifest, "
                              "or --synth DIR")
         a = bench.load_manifest(require_file(args.train_manifest))
         b = bench.load_manifest(require_file(args.eval_manifest))
+    out = ensure_outdir(args.out)
+    if args.synth:
+        a, b = bench.make_generalization_corpora(
+            ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)
     reports, markdown = bench.run_generalization(
         a, b, detectors, balance_n=args.balance_n, seed=args.seed,
         duration_s=args.duration)
@@ -325,14 +332,15 @@ def cmd_bench_generalize(args) -> int:
 
 def cmd_bench_augment(args) -> int:
     augmentations = _names("--augmentations", args.augmentations, bench.AUGMENTATIONS)
-    detectors, out = _detectors(args), ensure_outdir(args.out)
-    if args.synth:
-        manifest = bench.make_augmentation_corpus(
-            ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)
-    else:
+    detectors = _detectors(args)
+    if not args.synth:
         if not args.manifest:
             raise UsageError("provide --manifest or --synth DIR")
         manifest = bench.load_manifest(require_file(args.manifest))
+    out = ensure_outdir(args.out)
+    if args.synth:
+        manifest = bench.make_augmentation_corpus(
+            ensure_outdir(args.synth), seed=args.seed, duration_s=args.duration)
     reports, markdown = bench.run_augmentation_study(
         manifest, augmentations, detectors, seed=args.seed,
         duration_s=args.duration)

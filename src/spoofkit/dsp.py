@@ -139,15 +139,28 @@ def load_audio(path, sample_rate: int = SAMPLE_RATE) -> AudioBuffer:
 def frames_at(x: np.ndarray, starts, frame_len: int) -> np.ndarray:
     """Frames of `frame_len` samples beginning at each of `starts`; samples
     past the end of `x` read as zeros. Returns (len(starts), frame_len): a
-    read-only strided view when the starts are evenly spaced, else a copy."""
+    read-only strided view when the starts are evenly spaced at most
+    `frame_len` apart, else a copy. (A view keeps the whole zero-padded clip
+    alive, which for frames with gaps between them is more than they read.)"""
     starts = np.asarray(starts)
     padded = np.zeros(max(x.size, int(starts[-1]) + frame_len))
     padded[: x.size] = x
     windows = sliding_window_view(padded, frame_len)
     step = starts[1] - starts[0] if starts.size > 1 else 1
-    if step > 0 and np.all(np.diff(starts) == step):
+    if 0 < step <= frame_len and np.all(np.diff(starts) == step):
         return windows[starts[0]: starts[-1] + 1: step]
     return windows[starts]
+
+
+def frame_length(frame_ms: float, sample_rate: int) -> int:
+    """Samples in a frame of `frame_ms` milliseconds."""
+    return int(round(frame_ms * sample_rate / 1000.0))
+
+
+def samples_for_frames(n_frames: int, hop_ms: float, sample_rate: int) -> int:
+    """Fewest samples from which `frame` cuts `n_frames` frames: frame
+    n_frames - 1 must start inside the audio."""
+    return int(np.floor((n_frames - 1) * hop_ms * sample_rate / 1000.0)) + 1
 
 
 def frame(audio: AudioBuffer, frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS) -> np.ndarray:
@@ -159,7 +172,7 @@ def frame(audio: AudioBuffer, frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS
     if frame_ms <= 0 or hop_ms <= 0:
         raise InputError("frame_ms and hop_ms must be positive")
     sr = audio.sample_rate
-    frame_len = int(round(frame_ms * sr / 1000.0))
+    frame_len = frame_length(frame_ms, sr)
     if frame_len < 1:
         raise InputError("frame shorter than one sample")
     n = audio.samples.size
@@ -245,23 +258,32 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
     return fb, centers
 
 
+@lru_cache(maxsize=None)
+def _dct_matrix(n: int, n_keep: int) -> np.ndarray:
+    """Read-only (n, n_keep) matrix whose column k is the k-th orthonormal
+    DCT-II basis vector of length n, so `x @ _dct_matrix(n, n_keep)` gives
+    the first n_keep coefficients of each row of x."""
+    k = np.arange(n_keep)
+    basis = np.cos(np.pi * k * (2 * np.arange(n)[:, None] + 1) / (2 * n))
+    basis *= np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    basis.setflags(write=False)
+    return basis
+
+
 def mfcc(audio: AudioBuffer, n_mfcc: int = N_MFCC, n_mels: int = N_MELS,
          frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS, n_fft: int = N_FFT,
          pre_emphasis: float = PRE_EMPHASIS) -> np.ndarray:
     """Per-frame MFCCs: pre-emphasis -> frame -> Hann -> FFT power -> Mel ->
     log -> orthonormal DCT-II. Returns (n_frames, n_mfcc)."""
-    from scipy.fft import dct  # loaded on first use: `import spoofkit` needs numpy only
-
     if not 1 <= n_mfcc <= n_mels:
         raise InputError("n_mfcc must be in [1, n_mels]")
-    frame_len = int(round(frame_ms * audio.sample_rate / 1000.0))
-    if audio.samples.size < frame_len:
+    if audio.samples.size < frame_length(frame_ms, audio.sample_rate):
         raise InputError("audio shorter than one frame")
     _, power, _ = _frame_power(audio, frame_ms, hop_ms, n_fft, pre_emphasis)
     fb, _ = mel_filterbank(n_mels, n_fft, audio.sample_rate)
     mel_energy = power @ fb.T
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
-    return dct(log_mel, type=2, norm="ortho", axis=1)[:, :n_mfcc]
+    return log_mel @ _dct_matrix(n_mels, n_mfcc)
 
 
 # ---------------------------------------------------------------------------

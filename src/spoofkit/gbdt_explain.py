@@ -40,7 +40,7 @@ class ImportanceReport:
 
 @dataclass
 class FeatureClustering:
-    merge_tree: np.ndarray  # scipy linkage matrix
+    merge_tree: np.ndarray  # (n - 1, 4) rows of (a, b, height, size), scipy's linkage layout
     distance_threshold: float
     clusters: list  # list of sorted feature-index lists
     representatives: list | None = None
@@ -155,28 +155,61 @@ def spearman_matrix(X) -> np.ndarray:
     return np.clip(corr, -1.0, 1.0)
 
 
+def _ward_merges(dist: np.ndarray) -> np.ndarray:
+    """Ward agglomeration of the n points whose pairwise distances are the
+    symmetric (n, n) matrix `dist`, as an (n - 1, 4) merge tree in scipy's
+    linkage layout: row k joins clusters a < b at height h into cluster
+    n + k of `size` points. Each step joins the closest pair, ties going to
+    the smallest (a, b); distances to the new cluster follow the
+    Lance-Williams update for Ward (Ward 1963; Lance & Williams 1967)."""
+    n = len(dist)
+    d = dist.copy()
+    np.fill_diagonal(d, np.inf)
+    ids = np.arange(n)  # cluster id of each row of d, ascending
+    sizes = np.ones(n)
+    tree = np.empty((n - 1, 4))
+    for k in range(n - 1):
+        # the first minimum in row-major order is the smallest (a, b) pair
+        a, b = divmod(int(np.argmin(d)), len(d))
+        h = d[a, b]
+        size = sizes[a] + sizes[b]
+        tree[k] = ids[a], ids[b], h, size
+        t = 1.0 / (size + sizes)
+        new = np.sqrt((sizes + sizes[a]) * t * d[a] * d[a]
+                      + (sizes + sizes[b]) * t * d[b] * d[b] - sizes * t * h * h)
+        keep = np.ones(len(d), dtype=bool)
+        keep[[a, b]] = False
+        d = np.block([[d[keep][:, keep], new[keep, None]],
+                      [new[None, keep], np.full((1, 1), np.inf)]])
+        ids = np.append(ids[keep], n + k)
+        sizes = np.append(sizes[keep], size)
+    return tree
+
+
 def ward_cluster(corr: np.ndarray, threshold: float = DEFAULT_CLUSTER_THRESHOLD) -> FeatureClustering:
     """Ward-linkage agglomerative clustering on distance d = 1 - rho, with
-    flat clusters cut at `threshold`."""
-    from scipy.cluster.hierarchy import fcluster, linkage  # loaded on first use
-
+    flat clusters cut at `threshold`: two features share a flat cluster when
+    every merge on the way to their common cluster has height <= threshold,
+    as in scipy's `fcluster(..., criterion="distance")`."""
     corr = np.asarray(corr, dtype=np.float64)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1]:
-        raise InputError("correlation matrix must be square")
+    if corr.ndim != 2 or corr.shape[0] != corr.shape[1] or corr.size == 0:
+        raise InputError("correlation matrix must be square and non-empty")
+    if not np.all(np.isfinite(corr)):
+        raise InputError("correlation matrix must be finite")
     if not np.allclose(corr, corr.T, atol=1e-8):
         raise InputError("correlation matrix must be symmetric")
     dist = 1.0 - corr
     np.fill_diagonal(dist, 0.0)
     dist = np.clip(dist, 0.0, None)
-    # condensed form: the upper triangle, row by row
-    condensed = ((dist + dist.T) / 2.0)[np.triu_indices(len(dist), 1)]
-    merge_tree = linkage(condensed, method="ward")
-    labels = fcluster(merge_tree, t=threshold, criterion="distance")
-    clusters = {}
-    for idx, lab in enumerate(labels):
-        clusters.setdefault(lab, []).append(idx)
+    n = len(dist)
+    merge_tree = _ward_merges((dist + dist.T) / 2.0)
+    flat = {i: [i] for i in range(n)}  # flat clusters by cluster id
+    for k, (a, b, h, _) in enumerate(merge_tree.tolist()):
+        a, b = int(a), int(b)
+        if h <= threshold and a in flat and b in flat:
+            flat[n + k] = flat.pop(a) + flat.pop(b)
     # deterministic ordering: clusters sorted by their lowest member index
-    ordered = sorted((sorted(v) for v in clusters.values()), key=lambda c: c[0])
+    ordered = sorted((sorted(v) for v in flat.values()), key=lambda c: c[0])
     return FeatureClustering(merge_tree, float(threshold), ordered)
 
 

@@ -286,14 +286,17 @@ class TestBench:
         assert rc == 0
         assert (tmp_path / "out" / "augmentation.json").exists()
 
-    def test_generalize_missing_manifests_exit_2(self, tmp_path, capsys):
-        rc = cli.main(["bench", "generalize", "--out", str(tmp_path)])
-        assert rc == 2
-        assert "--synth" in capsys.readouterr().err
-
-    def test_augment_missing_manifest_exit_2(self, tmp_path):
-        rc = cli.main(["bench", "augment", "--out", str(tmp_path)])
-        assert rc == 2
+    @pytest.mark.parametrize("argv,needle", [
+        (["generalize"], "--synth"),
+        (["generalize", "--train-manifest", "nope.csv", "--eval-manifest", "nope.csv"],
+         "no such file: nope.csv"),
+        (["augment"], "--synth"),
+        (["augment", "--manifest", "nope.csv"], "no such file: nope.csv"),
+    ], ids=["generalize_no_flags", "generalize_no_file", "augment_no_flag",
+            "augment_no_file"])
+    def test_missing_manifest_exit_2_before_any_output(self, tmp_path, argv, needle):
+        line = usage_error_line(tmp_path, ["bench", argv[0], "--out", "out", *argv[1:]])
+        assert needle in line
 
 
 def one_error_line(capsys):
@@ -568,8 +571,16 @@ class TestRangedFlags:
         (["augment", "--duration", "0.00001"],
          "--duration: '0.00001' is not a finite number >= 6.25e-05"),
         (["generalize", "--duration", "0.5"], "at least 0.6 s, got 0.5 s"),
+        # one 20 ms MFCC frame at 16 kHz: 320 samples
+        (["augment", "--duration", "0.01", "--models", "gbdt"],
+         "--duration: the gbdt detector needs clips of at least 0.02 s, got 0.01 s"),
+        # one 16-column patch: the 16th 100 ms log-Mel frame starts at sample 24000
+        (["augment", "--duration", "1.5", "--models", "gbdt,transformer"],
+         "the transformer detector needs clips of at least 1.5000625 s, got 1.5 s"),
+        (["generalize", "--duration", "1.0"], "the transformer detector needs"),
     ], ids=["unknown_augmentation", "balance_zero", "augment_no_sample",
-            "generalize_below_burst"])
+            "generalize_below_burst", "gbdt_below_one_frame",
+            "transformer_below_one_patch", "generalize_transformer"])
     def test_study_flags_exit_2_before_any_output(self, tmp_path, argv, needle):
         # with --synth, a study that ran would create the corpus and --out
         line = usage_error_line(tmp_path, ["bench", argv[0], "--synth", "corpus",
@@ -600,6 +611,14 @@ def test_pyproject_reads_the_one_version_constant():
         "attr": "spoofkit.__version__"}
 
 
+def test_pyproject_runtime_needs_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as fh:
+        doc = tomllib.load(fh)
+    assert [d.split(">")[0] for d in doc["project"]["dependencies"]] == ["numpy"]
+    assert any(d.startswith("scipy") for d in doc["project"]["optional-dependencies"]["test"])
+
+
 def modules_loaded_by(code):
     """Names of the modules a fresh interpreter loads while it runs `code`,
     with the spoofkit package of this checkout on its path."""
@@ -622,8 +641,8 @@ def scipy_modules(names):
 
 
 class TestStartup:
-    """scipy is loaded only by the functions that call it: `dsp.mfcc`
-    (scipy.fft) and `gbdt_explain.ward_cluster` (scipy.cluster)."""
+    """No command loads scipy: the MFCC's DCT and the Ward linkage of
+    feature clusters are numpy, and scipy serves only as a test oracle."""
 
     def test_import_loads_numpy_and_the_standard_library_only(self):
         loaded = modules_loaded_by("import spoofkit.cli")
@@ -639,21 +658,21 @@ class TestStartup:
             "train", "gbdt", "--features", trained_artifacts["features"],
             "--out", str(tmp_path / "gbdt.json"), "--n-estimators", "2"]))
 
-    def test_extract_loads_scipy_fft_not_stats(self, trained_artifacts, tmp_path):
-        loaded = scipy_modules(cli_modules([
+    def test_extract_loads_no_scipy(self, trained_artifacts, tmp_path):
+        assert not scipy_modules(cli_modules([
             "extract", "--manifest", os.path.join(trained_artifacts["root"], "manifest.csv"),
             "--out-csv", str(tmp_path / "f.csv")]))
-        assert "scipy.fft" in loaded
-        assert not {"scipy.stats", "scipy.cluster"} & loaded
 
-    def test_explain_importance_loads_scipy_cluster_not_stats(self, trained_artifacts,
-                                                               tmp_path):
-        loaded = scipy_modules(cli_modules([
+    def test_bench_augment_gbdt_loads_no_scipy(self, corpora, tmp_path):
+        assert not scipy_modules(cli_modules([
+            "bench", "augment", "--manifest", corpora["aug"], "--out", str(tmp_path),
+            "--models", "gbdt", "--augmentations", "identity", "--n-estimators", "2"]))
+
+    def test_explain_importance_loads_no_scipy(self, trained_artifacts, tmp_path):
+        assert not scipy_modules(cli_modules([
             "explain", "importance", "--model", trained_artifacts["gbdt"],
             "--features", trained_artifacts["features"], "--repeats", "1",
             "--out", str(tmp_path / "out")]))
-        assert "scipy.cluster.hierarchy" in loaded
-        assert "scipy.stats" not in loaded
 
 
 CSV_LINES = st.one_of(
@@ -899,12 +918,12 @@ def parsed(argv):
 
 def record_factories(monkeypatch):
     """Swap the two detector factories for ones that record their
-    arguments in the returned list and build nothing."""
-    calls = []
+    arguments in the returned list and build a detector of no functions."""
+    calls, idle = [], bench.Detector(None, None, None)
     monkeypatch.setattr(bench, "gbdt_detector",
-                        lambda cfg: calls.append(("gbdt", cfg)))
+                        lambda cfg: calls.append(("gbdt", cfg)) or idle)
     monkeypatch.setattr(bench, "transformer_detector", lambda cfg, train_cfg:
-                        calls.append(("transformer", cfg, train_cfg)))
+                        calls.append(("transformer", cfg, train_cfg)) or idle)
     return calls
 
 

@@ -98,6 +98,32 @@ class TestFramesAt:
         assert frames.flags.writeable and frames.flags.owndata
         assert np.array_equal(frames[2], x[441:882])
 
+    def test_gapped_starts_copy(self):
+        # starts 160 apart, frames of 40: the view would pin 4x what they read
+        x = np.arange(1000.0)
+        frames = dsp.frames_at(x, np.arange(0, 1000, 160), 40)
+        assert frames.flags.writeable and frames.flags.owndata
+        assert np.array_equal(frames[2], x[320:360])
+        assert np.array_equal(frames[6], x[960:])
+
+    def test_log_mel_frames_do_not_pin_the_clip(self):
+        audio = AudioBuffer(0.1 * np.random.default_rng(0).standard_normal(int(3.6 * SR)), SR)
+        dsp.mel_spectrogram(audio)  # fill the filterbank cache first
+        tracemalloc.start()
+        try:
+            frames = dsp.frame(audio, dsp.MEL_SPEC_WIN_MS, dsp.MEL_SPEC_HOP_MS)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            dsp.mel_spectrogram(audio)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 25 ms frames at a 100 ms hop read a quarter of the clip
+        assert held < frames.nbytes + 4096 < audio.samples.nbytes / 3
+        # the padded clip, the frames and one block's spectra; a view kept
+        # the padded clip alive through the FFT (0.91 MiB)
+        assert peak - held < 1.5 * audio.samples.nbytes
+
     def test_frame_view_at_16k_copy_at_22050(self):
         assert not dsp.frame(AudioBuffer(np.ones(SR), SR)).flags.writeable
         assert dsp.frame(AudioBuffer(np.ones(22050), 22050)).flags.owndata

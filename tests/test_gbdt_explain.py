@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import squareform
 from scipy.stats import rankdata
 
 from spoofkit import gbdt, gbdt_explain
@@ -255,9 +257,50 @@ class TestWardCluster:
             assert row[2] == pytest.approx(h, rel=1e-10)
             assert int(row[3]) == size
 
-    def test_non_square_rejected(self):
+    @pytest.mark.parametrize("n", [6, 37])
+    def test_merge_tree_and_flat_clusters_match_scipy(self, n):
+        rng = np.random.default_rng(n)
+        corr = gbdt_explain.spearman_matrix(
+            rng.normal(0, 1, (200, n)) @ rng.normal(0, 1, (n, n)))
+        dist = np.clip(1.0 - corr, 0.0, None)
+        np.fill_diagonal(dist, 0.0)
+        condensed = squareform(dist, checks=False)
+        assert np.unique(condensed).size == condensed.size  # no tied distances
+        expected = linkage(condensed, method="ward")
+        for t in (0.0, 0.5, 1.5, 1e9):
+            clus = gbdt_explain.ward_cluster(corr, threshold=t)
+            assert np.array_equal(clus.merge_tree[:, [0, 1, 3]], expected[:, [0, 1, 3]])
+            assert np.allclose(clus.merge_tree[:, 2], expected[:, 2], rtol=1e-12, atol=0)
+            groups = {}
+            for i, label in enumerate(fcluster(expected, t=t, criterion="distance")):
+                groups.setdefault(label, []).append(i)
+            assert clus.clusters == sorted(groups.values())
+
+    def test_tied_distances_merge_as_the_oracle(self):
+        # a constant feature correlates 0 with every other: distance 1 to all
+        rng = np.random.default_rng(10)
+        X = rng.normal(0, 1, (100, 8))
+        X[:, [1, 3, 4, 6]] = 1.0
+        corr = gbdt_explain.spearman_matrix(X)
+        dist = 1.0 - corr
+        np.fill_diagonal(dist, 0.0)
+        merges = lance_williams_ward(dist)
+        tree = gbdt_explain.ward_cluster(corr).merge_tree
+        assert [(int(a), int(b), int(size)) for a, b, _, size in tree] == \
+            [(a, b, size) for a, b, _, size in merges]
+        assert np.allclose(tree[:, 2], [h for _, _, h, _ in merges], rtol=1e-12, atol=0)
+
+    def test_one_feature_one_cluster(self):
+        clus = gbdt_explain.ward_cluster(np.ones((1, 1)))
+        assert clus.merge_tree.shape == (0, 4)
+        assert clus.clusters == [[0]]
+
+    @pytest.mark.parametrize("corr", [np.ones((2, 3)), np.ones((0, 0)),
+                                      np.array([[1.0, np.inf], [np.inf, 1.0]])],
+                             ids=["non_square", "empty", "infinite"])
+    def test_bad_matrix_rejected(self, corr):
         with pytest.raises(InputError):
-            gbdt_explain.ward_cluster(np.ones((2, 3)))
+            gbdt_explain.ward_cluster(corr)
 
     def test_asymmetric_rejected(self):
         m = np.eye(3)

@@ -7,9 +7,9 @@ inputs:
   dsp      MFCC, chroma, spectral scalars, log-Mel and the 37-dim feature
            vector of 1.6, 2.6 and 3.6 s clips
   augment  the codec and rerecord simulators on the same clips
-  startup  `import spoofkit.cli` (seconds and ru_maxrss) and one whole
-           `explain rollout` and `explain importance` process, each in a
-           fresh interpreter
+  startup  `import spoofkit.cli` and one whole `extract`, `explain rollout`
+           and `explain importance` process, each in a fresh interpreter:
+           seconds and peak resident memory
 
     python3 tools/bench_layers.py --topic dsp --label change
     python3 tools/bench_layers.py --topic dsp --label parent --src ../parent/src
@@ -19,9 +19,10 @@ runs the topic's repeat count in this process and records its median wall
 time in seconds, plus a SHA-256 of what it produced, so that two sources can
 be checked for identical output. A dsp or augment case also records the
 tracemalloc peak of one more call. A startup case is instead the median
-over fresh interpreters that import the `--src` package. The entry for
-`--label` (with the machine, Python, numpy and scipy versions) is merged
-into `--out`, BENCH_<topic>.json by default; other labels already in the
+over fresh interpreters that import the `--src` package, of wall time and
+of the process's peak resident set (VmHWM, Linux). The entry for `--label`
+(with the machine, Python, numpy and, where installed, scipy versions) is
+merged into `--out`, BENCH_<topic>.json by default; other labels already in the
 file are kept, so the numbers of two sources measured on the same machine
 sit side by side.
 """
@@ -32,6 +33,7 @@ import argparse
 import contextlib
 import hashlib
 import importlib
+import importlib.metadata
 import io
 import json
 import os
@@ -44,7 +46,6 @@ import time
 import tracemalloc
 
 import numpy as np
-import scipy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 N_FEATURES = 37
@@ -235,24 +236,51 @@ def run_augment(sk, repeats) -> dict:
     return cases
 
 
+# A child reports its own peak resident set, VmHWM: its ru_maxrss would also
+# count the resident set of this process, which it inherits at fork and exec.
+PEAK_RSS = """
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
 IMPORT_PROBE = """\
-import resource, time
+import time
 start = time.perf_counter()
 import spoofkit.cli
-print(time.perf_counter() - start, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-"""
+print(time.perf_counter() - start)
+""" + PEAK_RSS
+CLI_PROBE = """\
+import sys
+from spoofkit import cli
+if cli.main(sys.argv[1:]) != 0:
+    sys.exit(1)
+""" + PEAK_RSS
 
 
-def child(sk, *args) -> str:
-    """stdout of `python *args` in a fresh interpreter that imports the
-    spoofkit package `sk` was loaded from."""
+def child(sk, *args) -> list:
+    """The stdout lines of `python *args` in a fresh interpreter that imports
+    the spoofkit package `sk` was loaded from."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sk.__file__))}
     return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+def feature_digest(path) -> str:
+    """SHA-256 of a feature CSV without its `#` provenance line."""
+    with open(path) as fh:
+        return sha("".join(line for line in fh if not line.startswith("#")).encode())
+
+
+def record_process(cases, name, sk, argv, repeats, digest) -> None:
+    """`record` a whole `spoofkit *argv` process, plus the median of its peak
+    resident set in MB."""
+    kb = []
+    record(cases, name, lambda: kb.append(int(child(sk, "-c", CLI_PROBE, *argv)[-1])),
+           repeats, lambda _: digest())
+    cases[name]["maxrss_mb"] = statistics.median(kb) / 1024
 
 
 def run_startup(sk, repeats) -> dict:
-    runs = [child(sk, "-c", IMPORT_PROBE).split() for _ in range(repeats)]
+    runs = [child(sk, "-c", IMPORT_PROBE) for _ in range(repeats)]
     cases = {"import_cli": {"median_s": statistics.median(float(s) for s, _ in runs),
                             "maxrss_mb": statistics.median(int(kb) for _, kb in runs) / 1024}}
     print(f"import_cli: {cases['import_cli']['median_s']:.4f} s", file=sys.stderr)
@@ -262,13 +290,27 @@ def run_startup(sk, repeats) -> dict:
         sk.cli.write_features_csv(features, *table(400), argparse.Namespace(seed=0))
         cli(sk, ["train", "gbdt", "--features", features, "--out", gbdt_path,
                  "--n-estimators", "50", "--max-depth", "4"])
+        extracted = os.path.join(root, "extracted.csv")
+        record_process(cases, "extract_process", sk, [
+            "extract", "--manifest", os.path.join(root, "clips.csv"), "--out-csv", extracted],
+            repeats, lambda: feature_digest(extracted))
         for kind, inputs in (("rollout", ["--model", model_path, "--wav", wav]),
                              ("importance", ["--model", gbdt_path, "--features", features])):
             out = os.path.join(root, kind)
-            record(cases, f"explain_{kind}_process", lambda: child(
-                sk, "-m", "spoofkit.cli", "explain", kind, *inputs, "--out", out),
-                repeats, lambda _: files_digest(out))
+            record_process(cases, f"explain_{kind}_process", sk,
+                           ["explain", kind, *inputs, "--out", out], repeats,
+                           lambda: files_digest(out))
     return cases
+
+
+def versions() -> dict:
+    """Python and the versions of numpy and, where installed, scipy."""
+    found = {"python": platform.python_version(), "numpy": np.__version__}
+    try:
+        found["scipy"] = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        pass
+    return found
 
 
 TOPICS = {"gbdt": (run_gbdt, 5), "explain": (run_explain, 20), "dsp": (run_dsp, 20),
@@ -291,9 +333,7 @@ def main(argv=None) -> int:
     run, repeats = TOPICS[args.topic]
     warm_up(sk)
     entry = {
-        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "scipy": scipy.__version__},
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(), **versions()},
         "repeats": repeats,
         "cases": run(sk, repeats),
     }
