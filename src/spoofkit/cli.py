@@ -140,20 +140,30 @@ def cmd_train_gbdt(args) -> int:
     return EXIT_OK
 
 
+def _require_duration(args, name, min_samples) -> None:
+    """A UsageError unless --duration gives the `name` detector the
+    `min_samples` samples it needs."""
+    if round(args.duration * dsp.SAMPLE_RATE) < min_samples:
+        raise UsageError(f"--duration: the {name} detector needs clips of at "
+                         f"least {min_samples / dsp.SAMPLE_RATE} s, "
+                         f"got {args.duration} s")
+
+
 def cmd_train_transformer(args) -> int:
-    manifest = bench.load_manifest(require_file(args.manifest))
-    entries = manifest.subset("train") or manifest.entries
-    specs = [dsp.mel_spectrogram(bench.fit_clip_length(dsp.load_audio(e.path),
-                                                       args.duration))
-             for e in entries]
     cfg = transformer.TransformerConfig(
         d_model=args.d_model, n_layers=args.n_layers, n_heads=args.n_heads,
-        d_ff=args.d_ff, input_shape=specs[0].values.shape,
+        d_ff=args.d_ff,
         geometry=transformer.PatchGeometry(stride_h=args.stride, stride_w=args.stride),
         seed=args.seed)
     tc = transformer.TrainConfig(steps=args.steps, learning_rate=args.learning_rate,
                                  weight_decay=args.weight_decay)
-    model = transformer.train_toy(list(zip(specs, [e.label for e in entries])), cfg, tc)
+    detector = bench.transformer_detector(cfg, tc)
+    _require_duration(args, "transformer", detector.min_samples)
+    manifest = bench.load_manifest(require_file(args.manifest))
+    entries = manifest.subset("train") or manifest.entries
+    specs = [detector.front(bench.fit_clip_length(dsp.load_audio(e.path), args.duration))
+             for e in entries]
+    model = detector.train(specs, [e.label for e in entries])
     step, loss, acc = model.history[-1]
     _save_model(args, transformer.to_json(model))
     print(f"transformer: step {step}, loss {loss:.4f}, "
@@ -289,10 +299,7 @@ def _detectors(args):
     names = _names("--models", args.models, factories) if args.models else factories
     detectors = {name: make() for name, make in factories.items() if name in names}
     for name, detector in detectors.items():
-        if round(args.duration * dsp.SAMPLE_RATE) < detector.min_samples:
-            raise UsageError(f"--duration: the {name} detector needs clips of at "
-                             f"least {detector.min_samples / dsp.SAMPLE_RATE} s, "
-                             f"got {args.duration} s")
+        _require_duration(args, name, detector.min_samples)
     return detectors
 
 
@@ -414,8 +421,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = modes.add_parser("transformer", parents=[out, duration])
     p.add_argument("--manifest", required=True, help="audio manifest")
     p.add_argument("--steps", type=int, default=tr_train.steps)
-    p.add_argument("--learning-rate", type=float, default=tr_train.learning_rate)
-    p.add_argument("--weight-decay", type=float, default=tr_train.weight_decay)
+    p.add_argument("--learning-rate", type=_number(float, 0),
+                   default=tr_train.learning_rate)
+    p.add_argument("--weight-decay", type=_number(float, 0), default=tr_train.weight_decay)
     p.add_argument("--d-model", type=int, default=tr_cfg.d_model)
     p.add_argument("--n-layers", type=int, default=tr_cfg.n_layers)
     p.add_argument("--n-heads", type=int, default=tr_cfg.n_heads)

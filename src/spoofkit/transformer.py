@@ -343,6 +343,13 @@ def _softmax_backward(dA, A):
     return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
 
 
+# The weight gradients are two-operand `np.einsum`s whose inner loop runs over
+# an output axis, so numpy adds up each output element one product at a time
+# over the (b, t) positions in C order. Each is spelled so that the inner loop
+# is a wide output axis of a contiguous operand, the fast case; the sums, and
+# so the bits, stay those of the plain spellings the tests keep as an oracle.
+# `@`, `tensordot` or `optimize=True` would reach BLAS and reorder the sums.
+
 def _encoder_layer_backward(dz, params, layer: int, n_heads: int, cache, grads):
     X, mh_cache, y, y_hat, y_std, ffn_cache, z_hat, z_std = cache
     p = params
@@ -353,7 +360,7 @@ def _encoder_layer_backward(dz, params, layer: int, n_heads: int, cache, grads):
     # FFN
     pre, hidden = ffn_cache
     df = dv
-    grads[f"l{layer}.w2"] += np.einsum("btf,btd->fd", hidden, df)
+    grads[f"l{layer}.w2"] += np.einsum("btd,btf->df", df, hidden).T
     grads[f"l{layer}.b2"] += df.sum(axis=(0, 1))
     dhidden = df @ p[f"l{layer}.w2"].T
     dpre = dhidden * (pre > 0)
@@ -370,17 +377,19 @@ def _encoder_layer_backward(dz, params, layer: int, n_heads: int, cache, grads):
     grads[f"l{layer}.wo"] += np.einsum("btd,bte->de", concat, dmh)
     dconcat = dmh @ p[f"l{layer}.wo"].T
     dout = _split_heads(dconcat, n_heads)  # (B, h, T, dk)
-    dW = dout @ np.swapaxes(V, -1, -2)
-    dV = np.swapaxes(weights, -1, -2) @ dout
-    dS = _softmax_backward(dW, weights)
+    dS = _softmax_backward(dout @ np.swapaxes(V, -1, -2), weights)
     scale = 1.0 / np.sqrt(Q.shape[-1])
-    dQ = dS @ K * scale
-    dK = np.swapaxes(dS, -1, -2) @ Q * scale
+    # dQ, dK and dV with merged heads, (B, T, d) each; no unmerged copy or
+    # attention-weight gradient stays alive, which pays for the memory of
+    # their concatenation
+    flat = [_merge_heads(dS @ K * scale),
+            _merge_heads(np.swapaxes(dS, -1, -2) @ Q * scale),
+            _merge_heads(np.swapaxes(weights, -1, -2) @ dout)]
+    dqkv = np.einsum("btd,bte->de", X, np.concatenate(flat, axis=-1))
     dX = du.copy()
-    for name, dproj in (("wq", dQ), ("wk", dK), ("wv", dV)):
-        flat = _merge_heads(dproj)
-        grads[f"l{layer}.{name}"] += np.einsum("btd,bte->de", X, flat)
-        dX += flat @ p[f"l{layer}.{name}"].T
+    for name, dproj, dw in zip(("wq", "wk", "wv"), flat, np.split(dqkv, 3, axis=1)):
+        grads[f"l{layer}.{name}"] += dw
+        dX += dproj @ p[f"l{layer}.{name}"].T
     return dX
 
 
@@ -412,7 +421,8 @@ def loss_and_grads(model: TransformerModel, tokens: np.ndarray,
                                      caches[i], grads)
     grads["pos"] += dX.sum(axis=0)
     grads["cls"] += dX[:, 0, :].sum(axis=0)
-    grads["embed_w"] += np.einsum("bnp,bnd->pd", patches, dX[:, 1:, :])
+    grads["embed_w"] += np.einsum("bnd,bnp->dp", np.ascontiguousarray(dX[:, 1:, :]),
+                                  patches).T
     grads["embed_b"] += dX[:, 1:, :].sum(axis=(0, 1))
     return loss, grads, probs
 
@@ -429,6 +439,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise InputError("steps must be >= 1")
+        for name in ("learning_rate", "weight_decay"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be a finite number >= 0")
 
 
 def embed_dataset(specs, model: TransformerModel):

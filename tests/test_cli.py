@@ -527,12 +527,16 @@ RANGED_FLAGS = [
       "--out", "out"], "--cluster-threshold"),
     (["explain", "importance", "--model", "g.json", "--features", "f.csv",
       "--out", "out"], "--top-k"),
+    (["train", "transformer", "--manifest", "m.csv", "--out", "t.json"], "--learning-rate"),
+    (["train", "transformer", "--manifest", "m.csv", "--out", "t.json"], "--weight-decay"),
 ]
 # values outside each flag's range: extract's --duration takes 0 (keep the
-# clip), --top-k is an integer >= 1
+# clip), --top-k is an integer >= 1, a learning rate or weight decay may be 0
 BAD_VALUES = {"--duration": ["nan", "inf", "-1", "0"],
               "--cluster-threshold": ["nan", "inf", "-1", "0"],
-              "--top-k": ["-3", "0"]}
+              "--top-k": ["-3", "0"],
+              "--learning-rate": ["nan", "inf", "-0.01"],
+              "--weight-decay": ["nan", "inf", "-5"]}
 
 
 def bad_ranged_values():
@@ -587,12 +591,21 @@ class TestRangedFlags:
                                            "--out", "out", *argv[1:]])
         assert needle in line
 
+    def test_train_transformer_below_one_patch_exit_2(self, tmp_path):
+        # checked before the manifest is read: m.csv does not exist
+        line = usage_error_line(tmp_path, [*RANGED_FLAGS[1][0], "--duration", "1.0"])
+        assert line.endswith("the transformer detector needs clips of at least "
+                             "1.5000625 s, got 1.0 s")
+
     @pytest.mark.parametrize("argv,flag,value,expected", [
         (RANGED_FLAGS[0][0], "--duration", "0", 0.0),
         (RANGED_FLAGS[3][0], "--duration", "1e-3", 1e-3),
         (RANGED_FLAGS[4][0], "--cluster-threshold", "1e-9", 1e-9),
         (RANGED_FLAGS[5][0], "--top-k", "1", 1),
-    ], ids=["extract_keep", "duration", "cluster_threshold", "top_k"])
+        (RANGED_FLAGS[6][0], "--learning-rate", "0", 0.0),
+        (RANGED_FLAGS[7][0], "--weight-decay", "0", 0.0),
+    ], ids=["extract_keep", "duration", "cluster_threshold", "top_k",
+            "learning_rate_zero", "weight_decay_zero"])
     def test_in_range_values_parse(self, argv, flag, value, expected):
         args = parsed(argv + [flag, value])
         assert getattr(args, flag[2:].replace("-", "_")) == expected

@@ -423,6 +423,13 @@ class TestTraining:
         for k in tr.param_names(cfg):
             assert np.array_equal(model.params[k], init[k])
 
+    @pytest.mark.parametrize("name,value", [
+        ("learning_rate", -0.01), ("learning_rate", np.inf), ("learning_rate", np.nan),
+        ("weight_decay", -5.0), ("weight_decay", np.inf), ("weight_decay", np.nan)])
+    def test_negative_or_non_finite_rates_rejected(self, name, value):
+        with pytest.raises(InputError, match=name):
+            tr.TrainConfig(**{name: value})
+
     def test_determinism(self):
         a = tr.train_toy(toy_dataset(12), toy_config(),
                          tr.TrainConfig(steps=5))
@@ -505,3 +512,119 @@ class TestSerialization:
         doc["config"]["input_shape"] = [4, 6.0]
         with pytest.raises(InputError, match="malformed"):
             tr.from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# Bitwise oracle of the backward: the weight-gradient contractions in their
+# plain spellings. When its inner loop runs over an output axis, `np.einsum`
+# adds up every output element one product at a time over (b, t), whichever
+# output axis that is, so the spellings in `transformer` must give these
+# bits exactly.
+
+def oracle_layer_backward(dz, params, layer, n_heads, cache, grads):
+    X, (Q, K, V, weights, concat), y, y_hat, y_std, (pre, hidden), z_hat, z_std = cache
+    p = {k[len(f"l{layer}."):]: v for k, v in params.items()
+         if k.startswith(f"l{layer}.")}
+    g = {k[len(f"l{layer}."):]: v for k, v in grads.items()
+         if k.startswith(f"l{layer}.")}
+    dv, dg2, db2 = tr._layer_norm_backward(dz, z_hat, z_std, p["ln2_g"])
+    g["ln2_g"] += dg2
+    g["ln2_b"] += db2
+    g["w2"] += np.einsum("btf,btd->fd", hidden, dv)
+    g["b2"] += dv.sum(axis=(0, 1))
+    dpre = (dv @ p["w2"].T) * (pre > 0)
+    g["w1"] += np.einsum("btd,btf->df", y, dpre)
+    g["b1"] += dpre.sum(axis=(0, 1))
+    dy = dv + dpre @ p["w1"].T
+    du, dg1, db1 = tr._layer_norm_backward(dy, y_hat, y_std, p["ln1_g"])
+    g["ln1_g"] += dg1
+    g["ln1_b"] += db1
+    g["wo"] += np.einsum("btd,bte->de", concat, du)
+    dout = tr._split_heads(du @ p["wo"].T, n_heads)
+    dS = tr._softmax_backward(dout @ np.swapaxes(V, -1, -2), weights)
+    dV = np.swapaxes(weights, -1, -2) @ dout
+    scale = 1.0 / np.sqrt(Q.shape[-1])
+    dQ = dS @ K * scale
+    dK = np.swapaxes(dS, -1, -2) @ Q * scale
+    dX = du.copy()
+    for name, dproj in (("wq", dQ), ("wk", dK), ("wv", dV)):
+        flat = tr._merge_heads(dproj)
+        g[name] += np.einsum("btd,bte->de", X, flat)
+        dX += flat @ p[name].T
+    return dX
+
+
+def oracle_loss_and_grads(model, tokens, patches, labels):
+    cfg, params = model.config, model.params
+    B = tokens.shape[0]
+    logits, _, (caches, cls) = tr.forward_batch(model, tokens)
+    probs = tr.softmax(logits, axis=-1)
+    loss = float(-np.log(probs[np.arange(B), labels] + 1e-12).mean())
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    dlogits = probs.copy()
+    dlogits[np.arange(B), labels] -= 1.0
+    dlogits /= B
+    grads["head_w"] += cls.T @ dlogits
+    grads["head_b"] += dlogits.sum(axis=0)
+    dX = np.zeros_like(tokens)
+    dX[:, 0, :] = dlogits @ params["head_w"].T
+    for i in reversed(range(cfg.n_layers)):
+        dX = oracle_layer_backward(dX, params, i, cfg.n_heads, caches[i], grads)
+    grads["pos"] += dX.sum(axis=0)
+    grads["cls"] += dX[:, 0, :].sum(axis=0)
+    grads["embed_w"] += np.einsum("bnp,bnd->pd", patches, dX[:, 1:, :])
+    grads["embed_b"] += dX[:, 1:, :].sum(axis=(0, 1))
+    return loss, grads, probs
+
+
+def patch_model(shape, d_model=16, n_heads=2, seed=0):
+    """A randomly initialized 2-layer model on (bands, columns) inputs cut
+    into 16x16 patches, as `bench` builds it."""
+    cfg = tr.TransformerConfig(d_model=d_model, n_layers=2, n_heads=n_heads,
+                               d_ff=2 * d_model, input_shape=shape, seed=seed)
+    return tr.TransformerModel(cfg, tr.init_params(cfg))
+
+
+def random_label_set(n, shape, seed=0):
+    """Noise spectrograms with random labels (both classes present): a model
+    can only memorise them, and training on them is chaotic."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(n) % 2)
+    return [(rng.normal(0, 1, shape), int(lab)) for lab in labels]
+
+
+class TestBackwardOracle:
+    # (batch, input shape -> tokens, d_model, n_heads)
+    @pytest.mark.parametrize("B,shape,d_model,n_heads", [
+        (120, (128, 16), 16, 2),   # the study shape: 9 tokens
+        (1, (16, 16), 16, 2),      # one patch: 2 tokens
+        (40, (128, 80), 16, 4),    # 41 tokens
+        (24, (128, 160), 16, 1),   # 81 tokens
+        (120, (128, 16), 8, 1),
+        (30, (128, 32), 32, 4),
+        (7, (32, 48), 8, 2),
+    ], ids=["study", "B1_2tok", "41tok", "81tok", "d8_h1", "d32_h4", "d8_h2"])
+    def test_grads_bitwise_equal_to_plain_einsum(self, B, shape, d_model, n_heads):
+        model = patch_model(shape, d_model, n_heads, seed=B)
+        data = random_label_set(max(B, 2), shape, seed=B)[:B]
+        labels = np.array([lab for _, lab in data])
+        tokens, patches = tr.embed_dataset([s for s, _ in data], model)
+        assert tokens.shape[1] == model.config.n_tokens
+        loss, grads, probs = tr.loss_and_grads(model, tokens, patches, labels)
+        ref_loss, ref_grads, ref_probs = oracle_loss_and_grads(
+            model, tokens, patches, labels)
+        assert loss == ref_loss
+        assert np.array_equal(probs, ref_probs)
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    def test_chaotic_training_bitwise_equal_to_oracle_trainer(self, monkeypatch):
+        data = random_label_set(40, (128, 16), seed=5)
+        cfg, tc = patch_model((128, 16)).config, tr.TrainConfig(steps=100)
+        model = tr.train_toy(data, cfg, tc)
+        monkeypatch.setattr(tr, "loss_and_grads", oracle_loss_and_grads)
+        ref = tr.train_toy(data, cfg, tc)
+        assert model.history == ref.history
+        for name in tr.param_names(cfg):
+            assert np.array_equal(model.params[name], ref.params[name]), name

@@ -7,6 +7,10 @@ inputs:
   dsp      MFCC, chroma, spectral scalars, log-Mel and the 37-dim feature
            vector of 1.6, 2.6 and 3.6 s clips
   augment  the codec and rerecord simulators on the same clips
+  transformer
+           `forward_batch` and one `loss_and_grads` step of the study
+           transformer on 120 spectrograms at 9, 41 and 81 tokens, and 50
+           `train_toy` steps at 9 tokens
   startup  `import spoofkit.cli` and one whole `extract`, `explain rollout`
            and `explain importance` process, each in a fresh interpreter:
            seconds and peak resident memory
@@ -56,6 +60,9 @@ CUE_HZ = 6500.0  # spoof cue: a sustained tone
 DSP_CLIP_S = (1.6, 2.6, 3.6)
 DSP_STAGES = ("mfcc", "chroma", "spectral_scalars", "mel_spectrogram", "extract_features")
 WARMUP_S = 3.0  # the first ~1 s of calls in a fresh process run several times slower
+
+TRANSFORMER_BATCH = 120  # clips, as a study trains on
+TRANSFORMER_COLUMNS = {9: 16, 41: 80, 81: 160}  # tokens -> columns of a 128-band input
 
 # (name, trees, depth, rows) of each gbdt.train case
 TRAIN_CASES = [
@@ -236,6 +243,31 @@ def run_augment(sk, repeats) -> dict:
     return cases
 
 
+def run_transformer(sk, repeats) -> dict:
+    """The study transformer (16x16 patches, d_model 16, 2 layers) on seeded
+    noise spectrograms with alternating labels. A case's digest covers the
+    logits and attention, the gradients or the trained parameters."""
+    tr = sk.transformer
+    rng = np.random.default_rng(0)
+    labels = np.arange(TRANSFORMER_BATCH) % 2
+    cases = {}
+    for n_tokens, columns in TRANSFORMER_COLUMNS.items():
+        specs = rng.standard_normal((TRANSFORMER_BATCH, 128, columns))
+        cfg = tr.TransformerConfig(input_shape=(128, columns))
+        model = tr.TransformerModel(cfg, tr.init_params(cfg))
+        tokens, patches = tr.embed_dataset(specs, model)
+        record(cases, f"forward_batch_{n_tokens}tok", lambda: tr.forward_batch(model, tokens),
+               repeats, lambda out: sha(out[0].tobytes() + np.stack(out[1]).tobytes()))
+        record(cases, f"loss_and_grads_{n_tokens}tok",
+               lambda: tr.loss_and_grads(model, tokens, patches, labels), repeats,
+               lambda out: sha(b"".join(out[1][k].tobytes() for k in tr.param_names(cfg))))
+        if n_tokens == 9:
+            record(cases, f"train_toy_{STEPS}steps_9tok", lambda: tr.train_toy(
+                list(zip(specs, labels)), cfg, tr.TrainConfig(steps=STEPS)), repeats,
+                lambda m: sha(tr.to_json(m).encode()))
+    return cases
+
+
 # A child reports its own peak resident set, VmHWM: its ru_maxrss would also
 # count the resident set of this process, which it inherits at fork and exec.
 PEAK_RSS = """
@@ -314,7 +346,8 @@ def versions() -> dict:
 
 
 TOPICS = {"gbdt": (run_gbdt, 5), "explain": (run_explain, 20), "dsp": (run_dsp, 20),
-          "augment": (run_augment, 20), "startup": (run_startup, 10)}
+          "augment": (run_augment, 20), "startup": (run_startup, 10),
+          "transformer": (run_transformer, 20)}
 
 
 def main(argv=None) -> int:
