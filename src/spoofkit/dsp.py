@@ -33,7 +33,7 @@ MEL_SPEC_BANDS = 128
 MEL_SPEC_HOP_MS = 100.0
 MEL_SPEC_WIN_MS = 25.0
 LOG_FLOOR = 1e-10
-STFT_BLOCK = 64  # frames per FFT call; bounds the STFT's temporaries
+STFT_BLOCK = 32768  # samples (frames x n_fft) per FFT call; bounds the STFT's temporaries
 
 FEATURE_NAMES = (
     [f"mfcc{i}" for i in range(1, N_MFCC + 1)]
@@ -206,8 +206,8 @@ def _frame_power(audio: AudioBuffer, frame_ms=FRAME_MS, hop_ms=HOP_MS, n_fft=N_F
                  pre_emphasis: float | None = None):
     """Shared helper: (frames, power matrix, bin freqs) for the analysis grid.
 
-    The power matrix is filled STFT_BLOCK frames at a time, so the windowed
-    frames and their complex spectrum exist for one block only. A row
+    The power matrix is filled STFT_BLOCK // n_fft frames at a time, so the
+    windowed frames and their complex spectrum exist for one block only. A row
     depends on its own frame alone, so the matrix is bit for bit the one a
     single FFT over all frames gives."""
     x = audio.samples
@@ -218,9 +218,10 @@ def _frame_power(audio: AudioBuffer, frame_ms=FRAME_MS, hop_ms=HOP_MS, n_fft=N_F
     # a frame longer than n_fft keeps its first n_fft windowed samples
     win = hann(frames.shape[1])[:n_fft]
     power = np.empty((len(frames), n_fft // 2 + 1))
-    for i in range(0, len(frames), STFT_BLOCK):
-        block = frames[i: i + STFT_BLOCK, :n_fft] * win
-        power[i: i + STFT_BLOCK] = power_spectrum(block, n_fft, window="rect")
+    step = max(1, STFT_BLOCK // n_fft)
+    for i in range(0, len(frames), step):
+        block = frames[i: i + step, :n_fft] * win
+        power[i: i + step] = power_spectrum(block, n_fft, window="rect")
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / audio.sample_rate)
     return frames, power, freqs
 
@@ -305,6 +306,8 @@ def spectral_scalars(audio: AudioBuffer, frame_ms: float = FRAME_MS,
     bandwidth = np.zeros(len(mag))
     rolloff = np.zeros(len(mag))
     if live.any():
+        if live.all():
+            live = slice(None)  # views instead of fancy-index copies
         centroid[live] = (mag[live] * freqs).sum(axis=1) / mag_sum[live]
         dev = (freqs[None, :] - centroid[live, None]) ** 2
         bandwidth[live] = np.sqrt((dev * mag[live]).sum(axis=1) / mag_sum[live])

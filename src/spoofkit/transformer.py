@@ -236,9 +236,10 @@ def embed(spec, model: TransformerModel):
 # Core ops
 
 def softmax(z, axis=-1):
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = z - z.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def attention(Q, K, V):
@@ -250,10 +251,12 @@ def attention(Q, K, V):
 
 
 def layer_norm(x, gamma, beta):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + LN_EPS)
-    return gamma * xhat + beta, xhat, np.sqrt(var + LN_EPS)
+    # the variance as `np.var` computes it, from the centred values
+    centred = x - x.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / x.shape[-1]
+                  + LN_EPS)
+    xhat = centred / std
+    return gamma * xhat + beta, xhat, std
 
 
 def _split_heads(x, n_heads):
@@ -268,16 +271,22 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, T, h * dk)
 
 
-def multi_head(X, params, layer: int, n_heads: int):
-    """Multi-head self-attention block; returns (output, weights, cache)."""
+def _attend(X, params, layer: int, n_heads: int):
+    """Self-attention of every token with merged heads, before the output
+    projection; returns (concat (B, T, d), weights, cache)."""
     p = params
-    wq, wk, wv, wo = (p[f"l{layer}.{k}"] for k in ("wq", "wk", "wv", "wo"))
-    Q = _split_heads(X @ wq, n_heads)
-    K = _split_heads(X @ wk, n_heads)
-    V = _split_heads(X @ wv, n_heads)
+    Q = _split_heads(X @ p[f"l{layer}.wq"], n_heads)
+    K = _split_heads(X @ p[f"l{layer}.wk"], n_heads)
+    V = _split_heads(X @ p[f"l{layer}.wv"], n_heads)
     out, weights = attention(Q, K, V)  # (B, h, T, dk), (B, h, T, T)
     concat = _merge_heads(out)
-    return concat @ wo, weights, (Q, K, V, weights, concat)
+    return concat, weights, (Q, K, V, weights, concat)
+
+
+def multi_head(X, params, layer: int, n_heads: int):
+    """Multi-head self-attention block; returns (output, weights, cache)."""
+    concat, weights, cache = _attend(X, params, layer, n_heads)
+    return concat @ params[f"l{layer}.wo"], weights, cache
 
 
 def ffn(X, params, layer: int):
@@ -287,32 +296,61 @@ def ffn(X, params, layer: int):
     return hidden @ p[f"l{layer}.w2"] + p[f"l{layer}.b2"], (pre, hidden)
 
 
+def _dense(X, mh, params, layer: int):
+    """The dense half of a block on rows X of its input and the same rows mh
+    of the projected attention: LN(X + mh), then LN( . + FFN)."""
+    y, y_hat, y_std = layer_norm(X + mh, params[f"l{layer}.ln1_g"],
+                                 params[f"l{layer}.ln1_b"])
+    f, ffn_cache = ffn(y, params, layer)
+    z, z_hat, z_std = layer_norm(y + f, params[f"l{layer}.ln2_g"],
+                                 params[f"l{layer}.ln2_b"])
+    return z, (y, y_hat, y_std, ffn_cache, z_hat, z_std)
+
+
 def encoder_layer(X, params, layer: int, n_heads: int):
     """Post-norm encoder block: LN(X + MultiHead), then LN( . + FFN)."""
     mh, weights, mh_cache = multi_head(X, params, layer, n_heads)
-    u = X + mh
-    y, y_hat, y_std = layer_norm(u, params[f"l{layer}.ln1_g"], params[f"l{layer}.ln1_b"])
-    f, ffn_cache = ffn(y, params, layer)
-    v = y + f
-    z, z_hat, z_std = layer_norm(v, params[f"l{layer}.ln2_g"], params[f"l{layer}.ln2_b"])
-    cache = (X, mh_cache, y, y_hat, y_std, ffn_cache, z_hat, z_std)
-    return z, weights, cache
+    z, dense_cache = _dense(X, mh, params, layer)
+    return z, weights, (X, mh_cache, *dense_cache)
+
+
+def _cls_rows(batch: int):
+    """Index of the rows of a (B, T, ...) array that the last block's dense
+    half runs on: the CLS row of every input, as one (B, ...) block. A lone
+    input brings its first patch row along, because a one-row `@` goes to
+    gemv, whose sums differ in the last bit from those of the gemm that a
+    full block runs."""
+    return np.s_[:, 0] if batch > 1 else np.s_[0, :2]
+
+
+def _cls_layer(X, params, layer: int, n_heads: int):
+    """The last encoder block, of which the head reads only the CLS row:
+    attention over every token as in `encoder_layer`, then the dense half on
+    the `_cls_rows` alone. A row depends only on its own input row and
+    attention output, so each is bit for bit that of `encoder_layer`."""
+    concat, weights, mh_cache = _attend(X, params, layer, n_heads)
+    rows = _cls_rows(len(X))
+    z, dense_cache = _dense(X[rows], concat[rows] @ params[f"l{layer}.wo"],
+                            params, layer)
+    return z, weights, (X, mh_cache, *dense_cache)
 
 
 def forward_batch(model: TransformerModel, X0: np.ndarray):
     """Run the encoder on token batch (B, T, d).
 
-    Returns (logits (B, 2), attention (n_layers, B, h, T, T), caches).
+    Returns (logits (B, 2), attention (n_layers, B, h, T, T), caches). The
+    last block computes only the CLS rows (see `_cls_layer`).
     """
     cfg = model.config
     X = X0
     caches = []
     attn = []
     for i in range(cfg.n_layers):
-        X, weights, cache = encoder_layer(X, model.params, i, cfg.n_heads)
+        layer = encoder_layer if i < cfg.n_layers - 1 else _cls_layer
+        X, weights, cache = layer(X, model.params, i, cfg.n_heads)
         caches.append(cache)
         attn.append(weights)
-    cls = X[:, 0, :]
+    cls = X[:len(X0)]
     logits = cls @ model.params["head_w"] + model.params["head_b"]
     return logits, attn, (caches, cls)
 
@@ -329,18 +367,36 @@ def forward(spec, model: TransformerModel) -> ForwardOutput:
 # ---------------------------------------------------------------------------
 # Backward pass
 
+def _as_rows(a):
+    """The (..., k) array as a (n, k) matrix of rows in C order."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _layer_norm_backward(dz, xhat, std, gamma):
     dxhat = dz * gamma
-    d = xhat.shape[-1]
-    dg = (dz * xhat).sum(axis=tuple(range(dz.ndim - 1)))
-    db = dz.sum(axis=tuple(range(dz.ndim - 1)))
     dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
           - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / std
-    return dx, dg, db
+    return dx, _as_rows(dz * xhat).sum(axis=0), _as_rows(dz).sum(axis=0)
 
 
 def _softmax_backward(dA, A):
-    return A * (dA - (dA * A).sum(axis=-1, keepdims=True))
+    # A * (dA - sum(dA * A)), in one buffer
+    g = dA * A
+    np.subtract(dA, g.sum(axis=-1, keepdims=True), out=g)
+    g *= A
+    return g
+
+
+def _at_rows(a, rows, shape):
+    """A (B, T, k) array with `a` at `rows` and zeros elsewhere; `a` itself
+    when `rows` is every row. A product whose sums must stay those of the full
+    block keeps its stacked shape: BLAS's sums for one row depend on the row
+    count of the product."""
+    if rows is Ellipsis:
+        return a
+    full = np.zeros(shape[:2] + a.shape[-1:])
+    full[rows] = a
+    return full
 
 
 # The weight gradients are two-operand `np.einsum`s whose inner loop runs over
@@ -348,9 +404,15 @@ def _softmax_backward(dA, A):
 # over the (b, t) positions in C order. Each is spelled so that the inner loop
 # is a wide output axis of a contiguous operand, the fast case; the sums, and
 # so the bits, stay those of the plain spellings the tests keep as an oracle.
-# `@`, `tensordot` or `optimize=True` would reach BLAS and reorder the sums.
+# Over the CLS rows alone they leave out products with a zero gradient, which
+# add only +-0. `@`, `tensordot` or `optimize=True` would reach BLAS and
+# reorder the sums.
 
-def _encoder_layer_backward(dz, params, layer: int, n_heads: int, cache, grads):
+def _encoder_layer_backward(dz, params, layer: int, n_heads: int, cache, grads,
+                            rows=Ellipsis):
+    """Backward of `encoder_layer`, or with `rows` the `_cls_rows` of
+    `_cls_layer`: `dz` and the dense half's cache then hold those rows
+    alone, and the gradient at every other row is zero. Returns dX."""
     X, mh_cache, y, y_hat, y_std, ffn_cache, z_hat, z_std = cache
     p = params
     # second LN
@@ -360,22 +422,22 @@ def _encoder_layer_backward(dz, params, layer: int, n_heads: int, cache, grads):
     # FFN
     pre, hidden = ffn_cache
     df = dv
-    grads[f"l{layer}.w2"] += np.einsum("btd,btf->df", df, hidden).T
-    grads[f"l{layer}.b2"] += df.sum(axis=(0, 1))
-    dhidden = df @ p[f"l{layer}.w2"].T
+    grads[f"l{layer}.w2"] += np.einsum("nd,nf->df", _as_rows(df), _as_rows(hidden)).T
+    grads[f"l{layer}.b2"] += _as_rows(df).sum(axis=0)
+    dhidden = (_at_rows(df, rows, X.shape) @ p[f"l{layer}.w2"].T)[rows]
     dpre = dhidden * (pre > 0)
-    grads[f"l{layer}.w1"] += np.einsum("btd,btf->df", y, dpre)
-    grads[f"l{layer}.b1"] += dpre.sum(axis=(0, 1))
-    dy = dv + dpre @ p[f"l{layer}.w1"].T
+    grads[f"l{layer}.w1"] += np.einsum("nd,nf->df", _as_rows(y), _as_rows(dpre))
+    grads[f"l{layer}.b1"] += _as_rows(dpre).sum(axis=0)
+    dy = dv + (_at_rows(dpre, rows, X.shape) @ p[f"l{layer}.w1"].T)[rows]
     # first LN
     du, dg1, db1 = _layer_norm_backward(dy, y_hat, y_std, p[f"l{layer}.ln1_g"])
     grads[f"l{layer}.ln1_g"] += dg1
     grads[f"l{layer}.ln1_b"] += db1
-    # multi-head attention
+    # multi-head attention, over every token
     Q, K, V, weights, concat = mh_cache
-    dmh = du
-    grads[f"l{layer}.wo"] += np.einsum("btd,bte->de", concat, dmh)
-    dconcat = dmh @ p[f"l{layer}.wo"].T
+    grads[f"l{layer}.wo"] += np.einsum("nd,ne->de", _as_rows(concat[rows]), _as_rows(du))
+    du = _at_rows(du, rows, X.shape)
+    dconcat = du @ p[f"l{layer}.wo"].T
     dout = _split_heads(dconcat, n_heads)  # (B, h, T, dk)
     dS = _softmax_backward(dout @ np.swapaxes(V, -1, -2), weights)
     scale = 1.0 / np.sqrt(Q.shape[-1])
@@ -414,9 +476,12 @@ def loss_and_grads(model: TransformerModel, tokens: np.ndarray,
     dlogits /= B
     grads["head_w"] += cls.T @ dlogits
     grads["head_b"] += dlogits.sum(axis=0)
-    dX = np.zeros_like(tokens)
-    dX[:, 0, :] = dlogits @ model.params["head_w"].T
-    for i in reversed(range(cfg.n_layers)):
+    rows = _cls_rows(B)
+    dz = np.zeros_like(tokens[rows])  # the last block's rows; a lone input has two
+    dz[:B] = dlogits @ model.params["head_w"].T
+    dX = _encoder_layer_backward(dz, model.params, cfg.n_layers - 1, cfg.n_heads,
+                                 caches[-1], grads, rows)
+    for i in reversed(range(cfg.n_layers - 1)):
         dX = _encoder_layer_backward(dX, model.params, i, cfg.n_heads,
                                      caches[i], grads)
     grads["pos"] += dX.sum(axis=0)
@@ -465,26 +530,29 @@ def train_toy(dataset, config: TransformerConfig,
     tc = train_config or TrainConfig()
     model = TransformerModel(config, init_params(config))
     _, patches = embed_dataset([s for s, _ in dataset], model)
-    names = param_names(config)
-    m = {k: np.zeros_like(model.params[k]) for k in names}
-    v = {k: np.zeros_like(model.params[k]) for k in names}
+    # the parameters are views into one flat vector, so one AdamW update is a
+    # few whole-vector operations, each as it was per parameter
+    flat = np.concatenate([p.ravel() for p in model.params.values()])
+    ends = np.cumsum([p.size for p in model.params.values()])
+    model.params = {k: flat[end - p.size:end].reshape(p.shape)
+                    for (k, p), end in zip(model.params.items(), ends)}
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     for step in range(1, tc.steps + 1):
         # tokens depend on embed/cls/pos params: re-embed each step
-        p = model.params
-        tokens = _tokens(patches, p)
+        tokens = _tokens(patches, model.params)
         loss, grads, probs = loss_and_grads(model, tokens, patches, labels)
         if not np.isfinite(loss):
             raise TrainingError(f"loss diverged at step {step}")
         acc = float(((probs[:, 1] >= 0.5).astype(int) == labels).mean())
         model.history.append((step, loss, acc))
-        for k in names:
-            g = grads[k]
-            m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
-            v[k] = ADAM_BETA2 * v[k] + (1 - ADAM_BETA2) * g * g
-            mhat = m[k] / (1 - ADAM_BETA1 ** step)
-            vhat = v[k] / (1 - ADAM_BETA2 ** step)
-            p[k] = p[k] - tc.learning_rate * (
-                mhat / (np.sqrt(vhat) + ADAM_EPS) + tc.weight_decay * p[k])
+        g = np.concatenate([grads[k].ravel() for k in model.params])
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1 ** step)
+        vhat = v / (1 - ADAM_BETA2 ** step)
+        flat -= tc.learning_rate * (
+            mhat / (np.sqrt(vhat) + ADAM_EPS) + tc.weight_decay * flat)
     return model
 
 

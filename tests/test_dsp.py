@@ -129,20 +129,33 @@ class TestFramesAt:
         assert dsp.frame(AudioBuffer(np.ones(22050), 22050)).flags.owndata
 
 
+def block_edges(n_fft):
+    """Frame counts around the STFT blocks of an n_fft-point FFT: a block
+    holds STFT_BLOCK // n_fft frames, 64 at 512 points and 16 at 2048."""
+    block = dsp.STFT_BLOCK // n_fft
+    return [block - 1, block, block + 1, 2 * block + 1]
+
+
 class TestStreamingStft:
-    @pytest.mark.parametrize("sr", [SR, 22050])
-    @pytest.mark.parametrize("n_frames", [dsp.STFT_BLOCK - 1, dsp.STFT_BLOCK,
-                                          dsp.STFT_BLOCK + 1, 2 * dsp.STFT_BLOCK + 1])
-    def test_blocks_equal_one_shot(self, sr, n_frames):
+    def check_blocks(self, sr, n_frames, n_fft):
         # starts at floor(i * 10 ms * sr); the last frame starts inside the clip
         starts = np.floor(np.arange(n_frames) * dsp.HOP_MS * sr / 1000).astype(int)
         x = np.random.default_rng(n_frames).standard_normal(starts[-1] + 1)
-        frames, power, freqs = dsp._frame_power(AudioBuffer(x, sr))
+        frames, power, freqs = dsp._frame_power(AudioBuffer(x, sr), n_fft=n_fft)
         frame_len = int(round(dsp.FRAME_MS * sr / 1000))
-        one_shot = dsp.power_spectrum(dsp.frames_at(x, starts, frame_len))
+        one_shot = dsp.power_spectrum(dsp.frames_at(x, starts, frame_len), n_fft)
         assert len(frames) == n_frames
         assert np.array_equal(power, one_shot)
-        assert np.array_equal(freqs, np.fft.rfftfreq(dsp.N_FFT, 1 / sr))
+        assert np.array_equal(freqs, np.fft.rfftfreq(n_fft, 1 / sr))
+
+    @pytest.mark.parametrize("sr", [SR, 22050])
+    @pytest.mark.parametrize("n_frames", block_edges(dsp.N_FFT))
+    def test_blocks_equal_one_shot(self, sr, n_frames):
+        self.check_blocks(sr, n_frames, dsp.N_FFT)
+
+    @pytest.mark.parametrize("n_frames", block_edges(dsp.CHROMA_N_FFT))
+    def test_chroma_size_blocks_equal_one_shot(self, n_frames):
+        self.check_blocks(SR, n_frames, dsp.CHROMA_N_FFT)
 
     def test_frame_longer_than_nfft_cropped_after_window(self):
         # chroma at 22 050 Hz: a 2822-sample frame, a 2048-point FFT
@@ -293,6 +306,15 @@ class TestSpectralScalars:
         sc = dsp.spectral_scalars(AudioBuffer(np.zeros(2000), SR))
         assert np.all(sc[:, :3] == 0.0)
         assert np.all(sc[:, 4] == 0.0)
+
+    def test_all_live_rows_equal_rows_beside_silent_frames(self):
+        # all frames live (whole-array views) vs the same frames next to
+        # silent ones (masked copies)
+        x = np.random.default_rng(3).standard_normal(5000)
+        live = dsp.spectral_scalars(AudioBuffer(x, SR))
+        mixed = dsp.spectral_scalars(AudioBuffer(np.concatenate([x, np.zeros(2000)]), SR))
+        assert np.all(live[:, 0] > 0) and np.any(mixed[:, 0] == 0)
+        assert np.array_equal(mixed[:len(live)], live)
 
     def test_zcr_range_and_rms_nonneg(self):
         rng = np.random.default_rng(0)

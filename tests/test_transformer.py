@@ -238,6 +238,33 @@ class TestAttention:
         assert W.min() >= 0.0
 
 
+class TestOneBufferOps:
+    # softmax, its backward and layer_norm reuse their buffers; the operations
+    # and their order are those of the plain spellings
+    def test_softmax_bitwise_equal_to_plain(self):
+        z = np.random.default_rng(14).normal(0, 4, (6, 2, 9, 9))
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        assert np.array_equal(tr.softmax(z), e / e.sum(axis=-1, keepdims=True))
+
+    def test_softmax_backward_bitwise_equal_to_plain(self):
+        rng = np.random.default_rng(15)
+        A = tr.softmax(rng.normal(0, 2, (6, 2, 9, 9)))
+        dA = rng.normal(0, 1, A.shape)
+        ref = A * (dA - (dA * A).sum(axis=-1, keepdims=True))
+        assert np.array_equal(tr._softmax_backward(dA, A), ref)
+
+    def test_layer_norm_bitwise_equal_to_np_var(self):
+        rng = np.random.default_rng(16)
+        x = rng.normal(3, 2, (5, 9, 16))
+        gamma, beta = rng.normal(size=16), rng.normal(size=16)
+        std = np.sqrt(x.var(axis=-1, keepdims=True) + tr.LN_EPS)
+        xhat = (x - x.mean(axis=-1, keepdims=True)) / std
+        out, got_hat, got_std = tr.layer_norm(x, gamma, beta)
+        assert np.array_equal(got_std, std)
+        assert np.array_equal(got_hat, xhat)
+        assert np.array_equal(out, gamma * xhat + beta)
+
+
 class TestMultiHead:
     def test_matches_per_head_slices(self):
         cfg = tiny_config(d_model=6, n_heads=3)
@@ -521,13 +548,21 @@ class TestSerialization:
 # output axis that is, so the spellings in `transformer` must give these
 # bits exactly.
 
+def oracle_layer_norm_backward(dz, xhat, std, gamma):
+    # the gain and bias gradients summed over (b, t) of full-width arrays
+    dxhat = dz * gamma
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / std
+    return dx, (dz * xhat).sum(axis=(0, 1)), dz.sum(axis=(0, 1))
+
+
 def oracle_layer_backward(dz, params, layer, n_heads, cache, grads):
     X, (Q, K, V, weights, concat), y, y_hat, y_std, (pre, hidden), z_hat, z_std = cache
     p = {k[len(f"l{layer}."):]: v for k, v in params.items()
          if k.startswith(f"l{layer}.")}
     g = {k[len(f"l{layer}."):]: v for k, v in grads.items()
          if k.startswith(f"l{layer}.")}
-    dv, dg2, db2 = tr._layer_norm_backward(dz, z_hat, z_std, p["ln2_g"])
+    dv, dg2, db2 = oracle_layer_norm_backward(dz, z_hat, z_std, p["ln2_g"])
     g["ln2_g"] += dg2
     g["ln2_b"] += db2
     g["w2"] += np.einsum("btf,btd->fd", hidden, dv)
@@ -536,12 +571,13 @@ def oracle_layer_backward(dz, params, layer, n_heads, cache, grads):
     g["w1"] += np.einsum("btd,btf->df", y, dpre)
     g["b1"] += dpre.sum(axis=(0, 1))
     dy = dv + dpre @ p["w1"].T
-    du, dg1, db1 = tr._layer_norm_backward(dy, y_hat, y_std, p["ln1_g"])
+    du, dg1, db1 = oracle_layer_norm_backward(dy, y_hat, y_std, p["ln1_g"])
     g["ln1_g"] += dg1
     g["ln1_b"] += db1
     g["wo"] += np.einsum("btd,bte->de", concat, du)
     dout = tr._split_heads(du @ p["wo"].T, n_heads)
-    dS = tr._softmax_backward(dout @ np.swapaxes(V, -1, -2), weights)
+    dA = dout @ np.swapaxes(V, -1, -2)
+    dS = weights * (dA - (dA * weights).sum(axis=-1, keepdims=True))
     dV = np.swapaxes(weights, -1, -2) @ dout
     scale = 1.0 / np.sqrt(Q.shape[-1])
     dQ = dS @ K * scale
@@ -554,10 +590,23 @@ def oracle_layer_backward(dz, params, layer, n_heads, cache, grads):
     return dX
 
 
+def oracle_forward(model, tokens):
+    """Full-width forward: `tr.encoder_layer` on every block and every token,
+    and the head on the CLS column. Returns (logits, attention, caches, cls)."""
+    cfg, params = model.config, model.params
+    X, caches, attn = tokens, [], []
+    for i in range(cfg.n_layers):
+        X, weights, cache = tr.encoder_layer(X, params, i, cfg.n_heads)
+        caches.append(cache)
+        attn.append(weights)
+    cls = X[:, 0, :]
+    return cls @ params["head_w"] + params["head_b"], attn, caches, cls
+
+
 def oracle_loss_and_grads(model, tokens, patches, labels):
     cfg, params = model.config, model.params
     B = tokens.shape[0]
-    logits, _, (caches, cls) = tr.forward_batch(model, tokens)
+    logits, _, caches, cls = oracle_forward(model, tokens)
     probs = tr.softmax(logits, axis=-1)
     loss = float(-np.log(probs[np.arange(B), labels] + 1e-12).mean())
     grads = {k: np.zeros_like(v) for k, v in params.items()}
@@ -577,6 +626,30 @@ def oracle_loss_and_grads(model, tokens, patches, labels):
     return loss, grads, probs
 
 
+def oracle_train(dataset, cfg, tc):
+    """`train_toy` with the AdamW update spelled one parameter at a time."""
+    model = tr.TransformerModel(cfg, tr.init_params(cfg))
+    labels = np.array([lab for _, lab in dataset])
+    _, patches = tr.embed_dataset([s for s, _ in dataset], model)
+    m = {k: np.zeros_like(v) for k, v in model.params.items()}
+    v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    for step in range(1, tc.steps + 1):
+        p = model.params
+        loss, grads, probs = tr.loss_and_grads(model, tr._tokens(patches, p),
+                                               patches, labels)
+        acc = float(((probs[:, 1] >= 0.5).astype(int) == labels).mean())
+        model.history.append((step, loss, acc))
+        for k in p:
+            g = grads[k]
+            m[k] = tr.ADAM_BETA1 * m[k] + (1 - tr.ADAM_BETA1) * g
+            v[k] = tr.ADAM_BETA2 * v[k] + (1 - tr.ADAM_BETA2) * g * g
+            mhat = m[k] / (1 - tr.ADAM_BETA1 ** step)
+            vhat = v[k] / (1 - tr.ADAM_BETA2 ** step)
+            p[k] = p[k] - tc.learning_rate * (
+                mhat / (np.sqrt(vhat) + tr.ADAM_EPS) + tc.weight_decay * p[k])
+    return model
+
+
 def patch_model(shape, d_model=16, n_heads=2, seed=0):
     """A randomly initialized 2-layer model on (bands, columns) inputs cut
     into 16x16 patches, as `bench` builds it."""
@@ -593,17 +666,58 @@ def random_label_set(n, shape, seed=0):
     return [(rng.normal(0, 1, shape), int(lab)) for lab in labels]
 
 
+# (batch, input shape -> tokens, d_model, n_heads)
+ORACLE_SHAPES = pytest.mark.parametrize("B,shape,d_model,n_heads", [
+    (120, (128, 16), 16, 2),   # the study shape: 9 tokens
+    (1, (16, 16), 16, 2),      # one patch: 2 tokens
+    (40, (128, 80), 16, 4),    # 41 tokens
+    (24, (128, 160), 16, 1),   # 81 tokens
+    (120, (128, 16), 8, 1),
+    (30, (128, 32), 32, 4),
+    (7, (32, 48), 8, 2),
+], ids=["study", "B1_2tok", "41tok", "81tok", "d8_h1", "d32_h4", "d8_h2"])
+
+
+class TestForwardOracle:
+    # the last block computes only the CLS rows; every output is bit for bit
+    # that of the full-width forward
+    @ORACLE_SHAPES
+    def test_forward_batch_bitwise_equal_to_full_width(self, B, shape, d_model, n_heads):
+        model = patch_model(shape, d_model, n_heads, seed=B)
+        data = random_label_set(max(B, 2), shape, seed=B)[:B]
+        tokens, _ = tr.embed_dataset([s for s, _ in data], model)
+        logits, attn, (_, cls) = tr.forward_batch(model, tokens)
+        ref_logits, ref_attn, _, ref_cls = oracle_forward(model, tokens)
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(cls, ref_cls)
+        assert len(attn) == len(ref_attn)
+        for weights, ref in zip(attn, ref_attn):
+            assert np.array_equal(weights, ref)
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 65])
+    def test_three_layers_and_small_batches_equal_full_width(self, B):
+        # a lone input takes the two-row path of the last block, more inputs
+        # one row each; two full-width blocks come before it
+        cfg = tr.TransformerConfig(d_model=8, n_layers=3, n_heads=2, d_ff=24,
+                                   input_shape=(32, 32), seed=B)
+        model = tr.TransformerModel(cfg, tr.init_params(cfg))
+        data = random_label_set(max(B, 2), (32, 32), seed=B)[:B]
+        labels = np.array([lab for _, lab in data])
+        tokens, patches = tr.embed_dataset([s for s, _ in data], model)
+        logits, attn, (_, cls) = tr.forward_batch(model, tokens)
+        ref_logits, ref_attn, _, ref_cls = oracle_forward(model, tokens)
+        assert np.array_equal(logits, ref_logits)
+        assert np.array_equal(cls, ref_cls)
+        for weights, ref in zip(attn, ref_attn):
+            assert np.array_equal(weights, ref)
+        _, grads, _ = tr.loss_and_grads(model, tokens, patches, labels)
+        _, ref_grads, _ = oracle_loss_and_grads(model, tokens, patches, labels)
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 class TestBackwardOracle:
-    # (batch, input shape -> tokens, d_model, n_heads)
-    @pytest.mark.parametrize("B,shape,d_model,n_heads", [
-        (120, (128, 16), 16, 2),   # the study shape: 9 tokens
-        (1, (16, 16), 16, 2),      # one patch: 2 tokens
-        (40, (128, 80), 16, 4),    # 41 tokens
-        (24, (128, 160), 16, 1),   # 81 tokens
-        (120, (128, 16), 8, 1),
-        (30, (128, 32), 32, 4),
-        (7, (32, 48), 8, 2),
-    ], ids=["study", "B1_2tok", "41tok", "81tok", "d8_h1", "d32_h4", "d8_h2"])
+    @ORACLE_SHAPES
     def test_grads_bitwise_equal_to_plain_einsum(self, B, shape, d_model, n_heads):
         model = patch_model(shape, d_model, n_heads, seed=B)
         data = random_label_set(max(B, 2), shape, seed=B)[:B]
@@ -618,6 +732,16 @@ class TestBackwardOracle:
         assert grads.keys() == ref_grads.keys()
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+    def test_flat_adamw_bitwise_equal_to_per_parameter(self):
+        data = random_label_set(40, (128, 16), seed=6)
+        cfg = patch_model((128, 16)).config
+        tc = tr.TrainConfig(steps=30, weight_decay=1e-3)
+        model = tr.train_toy(data, cfg, tc)
+        ref = oracle_train(data, cfg, tc)
+        assert model.history == ref.history
+        for name in tr.param_names(cfg):
+            assert np.array_equal(model.params[name], ref.params[name]), name
 
     def test_chaotic_training_bitwise_equal_to_oracle_trainer(self, monkeypatch):
         data = random_label_set(40, (128, 16), seed=5)

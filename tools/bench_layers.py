@@ -29,6 +29,19 @@ of the process's peak resident set (VmHWM, Linux). The entry for `--label`
 merged into `--out`, BENCH_<topic>.json by default; other labels already in the
 file are kept, so the numbers of two sources measured on the same machine
 sit side by side.
+
+Two sources timed one after the other drift apart with the host. To compare
+them, give the parent's source as `--parent-src`:
+
+    python3 tools/bench_layers.py --topic dsp --label alternating \
+        --parent-src ../parent/src
+
+The whole topic then runs as above in a fresh process of one source and then
+of the other, ROUNDS times, the first side alternating from round to round.
+The entry holds, per case and side, the median over rounds of `median_s`,
+`peak_bytes` and `maxrss_mb`, the last round's other fields (`sha256`, ...),
+and every round's change/parent time ratio with the count of rounds in which
+the change was faster.
 """
 
 from __future__ import annotations
@@ -59,6 +72,8 @@ STEPS = 50  # training steps; the timings do not depend on how well it fits
 CUE_HZ = 6500.0  # spoof cue: a sustained tone
 DSP_CLIP_S = (1.6, 2.6, 3.6)
 DSP_STAGES = ("mfcc", "chroma", "spectral_scalars", "mel_spectrogram", "extract_features")
+ROUNDS = 10  # alternating rounds: enough pairs for a 9-of-10 verdict
+MEDIAN_FIELDS = ("median_s", "peak_bytes", "maxrss_mb")
 WARMUP_S = 3.0  # the first ~1 s of calls in a fresh process run several times slower
 
 TRANSFORMER_BATCH = 120  # clips, as a study trains on
@@ -350,6 +365,38 @@ TOPICS = {"gbdt": (run_gbdt, 5), "explain": (run_explain, 20), "dsp": (run_dsp, 
           "transformer": (run_transformer, 20)}
 
 
+def alternate(args) -> dict:
+    """The cases of `args.topic` from ROUNDS rounds of fresh processes of
+    `--parent-src` and `--src` in turn, merged per case as the module doc
+    says."""
+    sources = {"parent": args.parent_src, "change": args.src}
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "entry.json")
+        for r in range(ROUNDS):
+            for side in ("parent", "change")[::1 if r % 2 == 0 else -1]:
+                subprocess.run([sys.executable, os.path.abspath(__file__), "--topic", args.topic,
+                                "--label", side, "--src", sources[side], "--out", out],
+                               check=True)
+                with open(out) as fh:
+                    runs[side].append(json.load(fh)[side]["cases"])
+                os.remove(out)
+    cases = {}
+    for name in runs["change"][0]:
+        case = {}
+        for side, rounds in runs.items():
+            for key, value in rounds[-1][name].items():
+                case[f"{side}_{key}"] = (statistics.median(r[name][key] for r in rounds)
+                                         if key in MEDIAN_FIELDS else value)
+        ratios = [c[name]["median_s"] / p[name]["median_s"]
+                  for p, c in zip(runs["parent"], runs["change"])]
+        cases[name] = {**case, "ratios": ratios, "ratio_median": statistics.median(ratios),
+                       "change_faster": sum(x < 1 for x in ratios)}
+        print(f"{name}: {case['parent_median_s']:.4f} -> {case['change_median_s']:.4f} s, "
+              f"change faster in {cases[name]['change_faster']} of {ROUNDS}", file=sys.stderr)
+    return cases
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--topic", required=True, choices=sorted(TOPICS))
@@ -357,6 +404,8 @@ def main(argv=None) -> int:
     p.add_argument("--src", default=os.path.join(HERE, "..", "src"),
                    help="directory holding the spoofkit package to time")
     p.add_argument("--out", help="JSON file to merge into (default BENCH_<topic>.json)")
+    p.add_argument("--parent-src", help="source to compare with --src in alternating "
+                   "fresh processes")
     args = p.parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     sk = importlib.import_module("spoofkit")
@@ -364,12 +413,15 @@ def main(argv=None) -> int:
         importlib.import_module(f"spoofkit.{name}")
 
     run, repeats = TOPICS[args.topic]
-    warm_up(sk)
     entry = {
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(), **versions()},
         "repeats": repeats,
-        "cases": run(sk, repeats),
     }
+    if args.parent_src:
+        entry.update(rounds=ROUNDS, cases=alternate(args))
+    else:
+        warm_up(sk)
+        entry["cases"] = run(sk, repeats)
     out = args.out or os.path.join(HERE, "..", f"BENCH_{args.topic}.json")
     doc = {}
     if os.path.exists(out):
