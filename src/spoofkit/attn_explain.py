@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import MelSpectrogram
 from .errors import InputError
 
 ROW_SUM_TOL = 1e-4
@@ -83,7 +82,7 @@ def occlusion_scan(predict_fn, spec, cfg: OcclusionConfig) -> OcclusionHeatmap:
     stays bounded however many boxes there are. Overlapping boxes are
     aggregated per cell by averaging; cells no box covers stay exactly 0.
     """
-    values = spec.values if isinstance(spec, MelSpectrogram) else np.asarray(spec, dtype=np.float64)
+    values = np.asarray(spec, dtype=np.float64)
     H, W = values.shape
     bh, bw = cfg.box
     sh, sw = cfg.stride
@@ -118,11 +117,12 @@ def rollout(record, residual_mode: str = "plain",
             token_time_spans=None) -> RolloutMap:
     """Cumulative attention: the ordered product of head-averaged per-layer
     matrices. `residual_half` mixes in 0.5 I per layer (re-normalized) before
-    multiplying. CLS importance is the CLS query row over non-CLS columns,
-    renormalized to sum 1 (uniform fallback if that row carries no mass)."""
-    if residual_mode not in ("plain", "residual_half"):
+    multiplying; `last` takes the final layer's matrix alone. CLS importance
+    is the CLS query row over non-CLS columns, renormalized to sum 1 (uniform
+    fallback if that row carries no mass)."""
+    if residual_mode not in ("plain", "residual_half", "last"):
         raise InputError(f"unknown rollout mode {residual_mode!r}")
-    maps = layer_attention_maps(record)
+    maps = layer_attention_maps(record[-1:] if residual_mode == "last" else record)
     T = maps[0].shape[0]
     for a in maps:
         if a.shape != (T, T):

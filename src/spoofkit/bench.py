@@ -404,7 +404,7 @@ def transformer_detector(cfg: transformer.TransformerConfig,
     def train(specs, labels):
         return transformer.train_toy(
             list(zip(specs, labels)),
-            replace(cfg, input_shape=specs[0].values.shape), train_cfg)
+            replace(cfg, input_shape=specs[0].shape), train_cfg)
     return Detector(dsp.mel_spectrogram, train, transformer.predict_proba,
                     dsp.samples_for_frames(cfg.geometry.patch_w, dsp.MEL_SPEC_HOP_MS,
                                            dsp.SAMPLE_RATE))

@@ -234,7 +234,7 @@ def cmd_explain_occlusion(args) -> int:
                                            stride=tuple(args.stride),
                                            fill=args.fill)
     else:
-        cfg = attn_explain.default_occlusion_config(spec.values.shape)
+        cfg = attn_explain.default_occlusion_config(spec.shape)
     heatmap = attn_explain.occlusion_scan(
         lambda stack: transformer.predict_proba(model, stack), spec, cfg)
     out = ensure_outdir(args.out)
@@ -256,10 +256,8 @@ def cmd_explain_rollout(args) -> int:
     model, spec = _transformer_and_spec(args)
     out = ensure_outdir(args.out)
     fwd = transformer.forward(spec, model)
-    # "last": CLS attention of the final layer only, no cross-layer product
-    record = fwd.attention[-1:] if args.rollout == "last" else fwd.attention
     mode = {"residual": "residual_half"}.get(args.rollout, args.rollout)
-    rmap = attn_explain.rollout(record, "plain" if mode == "last" else mode,
+    rmap = attn_explain.rollout(fwd.attention, mode,
                                 token_time_spans=fwd.token_time_spans)
     timeline = attn_explain.cls_timeline(rmap)
     attn_explain.render_heatmap(rmap.matrix, os.path.join(out, "rollout"))

@@ -63,12 +63,6 @@ class AudioBuffer:
 
 
 @dataclass
-class MelSpectrogram:
-    values: np.ndarray  # (n_bands, n_steps), log-energy
-    hop_ms: float
-
-
-@dataclass
 class FeatureVector:
     values: np.ndarray  # length 37, FEATURE_NAMES order
 
@@ -204,26 +198,28 @@ def power_spectrum(frame_samples: np.ndarray, n_fft: int = N_FFT, window: str = 
 
 def _frame_power(audio: AudioBuffer, frame_ms=FRAME_MS, hop_ms=HOP_MS, n_fft=N_FFT,
                  pre_emphasis: float | None = None):
-    """Shared helper: (frames, power matrix, bin freqs) for the analysis grid.
+    """Shared helper: (frames, power matrix, FFT size) for the analysis grid.
 
-    The power matrix is filled STFT_BLOCK // n_fft frames at a time, so the
-    windowed frames and their complex spectrum exist for one block only. A row
-    depends on its own frame alone, so the matrix is bit for bit the one a
-    single FFT over all frames gives."""
+    The FFT size is n_fft, or the next power of two at or above a longer
+    frame, so that every windowed sample reaches the spectrum; the caller's
+    filterbank must be built for it. The power matrix is filled
+    STFT_BLOCK // size frames at a time, so the windowed frames and their
+    complex spectrum exist for one block only. A row depends on its own frame
+    alone, so the matrix is bit for bit the one a single FFT over all frames
+    gives."""
     x = audio.samples
     if pre_emphasis:
         x = np.append(x[0], x[1:] - pre_emphasis * x[:-1])
         audio = AudioBuffer(x, audio.sample_rate)
     frames = frame(audio, frame_ms, hop_ms)
-    # a frame longer than n_fft keeps its first n_fft windowed samples
-    win = hann(frames.shape[1])[:n_fft]
+    n_fft = max(n_fft, 1 << (frames.shape[1] - 1).bit_length())
+    win = hann(frames.shape[1])
     power = np.empty((len(frames), n_fft // 2 + 1))
     step = max(1, STFT_BLOCK // n_fft)
     for i in range(0, len(frames), step):
-        block = frames[i: i + step, :n_fft] * win
+        block = frames[i: i + step] * win
         power[i: i + step] = power_spectrum(block, n_fft, window="rect")
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / audio.sample_rate)
-    return frames, power, freqs
+    return frames, power, n_fft
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +276,7 @@ def mfcc(audio: AudioBuffer, n_mfcc: int = N_MFCC, n_mels: int = N_MELS,
         raise InputError("n_mfcc must be in [1, n_mels]")
     if audio.samples.size < frame_length(frame_ms, audio.sample_rate):
         raise InputError("audio shorter than one frame")
-    _, power, _ = _frame_power(audio, frame_ms, hop_ms, n_fft, pre_emphasis)
+    _, power, n_fft = _frame_power(audio, frame_ms, hop_ms, n_fft, pre_emphasis)
     fb, _ = mel_filterbank(n_mels, n_fft, audio.sample_rate)
     mel_energy = power @ fb.T
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
@@ -297,7 +293,8 @@ def spectral_scalars(audio: AudioBuffer, frame_ms: float = FRAME_MS,
 
     Silent frames get centroid = bandwidth = rolloff = 0 so averages stay finite.
     """
-    frames, power, freqs = _frame_power(audio, frame_ms, hop_ms, n_fft)
+    frames, power, n_fft = _frame_power(audio, frame_ms, hop_ms, n_fft)
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / audio.sample_rate)
     mag = np.sqrt(power)
     mag_sum = mag.sum(axis=1)
     live = mag_sum > 0
@@ -349,7 +346,7 @@ def chroma(audio: AudioBuffer, frame_ms: float = CHROMA_WIN_MS,
     """
     if audio.sample_rate < 8000:
         raise InputError("chroma requires sample_rate >= 8000")
-    _, power, _ = _frame_power(audio, frame_ms, hop_ms, n_fft)
+    _, power, n_fft = _frame_power(audio, frame_ms, hop_ms, n_fft)
     out = power @ _chroma_fold(n_fft, audio.sample_rate, fmin)
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     nz = norms[:, 0] > 0
@@ -384,12 +381,11 @@ def extract_features(audio: AudioBuffer, trim: bool = False) -> FeatureVector:
 
 
 def mel_spectrogram(audio: AudioBuffer, n_bands: int = MEL_SPEC_BANDS,
-                    hop_ms: float = MEL_SPEC_HOP_MS, win_ms: float = MEL_SPEC_WIN_MS,
-                    n_fft: int = N_FFT) -> MelSpectrogram:
-    """Log-Mel time-frequency matrix (n_bands x T); at the default 100 ms hop
-    a t-second clip yields T = ceil(10 t) columns."""
-    _, power, _ = _frame_power(audio, win_ms, hop_ms, n_fft)
+                    win_ms: float = MEL_SPEC_WIN_MS, n_fft: int = N_FFT) -> np.ndarray:
+    """Log-Mel time-frequency matrix, a column-major float64 (n_bands, T)
+    array at the MEL_SPEC_HOP_MS hop: a t-second clip yields T = ceil(10 t)
+    columns."""
+    _, power, n_fft = _frame_power(audio, win_ms, MEL_SPEC_HOP_MS, n_fft)
     fb, _ = mel_filterbank(n_bands, n_fft, audio.sample_rate)
     mel_energy = power @ fb.T
-    values = np.log(np.maximum(mel_energy, LOG_FLOOR)).T
-    return MelSpectrogram(values, hop_ms)
+    return np.log(np.maximum(mel_energy, LOG_FLOOR)).T

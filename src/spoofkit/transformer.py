@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dsp import MelSpectrogram
+from .dsp import MEL_SPEC_HOP_MS
 from .errors import InputError, TrainingError, malformed, model_doc
 
 LN_EPS = 1e-6
@@ -79,8 +79,7 @@ class ForwardOutput:
     logits: np.ndarray  # (2,) = (bonafide, spoof)
     prob_spoof: float
     attention: list  # per layer, (n_heads, T, T) row-stochastic weights
-    cls_final: np.ndarray
-    token_time_spans: list
+    token_time_spans: list  # per patch token, (start_ms, end_ms) at MEL_SPEC_HOP_MS
 
 
 def _param_shapes(cfg: TransformerConfig) -> dict:
@@ -186,31 +185,14 @@ def _values(specs) -> np.ndarray:
     """float64 values of one spectrogram, of an (..., H, W) stack, or of a
     list of equally shaped spectrograms, stacked column-major when all of
     them are (see `normalize_spec`)."""
-    if isinstance(specs, MelSpectrogram):
-        return specs.values
     if not isinstance(specs, (list, tuple)):
         return np.asarray(specs, dtype=np.float64)
-    values = [np.asarray(s.values if isinstance(s, MelSpectrogram) else s,
-                         dtype=np.float64) for s in specs]
+    values = [np.asarray(s, dtype=np.float64) for s in specs]
     if len({v.shape for v in values}) > 1:
         raise InputError("spectrograms in one batch must share one shape")
     if all(v.ndim == 2 and _column_major(v) for v in values):
         return np.stack([v.T for v in values]).swapaxes(-1, -2)
     return np.stack(values)
-
-
-def _patches(specs, cfg: TransformerConfig):
-    """(..., N, patch_dim) patches of one spectrogram or of a stack (see
-    `_values`), normalized and checked against the model."""
-    values = _values(specs)
-    if cfg.normalize_input:
-        values = normalize_spec(values)
-    patches, rows, cols = extract_patches(values, cfg.geometry)
-    if patches.shape[-2] != cfg.n_patches:
-        raise InputError(
-            f"spectrogram yields {patches.shape[-2]} patches; model expects "
-            f"{cfg.n_patches}")
-    return patches, rows, cols
 
 
 def _tokens(patches: np.ndarray, params: dict) -> np.ndarray:
@@ -224,12 +206,19 @@ def _tokens(patches: np.ndarray, params: dict) -> np.ndarray:
     return tok
 
 
-def embed(spec, model: TransformerModel):
-    """(N+1, d) token matrix with CLS prepended, plus patches and time spans."""
-    patches, rows, cols = _patches(spec, model.config)
-    hop_ms = spec.hop_ms if isinstance(spec, MelSpectrogram) else 1.0
-    spans = token_time_spans(model.config.geometry, rows, cols, hop_ms)
-    return _tokens(patches, model.params), patches, spans
+def embed_dataset(specs, model: TransformerModel):
+    """(B, N+1, d) tokens and (B, N, patch_dim) patches of a list or stack of
+    spectrograms (see `_values`), normalized and checked against the model."""
+    cfg = model.config
+    values = _values(specs)
+    if cfg.normalize_input:
+        values = normalize_spec(values)
+    patches = extract_patches(values, cfg.geometry)[0]
+    if patches.shape[-2] != cfg.n_patches:
+        raise InputError(
+            f"spectrogram yields {patches.shape[-2]} patches; model expects "
+            f"{cfg.n_patches}")
+    return _tokens(patches, model.params), patches
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +260,6 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(B, T, h * dk)
 
 
-def _attend(X, params, layer: int, n_heads: int):
-    """Self-attention of every token with merged heads, before the output
-    projection; returns (concat (B, T, d), weights, cache)."""
-    p = params
-    Q = _split_heads(X @ p[f"l{layer}.wq"], n_heads)
-    K = _split_heads(X @ p[f"l{layer}.wk"], n_heads)
-    V = _split_heads(X @ p[f"l{layer}.wv"], n_heads)
-    out, weights = attention(Q, K, V)  # (B, h, T, dk), (B, h, T, T)
-    concat = _merge_heads(out)
-    return concat, weights, (Q, K, V, weights, concat)
-
-
-def multi_head(X, params, layer: int, n_heads: int):
-    """Multi-head self-attention block; returns (output, weights, cache)."""
-    concat, weights, cache = _attend(X, params, layer, n_heads)
-    return concat @ params[f"l{layer}.wo"], weights, cache
-
-
 def ffn(X, params, layer: int):
     p = params
     pre = X @ p[f"l{layer}.w1"] + p[f"l{layer}.b1"]
@@ -296,22 +267,25 @@ def ffn(X, params, layer: int):
     return hidden @ p[f"l{layer}.w2"] + p[f"l{layer}.b2"], (pre, hidden)
 
 
-def _dense(X, mh, params, layer: int):
-    """The dense half of a block on rows X of its input and the same rows mh
-    of the projected attention: LN(X + mh), then LN( . + FFN)."""
-    y, y_hat, y_std = layer_norm(X + mh, params[f"l{layer}.ln1_g"],
-                                 params[f"l{layer}.ln1_b"])
+def encoder_layer(X, params, layer: int, n_heads: int, rows=Ellipsis):
+    """Post-norm encoder block on (B, T, d) tokens X: LN(X + MultiHead), then
+    LN( . + FFN). Attention runs over every token; the dense half only on
+    `rows` of them, such as the `_cls_rows` of the last block. A row depends
+    only on its own input row and attention output, so each is bit for bit
+    that of the full block. Returns (z, weights, cache)."""
+    p = params
+    Q = _split_heads(X @ p[f"l{layer}.wq"], n_heads)
+    K = _split_heads(X @ p[f"l{layer}.wk"], n_heads)
+    V = _split_heads(X @ p[f"l{layer}.wv"], n_heads)
+    heads, weights = attention(Q, K, V)  # (B, h, T, dk), (B, h, T, T)
+    concat = _merge_heads(heads)
+    del heads  # freed before the dense half allocates: no part of its peak
+    y, y_hat, y_std = layer_norm(X[rows] + concat[rows] @ p[f"l{layer}.wo"],
+                                 p[f"l{layer}.ln1_g"], p[f"l{layer}.ln1_b"])
     f, ffn_cache = ffn(y, params, layer)
-    z, z_hat, z_std = layer_norm(y + f, params[f"l{layer}.ln2_g"],
-                                 params[f"l{layer}.ln2_b"])
-    return z, (y, y_hat, y_std, ffn_cache, z_hat, z_std)
-
-
-def encoder_layer(X, params, layer: int, n_heads: int):
-    """Post-norm encoder block: LN(X + MultiHead), then LN( . + FFN)."""
-    mh, weights, mh_cache = multi_head(X, params, layer, n_heads)
-    z, dense_cache = _dense(X, mh, params, layer)
-    return z, weights, (X, mh_cache, *dense_cache)
+    z, z_hat, z_std = layer_norm(y + f, p[f"l{layer}.ln2_g"], p[f"l{layer}.ln2_b"])
+    return z, weights, (X, (Q, K, V, weights, concat), y, y_hat, y_std,
+                        ffn_cache, z_hat, z_std)
 
 
 def _cls_rows(batch: int):
@@ -323,31 +297,19 @@ def _cls_rows(batch: int):
     return np.s_[:, 0] if batch > 1 else np.s_[0, :2]
 
 
-def _cls_layer(X, params, layer: int, n_heads: int):
-    """The last encoder block, of which the head reads only the CLS row:
-    attention over every token as in `encoder_layer`, then the dense half on
-    the `_cls_rows` alone. A row depends only on its own input row and
-    attention output, so each is bit for bit that of `encoder_layer`."""
-    concat, weights, mh_cache = _attend(X, params, layer, n_heads)
-    rows = _cls_rows(len(X))
-    z, dense_cache = _dense(X[rows], concat[rows] @ params[f"l{layer}.wo"],
-                            params, layer)
-    return z, weights, (X, mh_cache, *dense_cache)
-
-
 def forward_batch(model: TransformerModel, X0: np.ndarray):
     """Run the encoder on token batch (B, T, d).
 
     Returns (logits (B, 2), attention (n_layers, B, h, T, T), caches). The
-    last block computes only the CLS rows (see `_cls_layer`).
+    last block computes only the CLS rows the head reads.
     """
     cfg = model.config
     X = X0
     caches = []
     attn = []
     for i in range(cfg.n_layers):
-        layer = encoder_layer if i < cfg.n_layers - 1 else _cls_layer
-        X, weights, cache = layer(X, model.params, i, cfg.n_heads)
+        rows = _cls_rows(len(X0)) if i == cfg.n_layers - 1 else Ellipsis
+        X, weights, cache = encoder_layer(X, model.params, i, cfg.n_heads, rows)
         caches.append(cache)
         attn.append(weights)
     cls = X[:len(X0)]
@@ -356,12 +318,15 @@ def forward_batch(model: TransformerModel, X0: np.ndarray):
 
 
 def forward(spec, model: TransformerModel) -> ForwardOutput:
-    """Full forward pass on one spectrogram with attention capture."""
-    tokens, _, spans = embed(spec, model)
-    logits, attn, (_, cls) = forward_batch(model, tokens[None])
+    """Full forward pass on one spectrogram with attention capture; each
+    patch token's time span is in ms of log-Mel columns at MEL_SPEC_HOP_MS."""
+    cfg = model.config
+    tokens, _ = embed_dataset([spec], model)
+    logits, attn, _ = forward_batch(model, tokens)
     probs = softmax(logits[0])
-    return ForwardOutput(logits[0], float(probs[1]), [a[0] for a in attn],
-                         cls[0], spans)
+    spans = token_time_spans(cfg.geometry, *cfg.geometry.grid(*cfg.input_shape),
+                             MEL_SPEC_HOP_MS)
+    return ForwardOutput(logits[0], float(probs[1]), [a[0] for a in attn], spans)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +375,9 @@ def _at_rows(a, rows, shape):
 
 def _encoder_layer_backward(dz, params, layer: int, n_heads: int, cache, grads,
                             rows=Ellipsis):
-    """Backward of `encoder_layer`, or with `rows` the `_cls_rows` of
-    `_cls_layer`: `dz` and the dense half's cache then hold those rows
-    alone, and the gradient at every other row is zero. Returns dX."""
+    """Backward of `encoder_layer` with the same `rows`: `dz` and the dense
+    half's cache hold those rows alone, and the gradient at every other row
+    is zero. Returns dX."""
     X, mh_cache, y, y_hat, y_std, ffn_cache, z_hat, z_std = cache
     p = params
     # second LN
@@ -507,12 +472,6 @@ class TrainConfig:
         for name in ("learning_rate", "weight_decay"):
             if not 0 <= getattr(self, name) < np.inf:
                 raise InputError(f"{name} must be a finite number >= 0")
-
-
-def embed_dataset(specs, model: TransformerModel):
-    """Token and patch batches for a list or stack of spectrograms."""
-    patches = _patches(specs, model.config)[0]
-    return _tokens(patches, model.params), patches
 
 
 def train_toy(dataset, config: TransformerConfig,

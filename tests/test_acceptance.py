@@ -303,7 +303,7 @@ def test_criterion_07b_padded_region_saliency():
     predict = lambda v: tr.forward(v, model).prob_spoof
     hm = attn_explain.occlusion_scan(
         lambda stack: [predict(v) for v in stack], spec,
-        attn_explain.default_occlusion_config(spec.values.shape))
+        attn_explain.default_occlusion_config(spec.shape))
     hot = max(hm.boxes, key=lambda b: b[4])
     pad_start_col = 7  # ceil(10 * 0.7): first all-padding spectrogram column
     overlaps = hot[1] + hot[3] > pad_start_col

@@ -247,6 +247,15 @@ class TestRollout:
         mixed = [m / m.sum(axis=1, keepdims=True) for m in mixed]
         assert np.allclose(rmap.matrix, mixed[0] @ mixed[1], atol=1e-12)
 
+    def test_last_mode_is_the_final_layer_alone(self):
+        rng = np.random.default_rng(11)
+        layers = [random_stochastic(rng, 5)[None] for _ in range(3)]
+        last = ax.rollout(layers, residual_mode="last")
+        alone = ax.rollout(layers[-1:])
+        assert np.array_equal(last.matrix, alone.matrix)
+        assert np.array_equal(last.matrix, layers[-1][0])
+        assert np.array_equal(last.cls_importance, alone.cls_importance)
+
     def test_permutation_consistency(self):
         # permuting non-CLS tokens permutes cls_importance identically
         rng = np.random.default_rng(10)

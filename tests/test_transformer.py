@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spoofkit import dsp
 from spoofkit import transformer as tr
 from spoofkit.errors import InputError
 
@@ -112,17 +113,18 @@ class TestPatchOracles:
                                      (c * g.stride_w + g.patch_w) * hop))
             assert tr.token_time_spans(g, n_rows, n_cols, hop) == expected
 
-    def test_embed_dataset_rows_equal_embed(self):
+    def test_stacked_embedding_rows_equal_lone_ones(self):
         rng = np.random.default_rng(8)
         tiny_specs = [rng.normal(0, 1, (4, 6)) for _ in range(3)]
-        for cfg, specs in ((tiny_config(), tiny_specs),
-                           (toy_config(), [s for s, _ in toy_dataset(6)])):
+        toy_specs = [s for s, _ in toy_dataset(6)]
+        for cfg, specs in ((tiny_config(), tiny_specs), (toy_config(), toy_specs),
+                           (toy_config(), [np.asfortranarray(s) for s in toy_specs])):
             model = tr.TransformerModel(cfg, tr.init_params(cfg))
             tokens, patches = tr.embed_dataset(specs, model)
             for i, spec in enumerate(specs):
-                tok, pat, _ = tr.embed(spec, model)
-                assert np.array_equal(tokens[i], tok)
-                assert np.array_equal(patches[i], pat)
+                tok, pat = tr.embed_dataset([spec], model)
+                assert np.array_equal(tokens[i], tok[0])
+                assert np.array_equal(patches[i], pat[0])
 
     def test_normalize_spec_rows_equal_one_clip(self):
         # each spectrogram of a stack gets the bits it gets alone, row- or
@@ -175,16 +177,19 @@ class TestPatchify:
     def test_cls_prepended_and_token_count(self):
         cfg = tiny_config()
         model = tr.TransformerModel(cfg, tr.init_params(cfg))
-        rng = np.random.default_rng(1)
-        tokens, _, spans = tr.embed(rng.normal(0, 1, (4, 6)), model)
-        assert tokens.shape == (cfg.n_tokens, cfg.d_model)
-        assert len(spans) == cfg.n_patches
+        spec = np.random.default_rng(1).normal(0, 1, (4, 6))
+        tokens, patches = tr.embed_dataset([spec], model)
+        assert tokens.shape == (1, cfg.n_tokens, cfg.d_model)
+        assert np.array_equal(tokens[0, 0], model.params["cls"] + model.params["pos"][0])
+        assert patches.shape == (1, cfg.n_patches, 4 * 3)
+        assert len(tr.forward(spec, model).token_time_spans) == cfg.n_patches
 
     def test_wrong_size_spectrogram_rejected(self):
         cfg = tiny_config()
         model = tr.TransformerModel(cfg, tr.init_params(cfg))
-        with pytest.raises(InputError):
-            tr.embed(np.zeros((4, 9)), model)  # 3 patches, model expects 2
+        for call in (lambda s: tr.embed_dataset([s], model), lambda s: tr.forward(s, model)):
+            with pytest.raises(InputError, match="3 patches; model expects 2"):
+                call(np.zeros((4, 9)))
 
     def test_heads_must_divide_d_model(self):
         with pytest.raises(InputError):
@@ -267,11 +272,14 @@ class TestOneBufferOps:
 
 class TestMultiHead:
     def test_matches_per_head_slices(self):
+        # the attention half of `encoder_layer`: its cached head concatenation
+        # through the output projection
         cfg = tiny_config(d_model=6, n_heads=3)
         params = tr.init_params(cfg)
         rng = np.random.default_rng(7)
         X = rng.normal(0, 1, (2, 5, 6))
-        out, weights, _ = tr.multi_head(X, params, 0, 3)
+        _, weights, cache = tr.encoder_layer(X, params, 0, 3)
+        out = cache[1][-1] @ params["l0.wo"]
         dk = 2
         ref = np.zeros((2, 5, 6))
         for b in range(2):
@@ -312,12 +320,30 @@ class TestEncoderLayer:
         p = tr.init_params(cfg)
         rng = np.random.default_rng(9)
         X = rng.normal(0, 1, (2, 4, 8))
-        z, _, _ = tr.encoder_layer(X, p, 0, 2)
-        mh, _, _ = tr.multi_head(X, p, 0, 2)
+        z, weights, _ = tr.encoder_layer(X, p, 0, 2)
+        Q, K, V = (tr._split_heads(X @ p[f"l0.{w}"], 2) for w in ("wq", "wk", "wv"))
+        out, ref_weights = tr.attention(Q, K, V)
+        mh = tr._merge_heads(out) @ p["l0.wo"]
         y, _, _ = tr.layer_norm(X + mh, p["l0.ln1_g"], p["l0.ln1_b"])
         f, _ = tr.ffn(y, p, 0)
         ref, _, _ = tr.layer_norm(y + f, p["l0.ln2_g"], p["l0.ln2_b"])
+        assert np.array_equal(weights, ref_weights)
         assert np.array_equal(z, ref)
+
+    @pytest.mark.parametrize("B", [1, 2, 5])
+    def test_dense_half_on_rows_equals_full_block_rows(self, B):
+        # the last block's CLS rows, bit for bit those of the full block;
+        # attention and its cache still cover every token
+        cfg = tiny_config(d_model=8, n_heads=2, n_layers=1, d_ff=12)
+        p = tr.init_params(cfg)
+        X = np.random.default_rng(B).normal(0, 1, (B, 4, 8))
+        rows = tr._cls_rows(B)
+        z, weights, cache = tr.encoder_layer(X, p, 0, 2, rows)
+        full, full_weights, full_cache = tr.encoder_layer(X, p, 0, 2)
+        assert np.array_equal(z, full[rows])
+        assert np.array_equal(weights, full_weights)
+        for part, full_part in zip(cache[1], full_cache[1]):
+            assert np.array_equal(part, full_part)
 
     def test_layer_norm_stats_pre_affine(self):
         rng = np.random.default_rng(10)
@@ -336,7 +362,6 @@ class TestForward:
             out = tr.forward(rng.normal(0, 1, (4, 6)), model)
             assert 0.0 <= out.prob_spoof <= 1.0
             assert out.logits.shape == (2,)
-            assert out.cls_final.shape == (cfg.d_model,)
             assert len(out.attention) == 2
             for layer in out.attention:
                 assert layer.shape == (2, cfg.n_tokens, cfg.n_tokens)
@@ -358,12 +383,24 @@ class TestForward:
             normalize_input=False, seed=1)
         model = tr.TransformerModel(cfg, tr.init_params(cfg))
         rng = np.random.default_rng(13)
-        tokens, _, _ = tr.embed(rng.normal(0, 1, (4, 9)), model)
-        logits, _, _ = tr.forward_batch(model, tokens[None])
+        tokens, _ = tr.embed_dataset([rng.normal(0, 1, (4, 9))], model)
+        logits, _, _ = tr.forward_batch(model, tokens)
         swapped = tokens.copy()
-        swapped[[1, 3]] = swapped[[3, 1]]
-        logits2, _, _ = tr.forward_batch(model, swapped[None])
+        swapped[0, [1, 3]] = swapped[0, [3, 1]]
+        logits2, _, _ = tr.forward_batch(model, swapped)
         assert np.allclose(logits, logits2, atol=1e-12)
+
+    def test_token_time_spans_in_ms_at_the_log_mel_hop(self):
+        # the spans follow the model's patch grid in log-Mel columns of
+        # MEL_SPEC_HOP_MS, whatever array the spectrogram arrives as
+        cfg = tr.TransformerConfig(input_shape=(128, 32))
+        model = tr.TransformerModel(cfg, tr.init_params(cfg))
+        hop = dsp.MEL_SPEC_HOP_MS
+        expected = [(0.0, 16 * hop), (16 * hop, 32 * hop)] * 8
+        clip = dsp.AudioBuffer(np.random.default_rng(3).normal(0, 0.1, 51200), 16000)
+        log_mel = dsp.mel_spectrogram(clip)
+        for spec in (log_mel, np.ascontiguousarray(log_mel), log_mel.tolist()):
+            assert tr.forward(spec, model).token_time_spans == expected
 
     def test_all_equal_tokens_uniform_attention(self):
         cfg = tiny_config()

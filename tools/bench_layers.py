@@ -206,7 +206,9 @@ def run_explain(sk, repeats) -> dict:
             lambda m: sha(sk.transformer.to_json(m).encode()))
         spec = sk.dsp.mel_spectrogram(sk.bench.fit_clip_length(
             sk.dsp.load_audio(wav), sk.bench.DEFAULT_CLIP_S))
-        cfg = sk.attn_explain.default_occlusion_config(spec.values.shape)
+        # the log-Mel array; sources up to 342cf1e wrap it in a MelSpectrogram
+        spec = getattr(spec, "values", spec)
+        cfg = sk.attn_explain.default_occlusion_config(spec.shape)
         heatmap = record(cases, "occlusion_scan_128x16", lambda: sk.attn_explain.occlusion_scan(
             lambda stack: sk.transformer.predict_proba(model, stack), spec, cfg), repeats,
             lambda h: sha(np.array([h.base_prob] + [b[4] for b in h.boxes]).tobytes()))
@@ -232,7 +234,8 @@ def run_dsp(sk, repeats) -> dict:
     for duration, clip in dsp_clips(sk):
         for stage in DSP_STAGES:
             fn = getattr(sk.dsp, stage)
-            # mel_spectrogram and extract_features return a dataclass with .values
+            # extract_features returns a FeatureVector, and mel_spectrogram in
+            # sources up to 342cf1e a MelSpectrogram; both hold .values
             record(cases, f"{stage}_{duration}s", lambda: fn(clip), repeats,
                    lambda out: sha(getattr(out, "values", out).tobytes()),
                    peak=True)
