@@ -234,13 +234,11 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=None)
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int,
-                   fmin: float = 0.0, fmax: float | None = None):
-    """Triangular HTK-style Mel filters; returns (n_mels, n_fft//2+1) and
-    centers, both read-only and shared between calls with equal arguments."""
-    if fmax is None:
-        fmax = sample_rate / 2.0
-    mel_pts = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
+def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int):
+    """Triangular HTK-style Mel filters from 0 Hz to Nyquist; returns
+    (n_mels, n_fft//2+1) and centers, both read-only and shared between calls
+    with equal arguments."""
+    mel_pts = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
     fb = np.zeros((n_mels, freqs.size))

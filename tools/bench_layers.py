@@ -2,7 +2,8 @@
 inputs:
 
   gbdt     tree fit, predict and permutation importance on feature tables
-  explain  model load, the occlusion scan, and one `explain occlusion` and
+  explain  model load, the occlusion scan, argparse's parse of the
+           `explain rollout` command line, and one `explain occlusion` and
            one `explain rollout` call, with a transformer trained here
   dsp      MFCC, chroma, spectral scalars, log-Mel and the 37-dim feature
            vector of 1.6, 2.6 and 3.6 s clips
@@ -16,32 +17,24 @@ inputs:
            seconds and peak resident memory
 
     python3 tools/bench_layers.py --topic dsp --label change
-    python3 tools/bench_layers.py --topic dsp --label parent --src ../parent/src
-
-After a fixed warm-up (WARMUP_S seconds of feature extraction), each case
-runs the topic's repeat count in this process and records its median wall
-time in seconds, plus a SHA-256 of what it produced, so that two sources can
-be checked for identical output. A dsp or augment case also records the
-tracemalloc peak of one more call. A startup case is instead the median
-over fresh interpreters that import the `--src` package, of wall time and
-of the process's peak resident set (VmHWM, Linux). The entry for `--label`
-(with the machine, Python, numpy and, where installed, scipy versions) is
-merged into `--out`, BENCH_<topic>.json by default; other labels already in the
-file are kept, so the numbers of two sources measured on the same machine
-sit side by side.
-
-Two sources timed one after the other drift apart with the host. To compare
-them, give the parent's source as `--parent-src`:
-
-    python3 tools/bench_layers.py --topic dsp --label alternating \
+    python3 tools/bench_layers.py --topic dsp --label interleaved \\
         --parent-src ../parent/src
 
-The whole topic then runs as above in a fresh process of one source and then
-of the other, ROUNDS times, the first side alternating from round to round.
-The entry holds, per case and side, the median over rounds of `median_s`,
-`peak_bytes` and `maxrss_mb`, the last round's other fields (`sha256`, ...),
-and every round's change/parent time ratio with the count of rounds in which
-the change was faster.
+`--src`, and `--parent-src` if given, are loaded into this process side by
+side, and each warms up (WARMUP_S seconds of feature extraction). Every case
+then makes one untimed call per source, whose result is digested (SHA-256),
+and `repeats` rounds of one timed call per source, the parent first in even
+rounds and the change first in odd ones. A timed call's result is dropped at
+once, so that results kept alive do not shape the heap the next call
+allocates from. A case records each source's median seconds, its digest and
+the tracemalloc peak of one more call; a startup case, whose call is a fresh
+interpreter importing the source's package, records the median of its peak
+resident set (VmHWM, Linux) instead. With two sources, those fields are
+prefixed `parent_` or `change_`, and the case adds every round's
+change/parent time ratio, their median and the count of rounds in which the
+change was faster. The entry for `--label` (with the machine, Python, numpy
+and, where installed, scipy versions) is merged into `--out`,
+BENCH_<topic>.json by default, keeping other labels.
 """
 
 from __future__ import annotations
@@ -49,8 +42,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import importlib
 import importlib.metadata
+import importlib.util
 import io
 import json
 import os
@@ -61,10 +54,12 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SUBMODULES = ("attn_explain", "bench", "cli", "dsp", "gbdt", "gbdt_explain", "transformer")
 N_FEATURES = 37
 LABEL_FLIP = 0.15  # flipped labels keep classes overlapping, so trees grow deep
 N_PER_CLASS = 8  # transformer training clips per class
@@ -72,8 +67,6 @@ STEPS = 50  # training steps; the timings do not depend on how well it fits
 CUE_HZ = 6500.0  # spoof cue: a sustained tone
 DSP_CLIP_S = (1.6, 2.6, 3.6)
 DSP_STAGES = ("mfcc", "chroma", "spectral_scalars", "mel_spectrogram", "extract_features")
-ROUNDS = 10  # alternating rounds: enough pairs for a 9-of-10 verdict
-MEDIAN_FIELDS = ("median_s", "peak_bytes", "maxrss_mb")
 WARMUP_S = 3.0  # the first ~1 s of calls in a fresh process run several times slower
 
 TRANSFORMER_BATCH = 120  # clips, as a study trains on
@@ -88,29 +81,70 @@ TRAIN_CASES = [
 ]
 
 
+def load(src, name):
+    """The spoofkit package under `src`, imported as module `name` with all its
+    submodules. Each module imports its siblings relatively, so two sources
+    load side by side under two names."""
+    package = os.path.join(os.path.abspath(src), "spoofkit")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    sk = importlib.util.module_from_spec(spec)
+    sys.modules[name] = sk
+    spec.loader.exec_module(sk)
+    for sub in SUBMODULES:
+        importlib.import_module(f"{name}.{sub}")
+    return sk
+
+
+class Case(NamedTuple):
+    """One source's side of a case: `call()` is timed, `digest(result)` names
+    what it produced, and `extra(result)` adds fields to the entry. `peak`
+    is false for a call whose work runs in another process."""
+    name: str
+    call: Callable[[], object]
+    digest: Callable[[object], str]
+    extra: Callable[[object], dict] = lambda _: {}
+    peak: bool = True
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def record(cases, name, fn, repeats, digest, peak=False):
-    """Time `repeats` calls of fn; store the median seconds and the digest of
-    the last result (and the tracemalloc peak of one more call) under
-    cases[name]. Returns the last result."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    cases[name] = {"median_s": statistics.median(times), "sha256": digest(result)}
-    if peak:
-        tracemalloc.start()
-        try:
-            fn()
-            cases[name]["peak_bytes"] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    print(f"{name}: {cases[name]['median_s']:.4f} s", file=sys.stderr)
-    return result
+def record(sides: dict, repeats: int):
+    """Time one case on each side of `sides` ({"change": Case}, or
+    {"parent": Case, "change": Case}) as the module doc says. Returns the
+    case's entry and the result of each side's untimed call."""
+    order = list(sides)
+    results = {side: case.call() for side, case in sides.items()}
+    times = {side: [] for side in order}
+    for r in range(repeats):
+        for side in order if r % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            sides[side].call()
+            times[side].append(time.perf_counter() - start)
+    fields = {}
+    for side, case in sides.items():
+        fields[side] = {"median_s": statistics.median(times[side]),
+                        "sha256": case.digest(results[side]), **case.extra(results[side])}
+        if case.peak:
+            tracemalloc.start()
+            try:
+                case.call()
+                fields[side]["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    line = f"{sides['change'].name}: " + " -> ".join(
+        f"{fields[side]['median_s']:.4f}" for side in order) + " s"
+    if len(order) == 1:
+        print(line, file=sys.stderr)
+        return fields["change"], results
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    entry = {f"{side}_{key}": value for side in order for key, value in fields[side].items()}
+    entry.update(ratios=ratios, ratio_median=statistics.median(ratios),
+                 change_faster=sum(x < 1 for x in ratios))
+    print(f"{line}, change faster in {entry['change_faster']} of {repeats}", file=sys.stderr)
+    return entry, results
 
 
 def warm_up(sk) -> None:
@@ -137,23 +171,22 @@ def table(n, seed=0):
     return X, np.where(rng.random(n) < LABEL_FLIP, 1 - y, y)
 
 
-def run_gbdt(sk, repeats) -> dict:
-    cases, models = {}, {}
+def run_gbdt(sk):
+    models = {}
     for name, trees, depth, rows in TRAIN_CASES:
         X, y = table(rows)
         cfg = sk.gbdt.GbdtConfig(n_estimators=trees, max_depth=depth)
-        models[name] = record(cases, name, lambda: sk.gbdt.train(X, y, cfg), repeats,
-                              lambda model: sha(sk.gbdt.to_json(model).encode()))
+        models[name] = yield Case(name, lambda: sk.gbdt.train(X, y, cfg),
+                                  lambda model: sha(sk.gbdt.to_json(model).encode()))
     X, _ = table(8000, seed=1)
-    record(cases, "decision_scores_5x8_8000rows",
-           lambda: sk.gbdt.decision_scores(models["train_5x8_8000x37"], X), repeats,
-           lambda scores: sha(scores.tobytes()))
+    yield Case("decision_scores_5x8_8000rows",
+               lambda: sk.gbdt.decision_scores(models["train_5x8_8000x37"], X),
+               lambda scores: sha(scores.tobytes()))
     X, y = table(240)
-    record(cases, "importance_400x8_240rows_10repeats",
-           lambda: sk.gbdt_explain.permutation_importance(
-               models["train_400x8_240x37"], X, y, repeats=10, seed=0), repeats,
-           lambda report: sha(report.to_json().encode()))
-    return cases
+    yield Case("importance_400x8_240rows_10repeats",
+               lambda: sk.gbdt_explain.permutation_importance(
+                   models["train_400x8_240x37"], X, y, repeats=10, seed=0),
+               lambda report: sha(report.to_json().encode()))
 
 
 def cli(sk, argv) -> None:
@@ -164,8 +197,9 @@ def cli(sk, argv) -> None:
 
 
 def files_digest(out) -> str:
-    """SHA-256 over the files `explain` wrote, in name order; the `meta`
-    entries are left out, as they hold the output path."""
+    """SHA-256 over the files a command wrote to `out`, in name order, less
+    what holds a hash of the output path: the `meta` entry of a JSON file and
+    the `#` provenance line of a CSV."""
     h = hashlib.sha256()
     for name in sorted(os.listdir(out)):
         with open(os.path.join(out, name), "rb") as fh:
@@ -174,6 +208,8 @@ def files_digest(out) -> str:
             doc = json.loads(data)
             doc.pop("meta", None)
             data = json.dumps(doc, sort_keys=True).encode()
+        elif name.endswith(".csv"):
+            data = b"".join(line for line in data.splitlines(True) if not line.startswith(b"#"))
         h.update(name.encode() + b"\0" + data)
     return h.hexdigest()[:16]
 
@@ -197,28 +233,29 @@ def train_transformer(sk, root):
     return model_path, entries[-1].path
 
 
-def run_explain(sk, repeats) -> dict:
-    cases = {}
+def run_explain(sk):
     with tempfile.TemporaryDirectory() as root:
         model_path, wav = train_transformer(sk, root)
-        model = record(cases, "model_load", lambda: sk.cli._load_model(
-            model_path, "transformer", sk.transformer.from_json), repeats,
+        model = yield Case("model_load", lambda: sk.cli._load_model(
+            model_path, "transformer", sk.transformer.from_json),
             lambda m: sha(sk.transformer.to_json(m).encode()))
         spec = sk.dsp.mel_spectrogram(sk.bench.fit_clip_length(
             sk.dsp.load_audio(wav), sk.bench.DEFAULT_CLIP_S))
-        # the log-Mel array; sources up to 342cf1e wrap it in a MelSpectrogram
-        spec = getattr(spec, "values", spec)
         cfg = sk.attn_explain.default_occlusion_config(spec.shape)
-        heatmap = record(cases, "occlusion_scan_128x16", lambda: sk.attn_explain.occlusion_scan(
-            lambda stack: sk.transformer.predict_proba(model, stack), spec, cfg), repeats,
-            lambda h: sha(np.array([h.base_prob] + [b[4] for b in h.boxes]).tobytes()))
-        cases["occlusion_scan_128x16"]["boxes"] = len(heatmap.boxes)
+        yield Case("occlusion_scan_128x16", lambda: sk.attn_explain.occlusion_scan(
+            lambda stack: sk.transformer.predict_proba(model, stack), spec, cfg),
+            lambda h: sha(np.array([h.base_prob] + [b[4] for b in h.boxes]).tobytes()),
+            lambda h: {"boxes": len(h.boxes)})
+        # explain_rollout's argv relative to `root`: the same strings on both sides
+        argv = ["explain", "rollout", "--model", "model.json", "--wav",
+                os.path.basename(wav), "--out", "rollout"]
+        yield Case("cli_parse", lambda: sk.cli.build_parser().parse_args(argv),
+                   sk.cli.config_hash)
         for kind in ("occlusion", "rollout"):
             out = os.path.join(root, kind)
-            record(cases, f"explain_{kind}", lambda: cli(sk, [
+            yield Case(f"explain_{kind}", lambda: cli(sk, [
                 "explain", kind, "--model", model_path, "--wav", wav, "--out", out]),
-                repeats, lambda _: files_digest(out))
-    return cases
+                lambda _: files_digest(out))
 
 
 def dsp_clips(sk):
@@ -229,74 +266,69 @@ def dsp_clips(sk):
             rng, duration, 0.3, 0.05, [(float(rng.uniform(150, 900)), 0.4), (CUE_HZ, 0.5)], [])
 
 
-def run_dsp(sk, repeats) -> dict:
-    cases = {}
+def run_dsp(sk):
     for duration, clip in dsp_clips(sk):
         for stage in DSP_STAGES:
             fn = getattr(sk.dsp, stage)
             # extract_features returns a FeatureVector, and mel_spectrogram in
             # sources up to 342cf1e a MelSpectrogram; both hold .values
-            record(cases, f"{stage}_{duration}s", lambda: fn(clip), repeats,
-                   lambda out: sha(getattr(out, "values", out).tobytes()),
-                   peak=True)
-    return cases
+            yield Case(f"{stage}_{duration}s", lambda: fn(clip),
+                       lambda out: sha(getattr(out, "values", out).tobytes()))
 
 
-def run_augment(sk, repeats) -> dict:
+def run_augment(sk):
     """The codec and rerecord simulators as `bench augment` calls them. A
     rerecord case also records the largest difference of its reverb (no
     noise) from direct convolution with the same room response."""
-    cases = {}
     for duration, clip in dsp_clips(sk):
-        record(cases, f"augment_codec_{duration}s", lambda: sk.bench.augment_codec(clip),
-               repeats, lambda out: sha(out.samples.tobytes()), peak=True)
-        name = f"augment_rerecord_{duration}s"
-        record(cases, name, lambda: sk.bench.augment_rerecord(clip, seed=0), repeats,
-               lambda out: sha(out.samples.tobytes()), peak=True)
+        yield Case(f"augment_codec_{duration}s", lambda: sk.bench.augment_codec(clip),
+                   lambda out: sha(out.samples.tobytes()))
         h = sk.bench.room_impulse_response(clip.sample_rate, 0.25, 0.3,
                                            np.random.default_rng(0))
         reverb = sk.bench.augment_rerecord(clip, seed=0, snr_db=None).samples
-        direct = np.convolve(clip.samples, h)[: clip.samples.size]
-        cases[name]["max_abs_diff_vs_direct"] = float(np.abs(reverb - direct).max())
-    return cases
+        diff = float(np.abs(reverb - np.convolve(clip.samples, h)[: clip.samples.size]).max())
+        yield Case(f"augment_rerecord_{duration}s",
+                   lambda: sk.bench.augment_rerecord(clip, seed=0),
+                   lambda out: sha(out.samples.tobytes()),
+                   lambda _: {"max_abs_diff_vs_direct": diff})
 
 
-def run_transformer(sk, repeats) -> dict:
+def run_transformer(sk):
     """The study transformer (16x16 patches, d_model 16, 2 layers) on seeded
     noise spectrograms with alternating labels. A case's digest covers the
     logits and attention, the gradients or the trained parameters."""
     tr = sk.transformer
     rng = np.random.default_rng(0)
     labels = np.arange(TRANSFORMER_BATCH) % 2
-    cases = {}
     for n_tokens, columns in TRANSFORMER_COLUMNS.items():
         specs = rng.standard_normal((TRANSFORMER_BATCH, 128, columns))
         cfg = tr.TransformerConfig(input_shape=(128, columns))
         model = tr.TransformerModel(cfg, tr.init_params(cfg))
         tokens, patches = tr.embed_dataset(specs, model)
-        record(cases, f"forward_batch_{n_tokens}tok", lambda: tr.forward_batch(model, tokens),
-               repeats, lambda out: sha(out[0].tobytes() + np.stack(out[1]).tobytes()))
-        record(cases, f"loss_and_grads_{n_tokens}tok",
-               lambda: tr.loss_and_grads(model, tokens, patches, labels), repeats,
-               lambda out: sha(b"".join(out[1][k].tobytes() for k in tr.param_names(cfg))))
+        yield Case(f"forward_batch_{n_tokens}tok", lambda: tr.forward_batch(model, tokens),
+                   lambda out: sha(out[0].tobytes() + np.stack(out[1]).tobytes()))
+        yield Case(f"loss_and_grads_{n_tokens}tok",
+                   lambda: tr.loss_and_grads(model, tokens, patches, labels),
+                   lambda out: sha(b"".join(out[1][k].tobytes() for k in tr.param_names(cfg))))
         if n_tokens == 9:
-            record(cases, f"train_toy_{STEPS}steps_9tok", lambda: tr.train_toy(
-                list(zip(specs, labels)), cfg, tr.TrainConfig(steps=STEPS)), repeats,
+            yield Case(f"train_toy_{STEPS}steps_9tok", lambda: tr.train_toy(
+                list(zip(specs, labels)), cfg, tr.TrainConfig(steps=STEPS)),
                 lambda m: sha(tr.to_json(m).encode()))
-    return cases
 
 
-# A child reports its own peak resident set, VmHWM: its ru_maxrss would also
-# count the resident set of this process, which it inherits at fork and exec.
+# A child reports its own peak resident set, VmHWM, on its last line: its
+# ru_maxrss would also count the resident set of this process, which it
+# inherits at fork and exec.
 PEAK_RSS = """
 with open("/proc/self/status") as fh:
     print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
 """
+# prints the modules that `import spoofkit.cli` loads, for the digest
 IMPORT_PROBE = """\
-import time
-start = time.perf_counter()
+import sys
+before = set(sys.modules)
 import spoofkit.cli
-print(time.perf_counter() - start)
+print(" ".join(sorted(set(sys.modules) - before)))
 """ + PEAK_RSS
 CLI_PROBE = """\
 import sys
@@ -306,51 +338,44 @@ if cli.main(sys.argv[1:]) != 0:
 """ + PEAK_RSS
 
 
-def child(sk, *args) -> list:
-    """The stdout lines of `python *args` in a fresh interpreter that imports
-    the spoofkit package `sk` was loaded from."""
+def process_case(name, sk, args, digest) -> Case:
+    """A Case whose call is `python *args` in a fresh interpreter that imports
+    the spoofkit package `sk` was loaded from; it returns the child's stdout
+    lines but the last, and records the median peak resident set in MB."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(sk.__file__))}
-    return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout.splitlines()
-
-
-def feature_digest(path) -> str:
-    """SHA-256 of a feature CSV without its `#` provenance line."""
-    with open(path) as fh:
-        return sha("".join(line for line in fh if not line.startswith("#")).encode())
-
-
-def record_process(cases, name, sk, argv, repeats, digest) -> None:
-    """`record` a whole `spoofkit *argv` process, plus the median of its peak
-    resident set in MB."""
     kb = []
-    record(cases, name, lambda: kb.append(int(child(sk, "-c", CLI_PROBE, *argv)[-1])),
-           repeats, lambda _: digest())
-    cases[name]["maxrss_mb"] = statistics.median(kb) / 1024
+
+    def call():
+        lines = subprocess.run([sys.executable, *args], env=env, check=True,
+                               capture_output=True, text=True).stdout.splitlines()
+        kb.append(int(lines.pop()))
+        return lines
+
+    return Case(name, call, digest, lambda _: {"maxrss_mb": statistics.median(kb) / 1024},
+                peak=False)
 
 
-def run_startup(sk, repeats) -> dict:
-    runs = [child(sk, "-c", IMPORT_PROBE) for _ in range(repeats)]
-    cases = {"import_cli": {"median_s": statistics.median(float(s) for s, _ in runs),
-                            "maxrss_mb": statistics.median(int(kb) for _, kb in runs) / 1024}}
-    print(f"import_cli: {cases['import_cli']['median_s']:.4f} s", file=sys.stderr)
+def run_startup(sk):
+    yield process_case("import_cli", sk, ["-c", IMPORT_PROBE],
+                       lambda lines: sha("\n".join(lines).encode()))
     with tempfile.TemporaryDirectory() as root:
         model_path, wav = train_transformer(sk, root)
         features, gbdt_path = os.path.join(root, "features.csv"), os.path.join(root, "gbdt.json")
         sk.cli.write_features_csv(features, *table(400), argparse.Namespace(seed=0))
         cli(sk, ["train", "gbdt", "--features", features, "--out", gbdt_path,
                  "--n-estimators", "50", "--max-depth", "4"])
-        extracted = os.path.join(root, "extracted.csv")
-        record_process(cases, "extract_process", sk, [
-            "extract", "--manifest", os.path.join(root, "clips.csv"), "--out-csv", extracted],
-            repeats, lambda: feature_digest(extracted))
+        extracted = os.path.join(root, "extract")
+        os.makedirs(extracted)
+        yield process_case("extract_process", sk, ["-c", CLI_PROBE, "extract", "--manifest",
+                                                   os.path.join(root, "clips.csv"), "--out-csv",
+                                                   os.path.join(extracted, "features.csv")],
+                           lambda _: files_digest(extracted))
         for kind, inputs in (("rollout", ["--model", model_path, "--wav", wav]),
                              ("importance", ["--model", gbdt_path, "--features", features])):
             out = os.path.join(root, kind)
-            record_process(cases, f"explain_{kind}_process", sk,
-                           ["explain", kind, *inputs, "--out", out], repeats,
-                           lambda: files_digest(out))
-    return cases
+            yield process_case(f"explain_{kind}_process", sk,
+                               ["-c", CLI_PROBE, "explain", kind, *inputs, "--out", out],
+                               lambda _: files_digest(out))
 
 
 def versions() -> dict:
@@ -368,38 +393,6 @@ TOPICS = {"gbdt": (run_gbdt, 5), "explain": (run_explain, 20), "dsp": (run_dsp, 
           "transformer": (run_transformer, 20)}
 
 
-def alternate(args) -> dict:
-    """The cases of `args.topic` from ROUNDS rounds of fresh processes of
-    `--parent-src` and `--src` in turn, merged per case as the module doc
-    says."""
-    sources = {"parent": args.parent_src, "change": args.src}
-    runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "entry.json")
-        for r in range(ROUNDS):
-            for side in ("parent", "change")[::1 if r % 2 == 0 else -1]:
-                subprocess.run([sys.executable, os.path.abspath(__file__), "--topic", args.topic,
-                                "--label", side, "--src", sources[side], "--out", out],
-                               check=True)
-                with open(out) as fh:
-                    runs[side].append(json.load(fh)[side]["cases"])
-                os.remove(out)
-    cases = {}
-    for name in runs["change"][0]:
-        case = {}
-        for side, rounds in runs.items():
-            for key, value in rounds[-1][name].items():
-                case[f"{side}_{key}"] = (statistics.median(r[name][key] for r in rounds)
-                                         if key in MEDIAN_FIELDS else value)
-        ratios = [c[name]["median_s"] / p[name]["median_s"]
-                  for p, c in zip(runs["parent"], runs["change"])]
-        cases[name] = {**case, "ratios": ratios, "ratio_median": statistics.median(ratios),
-                       "change_faster": sum(x < 1 for x in ratios)}
-        print(f"{name}: {case['parent_median_s']:.4f} -> {case['change_median_s']:.4f} s, "
-              f"change faster in {cases[name]['change_faster']} of {ROUNDS}", file=sys.stderr)
-    return cases
-
-
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--topic", required=True, choices=sorted(TOPICS))
@@ -407,24 +400,29 @@ def main(argv=None) -> int:
     p.add_argument("--src", default=os.path.join(HERE, "..", "src"),
                    help="directory holding the spoofkit package to time")
     p.add_argument("--out", help="JSON file to merge into (default BENCH_<topic>.json)")
-    p.add_argument("--parent-src", help="source to compare with --src in alternating "
-                   "fresh processes")
+    p.add_argument("--parent-src", help="source to compare with --src, call by call "
+                   "in this process")
     args = p.parse_args(argv)
-    sys.path.insert(0, os.path.abspath(args.src))
-    sk = importlib.import_module("spoofkit")
-    for name in ("attn_explain", "bench", "cli", "dsp", "gbdt", "gbdt_explain", "transformer"):
-        importlib.import_module(f"spoofkit.{name}")
+    sources = {"parent": args.parent_src, "change": args.src}
+    sks = {side: load(src, f"sk_{side}") for side, src in sources.items() if src}
+    for sk in sks.values():
+        warm_up(sk)
 
-    run, repeats = TOPICS[args.topic]
+    topic, repeats = TOPICS[args.topic]
+    # each side runs the topic's generator of Cases; its result goes back in
+    gens = {side: topic(sk) for side, sk in sks.items()}
+    cases, results = {}, dict.fromkeys(gens)
+    while True:
+        try:
+            sides = {side: gen.send(results[side]) for side, gen in gens.items()}
+        except StopIteration:
+            break
+        cases[sides["change"].name], results = record(sides, repeats)
     entry = {
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(), **versions()},
         "repeats": repeats,
+        "cases": cases,
     }
-    if args.parent_src:
-        entry.update(rounds=ROUNDS, cases=alternate(args))
-    else:
-        warm_up(sk)
-        entry["cases"] = run(sk, repeats)
     out = args.out or os.path.join(HERE, "..", f"BENCH_{args.topic}.json")
     doc = {}
     if os.path.exists(out):
