@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,12 +172,20 @@ def cmd_train_transformer(args) -> int:
     return EXIT_OK
 
 
+_last_load = None  # (text, kind, model) of the last successful _load_model
+
+
 def _load_model(path, kind, from_json):
-    """The model in the JSON file at `path`, parsed once: its `kind` is
-    checked here, the rest by `from_json`."""
+    """The model in the JSON file at `path`: its `kind` is checked here, the
+    rest by `from_json`. The file is read on every call, but parsed only when
+    its text or `kind` differs from the last successful load."""
+    global _last_load
     try:
         with open(require_file(path)) as fh:
-            doc = json.loads(fh.read())
+            text = fh.read()
+        if _last_load and _last_load[:2] == (text, kind):
+            return _last_load[2]
+        doc = json.loads(text)
         found = doc.get("kind")
     except (AttributeError, ValueError):
         raise InputError(f"{path}: not a JSON model document") from None
@@ -184,7 +193,9 @@ def _load_model(path, kind, from_json):
         raise UsageError(
             f"{path} is a {found or 'unknown'} model; this explainer needs "
             f"a {kind} model")
-    return from_json(doc)
+    model = from_json(doc)
+    _last_load = (text, kind, model)
+    return model
 
 
 def _transformer_and_spec(args):
@@ -382,9 +393,11 @@ def _parent(*names, **kwargs) -> Parser:
     return p
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """One parser per mode, declaring exactly the flags its `cmd_*` function
-    reads; flag defaults are read from the config objects the flags fill."""
+    reads; flag defaults are read from the config objects the flags fill.
+    Built once per process: `parse_args` keeps no state between calls."""
     gbdt_cfg = gbdt.GbdtConfig()
     tr_cfg, tr_train = transformer.TransformerConfig(), transformer.TrainConfig()
     out = _parent("--out", required=True)
@@ -396,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = Parser(
         prog="spoofkit",
         description="Audio deepfake detection and explainability toolkit")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_number(int, 0), default=0)
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("extract", help="manifest -> 37-feature CSV")

@@ -546,7 +546,8 @@ def to_json(model: TransformerModel) -> str:
 
 
 def from_json(doc) -> TransformerModel:
-    """The model in a JSON document: its text, or the dict it parses to."""
+    """The model in a JSON document: its text, or the dict it parses to. Its
+    parameter arrays are read-only, so a model the CLI reuses stays as loaded."""
     doc = model_doc(doc, "transformer", PARAMS_FORMAT_VERSION)
     with malformed("transformer model document"):
         c = doc["config"]
@@ -566,4 +567,5 @@ def from_json(doc) -> TransformerModel:
             if params[k].shape != shape:
                 raise ValueError(f"parameter {k} has shape {list(params[k].shape)}, "
                                  f"the config needs {list(shape)}")
+            params[k].setflags(write=False)
     return TransformerModel(cfg, params)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spoofkit import bench, cli, dsp, gbdt, gbdt_explain
+from spoofkit import attn_explain, bench, cli, dsp, gbdt, gbdt_explain
 from spoofkit import transformer as tr
 from spoofkit.dsp import AudioBuffer
 from spoofkit.errors import SpoofkitError
@@ -233,6 +234,96 @@ class TestExplain:
         assert rc == 2
 
 
+class TestModelCache:
+    """`cli.main` parses a model file again only when its text or the kind of
+    model asked for differs from the last successful load."""
+
+    def test_model_rewritten_in_place_is_parsed_again(self, trained_artifacts, tmp_path):
+        other = tmp_path / "other.json"
+        assert cli.main(["--seed", "1", "train", "transformer", "--manifest",
+                         os.path.join(trained_artifacts["root"], "manifest.csv"),
+                         "--out", str(other), "--steps", "3"]) == 0
+        model, out = tmp_path / "model.json", tmp_path / "out"
+        argv = ["explain", "rollout", "--model", str(model),
+                "--wav", trained_artifacts["wav"], "--out", str(out)]
+        shutil.copyfile(trained_artifacts["transformer"], model)
+        assert cli.main(argv) == 0
+        first = (out / "rollout.json").read_bytes()
+        shutil.copyfile(other, model)
+        assert cli.main(argv) == 0
+        warm = (out / "rollout.json").read_bytes()
+        assert spoofkit_process(argv).returncode == 0
+        assert warm == (out / "rollout.json").read_bytes() != first
+
+    def test_kind_checked_after_a_load_of_the_same_file(self, trained_artifacts,
+                                                        tmp_path, capsys):
+        assert cli.main(["explain", "importance", "--model", trained_artifacts["gbdt"],
+                         "--features", trained_artifacts["features"], "--repeats", "1",
+                         "--out", str(tmp_path / "importance")]) == 0
+        capsys.readouterr()
+        rc = cli.main(["explain", "occlusion", "--model", trained_artifacts["gbdt"],
+                       "--wav", trained_artifacts["wav"], "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "needs a transformer model" in one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_file_after_a_reused_load_exit_1(self, trained_artifacts, tmp_path,
+                                                 capsys):
+        model = tmp_path / "model.json"
+        shutil.copyfile(trained_artifacts["transformer"], model)
+        argv = ["explain", "rollout", "--model", str(model),
+                "--wav", trained_artifacts["wav"], "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0 and cli.main(argv) == 0
+        capsys.readouterr()
+        model.write_text("{not json")
+        assert cli.main(argv) == 1
+        one_error_line(capsys)
+
+    @pytest.mark.parametrize("kind", ["gbdt", "transformer"])
+    def test_explained_model_stays_as_loaded(self, trained_artifacts, tmp_path, kind):
+        path = trained_artifacts[kind]
+        if kind == "gbdt":
+            calls = [["importance", "--features", trained_artifacts["features"],
+                      "--repeats", "1"]]
+        else:
+            calls = [[mode, "--wav", trained_artifacts["wav"]]
+                     for mode in ("occlusion", "rollout")]
+        for call in calls:
+            assert cli.main(["explain", call[0], "--model", path, *call[1:],
+                             "--out", str(tmp_path / call[0])]) == 0
+        text, loaded_kind, model = cli._last_load
+        with open(path) as fh:
+            assert text == fh.read()
+        assert loaded_kind == kind
+        module = gbdt if kind == "gbdt" else tr
+        assert module.to_json(model) == text
+        assert cli._load_model(path, kind, module.from_json) is model
+        if kind == "transformer":
+            assert not any(v.flags.writeable for v in model.params.values())
+            with pytest.raises(ValueError, match="read-only"):
+                model.params["cls"][0] = 1.0
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, trained_artifacts, tmp_path):
+        given = ["explain", "occlusion", "--model", trained_artifacts["transformer"],
+                 "--wav", trained_artifacts["wav"]]
+        assert cli.main(given + ["--out", str(tmp_path / "boxed"),
+                                 "--box", "16", "4", "--stride", "8", "2"]) == 0
+        argv = given + ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        doc = json.loads((tmp_path / "out" / "occlusion.json").read_text())
+        cold = cli.build_parser.__wrapped__().parse_args(argv)
+        cfg = attn_explain.default_occlusion_config(cli._transformer_and_spec(cold)[1].shape)
+        assert (doc["box"], doc["stride"], doc["fill"]) == (
+            list(cfg.box), list(cfg.stride), cfg.fill)
+        assert doc["meta"]["config_hash"] == cli.config_hash(cold)
+        assert vars(parsed(argv)) == vars(cold)
+
+
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_bench")
@@ -346,11 +437,12 @@ class TestHostileInput:
         if line:
             assert f"{path}:{line}:" in msg
 
-    @pytest.mark.parametrize("text", ["{not json", '{"kind": "gbdt", "format_version": 1}'],
-                             ids=["not_json", "no_trees"])
-    def test_bad_model_file_exit_1(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("data", [b"{not json", b'{"kind": "gbdt", "format_version": 1}',
+                                      b"\xff\xfe"],
+                             ids=["not_json", "no_trees", "not_utf8"])
+    def test_bad_model_file_exit_1(self, tmp_path, capsys, data):
         model = tmp_path / "model.json"
-        model.write_text(text)
+        model.write_bytes(data)
         features = make_features_csv(tmp_path / "f.csv", n_per_class=2)
         rc = cli.main(["explain", "importance", "--model", str(model),
                        "--features", features, "--out", str(tmp_path / "out")])
@@ -529,6 +621,10 @@ RANGED_FLAGS = [
       "--out", "out"], "--top-k"),
     (["train", "transformer", "--manifest", "m.csv", "--out", "t.json"], "--learning-rate"),
     (["train", "transformer", "--manifest", "m.csv", "--out", "t.json"], "--weight-decay"),
+    (["train", "transformer", "--manifest", "m.csv", "--out", "t.json"], "--seed"),
+    (["explain", "importance", "--model", "g.json", "--features", "f.csv",
+      "--out", "out"], "--seed"),
+    (["bench", "augment", "--synth", "corpus", "--out", "out"], "--seed"),
 ]
 # values outside each flag's range: extract's --duration takes 0 (keep the
 # clip), --top-k is an integer >= 1, a learning rate or weight decay may be 0
@@ -536,7 +632,8 @@ BAD_VALUES = {"--duration": ["nan", "inf", "-1", "0"],
               "--cluster-threshold": ["nan", "inf", "-1", "0"],
               "--top-k": ["-3", "0"],
               "--learning-rate": ["nan", "inf", "-0.01"],
-              "--weight-decay": ["nan", "inf", "-5"]}
+              "--weight-decay": ["nan", "inf", "-5"],
+              "--seed": ["-1"]}
 
 
 def bad_ranged_values():
@@ -547,13 +644,18 @@ def bad_ranged_values():
                 yield pytest.param(argv, flag, value, id=f"{mode}{flag}={value}")
 
 
+def spoofkit_process(argv, cwd=None):
+    """`spoofkit argv` run in a fresh interpreter on this checkout's package."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "spoofkit.cli", *argv],
+                          cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def usage_error_line(tmp_path, argv):
     """The one `error:` line of a `spoofkit` process run in `tmp_path` that
     exits 2 with no output and leaves `tmp_path` empty."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "spoofkit.cli", *argv],
-                          cwd=tmp_path, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = spoofkit_process(argv, cwd=tmp_path)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -565,7 +667,9 @@ def usage_error_line(tmp_path, argv):
 class TestRangedFlags:
     @pytest.mark.parametrize("argv,flag,value", list(bad_ranged_values()))
     def test_out_of_range_exit_2_before_any_output(self, tmp_path, argv, flag, value):
-        line = usage_error_line(tmp_path, [*argv, f"{flag}={value}"])
+        # --seed belongs to the top-level parser, so it comes before the command
+        given = [f"{flag}={value}"]
+        line = usage_error_line(tmp_path, given + argv if flag == "--seed" else argv + given)
         assert flag in line and repr(value) in line
 
     @pytest.mark.parametrize("argv,needle", [

@@ -4,7 +4,8 @@ inputs:
   gbdt     tree fit, predict and permutation importance on feature tables
   explain  model load, the occlusion scan, argparse's parse of the
            `explain rollout` command line, and one `explain occlusion` and
-           one `explain rollout` call, with a transformer trained here
+           one `explain rollout` call, with a transformer trained here;
+           every call after the first loads the same unchanged model file
   dsp      MFCC, chroma, spectral scalars, log-Mel and the 37-dim feature
            vector of 1.6, 2.6 and 3.6 s clips
   augment  the codec and rerecord simulators on the same clips
