@@ -161,13 +161,13 @@ class Timeline:
         }, indent=2)
 
 
-def cls_timeline(rmap: RolloutMap, percentile: float = SEGMENT_PERCENTILE) -> Timeline:
-    """Merge adjacent tokens whose CLS importance exceeds the percentile
-    threshold into highlighted time segments."""
+def cls_timeline(rmap: RolloutMap) -> Timeline:
+    """Merge adjacent tokens whose CLS importance exceeds its
+    SEGMENT_PERCENTILE-th percentile into highlighted time segments."""
     if not rmap.token_time_spans:
         raise InputError("rollout map carries no token time spans")
     imp = rmap.cls_importance
-    thr = float(np.percentile(imp, percentile))
+    thr = float(np.percentile(imp, SEGMENT_PERCENTILE))
     hot = imp > thr
     if not hot.any():
         return Timeline([], thr, no_salient_region=True)

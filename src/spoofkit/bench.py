@@ -167,14 +167,15 @@ def equal_error_rate(labels, scores) -> float | None:
     return float((fpr[i] + fnr[i]) / 2.0)
 
 
-def evaluate(labels, probs, threshold: float = 0.5, model_id: str = "",
-             dataset_id: str = "", augmentation_id: str = "") -> EvalReport:
-    """Confusion counts and derived metrics; spoof (label 1) is positive."""
+def evaluate(labels, probs, model_id: str = "", dataset_id: str = "",
+             augmentation_id: str = "") -> EvalReport:
+    """Confusion counts at probability 0.5 and derived metrics; spoof
+    (label 1) is positive."""
     y = np.asarray(labels)
     p = np.asarray(probs, dtype=np.float64)
     if y.size != p.size or y.size == 0:
         raise InputError("labels and probabilities must be equal-length, nonempty")
-    pred = (p >= threshold).astype(int)
+    pred = (p >= 0.5).astype(int)
     tp = int(((pred == 1) & (y == 1)).sum())
     fp = int(((pred == 1) & (y == 0)).sum())
     fn = int(((pred == 0) & (y == 1)).sum())
@@ -272,9 +273,11 @@ AUGMENTATIONS = {
 # Synthetic corpora
 
 def synth_clip(rng, duration_s: float, gain: float, noise_level: float,
-               tones, bursts, sample_rate: int = dsp.SAMPLE_RATE) -> AudioBuffer:
-    """Noise floor + sustained tones + time-localized tone bursts, all scaled
-    by `gain`. Amplitudes in `tones`/`bursts` are relative to the gain."""
+               tones, bursts) -> AudioBuffer:
+    """Noise floor + sustained tones + time-localized tone bursts at
+    SAMPLE_RATE, all scaled by `gain`. Amplitudes in `tones`/`bursts` are
+    relative to the gain."""
+    sample_rate = dsp.SAMPLE_RATE
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
     x = noise_level * rng.standard_normal(n)

@@ -109,13 +109,18 @@ def read_features_csv(path):
 # Subcommands
 
 def cmd_extract(args) -> int:
+    if args.duration:
+        _require_duration(args, "gbdt", bench.gbdt_detector(bench.STUDY_GBDT).min_samples)
     manifest = bench.load_manifest(require_file(args.manifest))
     rows, labels = [], []
     for entry in manifest.entries:
-        audio = dsp.load_audio(entry.path)
+        audio = dsp.load_audio(entry.path)  # its errors name the file
         if args.duration:
             audio = bench.fit_clip_length(audio, args.duration)
-        rows.append(dsp.extract_features(audio, trim=args.trim).values)
+        try:
+            rows.append(dsp.extract_features(audio, trim=args.trim).values)
+        except InputError as exc:
+            raise InputError(f"{entry.path}: {exc}") from None
         labels.append(entry.label)
     write_features_csv(args.out_csv, rows, labels, args)
     print(f"wrote {len(rows)} feature rows to {args.out_csv}")

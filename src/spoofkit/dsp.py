@@ -33,6 +33,7 @@ MEL_SPEC_BANDS = 128
 MEL_SPEC_HOP_MS = 100.0
 MEL_SPEC_WIN_MS = 25.0
 LOG_FLOOR = 1e-10
+TRIM_DB = -60.0  # trim_silence drops samples this far below the peak
 STFT_BLOCK = 32768  # samples (frames x n_fft) per FFT call; bounds the STFT's temporaries
 
 FEATURE_NAMES = (
@@ -56,10 +57,6 @@ class AudioBuffer:
             raise InputError("audio contains non-finite samples")
         if self.sample_rate <= 0:
             raise InputError("sample_rate must be positive")
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
 
 
 @dataclass
@@ -112,19 +109,19 @@ def write_wav(path, audio: AudioBuffer) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def resample(audio: AudioBuffer, sample_rate: int = SAMPLE_RATE) -> AudioBuffer:
-    """Linear-interpolation resampling to the target rate."""
-    if audio.sample_rate == sample_rate:
+def resample(audio: AudioBuffer) -> AudioBuffer:
+    """Linear-interpolation resampling to SAMPLE_RATE."""
+    if audio.sample_rate == SAMPLE_RATE:
         return audio
-    n_out = max(1, int(round(audio.samples.size * sample_rate / audio.sample_rate)))
-    t_out = np.arange(n_out) * (audio.sample_rate / sample_rate)
+    n_out = max(1, int(round(audio.samples.size * SAMPLE_RATE / audio.sample_rate)))
+    t_out = np.arange(n_out) * (audio.sample_rate / SAMPLE_RATE)
     out = np.interp(t_out, np.arange(audio.samples.size), audio.samples)
-    return AudioBuffer(out, sample_rate)
+    return AudioBuffer(out, SAMPLE_RATE)
 
 
-def load_audio(path, sample_rate: int = SAMPLE_RATE) -> AudioBuffer:
+def load_audio(path) -> AudioBuffer:
     """Read a WAV and normalize to mono at the toolkit rate."""
-    return resample(read_wav(path), sample_rate)
+    return resample(read_wav(path))
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +173,15 @@ def frame(audio: AudioBuffer, frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS
     return frames_at(audio.samples, starts[starts < n], frame_len)
 
 
-def hann(n: int) -> np.ndarray:
-    return np.hanning(n)
-
-
-def power_spectrum(frame_samples: np.ndarray, n_fft: int = N_FFT, window: str = "hann") -> np.ndarray:
-    """|DFT|^2 of each windowed frame, zero-padded to n_fft, over the last
-    axis of a (..., L) array; one-sided (n_fft//2+1 bins)."""
+def power_spectrum(frame_samples: np.ndarray, n_fft: int = N_FFT) -> np.ndarray:
+    """|DFT|^2 of each frame, zero-padded to n_fft, over the last axis of a
+    (..., L) array; one-sided (n_fft//2+1 bins). The caller windows the
+    frames."""
     x = np.asarray(frame_samples, dtype=np.float64)
     if x.size == 0:
         raise InputError("empty frame")
     if x.shape[-1] > n_fft:
         raise InputError(f"frame length {x.shape[-1]} exceeds n_fft {n_fft}")
-    if window == "hann":
-        x = x * hann(x.shape[-1])
-    elif window != "rect":
-        raise InputError(f"unknown window {window!r}")
     spec = np.fft.rfft(x, n=n_fft)
     return np.abs(spec) ** 2
 
@@ -213,12 +203,12 @@ def _frame_power(audio: AudioBuffer, frame_ms=FRAME_MS, hop_ms=HOP_MS, n_fft=N_F
         audio = AudioBuffer(x, audio.sample_rate)
     frames = frame(audio, frame_ms, hop_ms)
     n_fft = max(n_fft, 1 << (frames.shape[1] - 1).bit_length())
-    win = hann(frames.shape[1])
+    win = np.hanning(frames.shape[1])
     power = np.empty((len(frames), n_fft // 2 + 1))
     step = max(1, STFT_BLOCK // n_fft)
     for i in range(0, len(frames), step):
         block = frames[i: i + step] * win
-        power[i: i + step] = power_spectrum(block, n_fft, window="rect")
+        power[i: i + step] = power_spectrum(block, n_fft)
     return frames, power, n_fft
 
 
@@ -235,9 +225,8 @@ def mel_to_hz(m):
 
 @lru_cache(maxsize=None)
 def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int):
-    """Triangular HTK-style Mel filters from 0 Hz to Nyquist; returns
-    (n_mels, n_fft//2+1) and centers, both read-only and shared between calls
-    with equal arguments."""
+    """Triangular HTK-style Mel filters from 0 Hz to Nyquist: a read-only
+    (n_mels, n_fft//2+1) array, shared between calls with equal arguments."""
     mel_pts = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
@@ -247,10 +236,8 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int):
         up = (freqs - lo) / max(ctr - lo, 1e-12)
         down = (hi - freqs) / max(hi - ctr, 1e-12)
         fb[m] = np.clip(np.minimum(up, down), 0.0, None)
-    centers = hz_pts[1:-1]
     fb.setflags(write=False)
-    centers.setflags(write=False)
-    return fb, centers
+    return fb
 
 
 @lru_cache(maxsize=None)
@@ -265,33 +252,26 @@ def _dct_matrix(n: int, n_keep: int) -> np.ndarray:
     return basis
 
 
-def mfcc(audio: AudioBuffer, n_mfcc: int = N_MFCC, n_mels: int = N_MELS,
-         frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS, n_fft: int = N_FFT,
-         pre_emphasis: float = PRE_EMPHASIS) -> np.ndarray:
+def mfcc(audio: AudioBuffer) -> np.ndarray:
     """Per-frame MFCCs: pre-emphasis -> frame -> Hann -> FFT power -> Mel ->
-    log -> orthonormal DCT-II. Returns (n_frames, n_mfcc)."""
-    if not 1 <= n_mfcc <= n_mels:
-        raise InputError("n_mfcc must be in [1, n_mels]")
-    if audio.samples.size < frame_length(frame_ms, audio.sample_rate):
+    log -> orthonormal DCT-II. Returns (n_frames, N_MFCC)."""
+    if audio.samples.size < frame_length(FRAME_MS, audio.sample_rate):
         raise InputError("audio shorter than one frame")
-    _, power, n_fft = _frame_power(audio, frame_ms, hop_ms, n_fft, pre_emphasis)
-    fb, _ = mel_filterbank(n_mels, n_fft, audio.sample_rate)
-    mel_energy = power @ fb.T
+    _, power, n_fft = _frame_power(audio, FRAME_MS, HOP_MS, N_FFT, PRE_EMPHASIS)
+    mel_energy = power @ mel_filterbank(N_MELS, n_fft, audio.sample_rate).T
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
-    return log_mel @ _dct_matrix(n_mels, n_mfcc)
+    return log_mel @ _dct_matrix(N_MELS, N_MFCC)
 
 
 # ---------------------------------------------------------------------------
 # Spectral scalars and chroma
 
-def spectral_scalars(audio: AudioBuffer, frame_ms: float = FRAME_MS,
-                     hop_ms: float = HOP_MS, n_fft: int = N_FFT,
-                     rolloff_pct: float = ROLLOFF_PCT) -> np.ndarray:
+def spectral_scalars(audio: AudioBuffer) -> np.ndarray:
     """Per-frame (centroid, bandwidth, rolloff, zcr, rms); shape (n_frames, 5).
 
     Silent frames get centroid = bandwidth = rolloff = 0 so averages stay finite.
     """
-    frames, power, n_fft = _frame_power(audio, frame_ms, hop_ms, n_fft)
+    frames, power, n_fft = _frame_power(audio, FRAME_MS, HOP_MS, N_FFT)
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / audio.sample_rate)
     mag = np.sqrt(power)
     mag_sum = mag.sum(axis=1)
@@ -307,7 +287,7 @@ def spectral_scalars(audio: AudioBuffer, frame_ms: float = FRAME_MS,
         dev = (freqs[None, :] - centroid[live, None]) ** 2
         bandwidth[live] = np.sqrt((dev * mag[live]).sum(axis=1) / mag_sum[live])
         cum = np.cumsum(power[live], axis=1)
-        target = rolloff_pct * cum[:, -1:]
+        target = ROLLOFF_PCT * cum[:, -1:]
         idx = np.argmax(cum >= target, axis=1)
         rolloff[live] = freqs[idx]
 
@@ -331,9 +311,7 @@ def _chroma_fold(n_fft: int, sample_rate: int, fmin: float) -> np.ndarray:
     return fold
 
 
-def chroma(audio: AudioBuffer, frame_ms: float = CHROMA_WIN_MS,
-           hop_ms: float = HOP_MS, n_fft: int = CHROMA_N_FFT,
-           fmin: float = CHROMA_FMIN_HZ) -> np.ndarray:
+def chroma(audio: AudioBuffer) -> np.ndarray:
     """Per-frame 12-bin pitch-class profile (A440 reference, A -> class 9).
 
     Bin energies above the low-frequency cutoff are folded onto pitch
@@ -344,8 +322,8 @@ def chroma(audio: AudioBuffer, frame_ms: float = CHROMA_WIN_MS,
     """
     if audio.sample_rate < 8000:
         raise InputError("chroma requires sample_rate >= 8000")
-    _, power, n_fft = _frame_power(audio, frame_ms, hop_ms, n_fft)
-    out = power @ _chroma_fold(n_fft, audio.sample_rate, fmin)
+    _, power, n_fft = _frame_power(audio, CHROMA_WIN_MS, HOP_MS, CHROMA_N_FFT)
+    out = power @ _chroma_fold(n_fft, audio.sample_rate, CHROMA_FMIN_HZ)
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     nz = norms[:, 0] > 0
     out[nz] /= norms[nz]
@@ -355,14 +333,14 @@ def chroma(audio: AudioBuffer, frame_ms: float = CHROMA_WIN_MS,
 # ---------------------------------------------------------------------------
 # Aggregate features and Mel spectrogram
 
-def trim_silence(audio: AudioBuffer, threshold_db: float = -60.0) -> AudioBuffer:
-    """Strip leading/trailing samples below threshold_db relative to peak.
+def trim_silence(audio: AudioBuffer) -> AudioBuffer:
+    """Strip leading/trailing samples below TRIM_DB relative to peak.
     All-silent input is returned unchanged."""
     x = audio.samples
     peak = np.abs(x).max()
     if peak == 0:
         return audio
-    live = np.where(np.abs(x) > peak * 10.0 ** (threshold_db / 20.0))[0]
+    live = np.where(np.abs(x) > peak * 10.0 ** (TRIM_DB / 20.0))[0]
     if live.size == 0:
         return audio
     return AudioBuffer(x[live[0]: live[-1] + 1], audio.sample_rate)
@@ -378,12 +356,10 @@ def extract_features(audio: AudioBuffer, trim: bool = False) -> FeatureVector:
     return FeatureVector(np.concatenate([m, c, s]))
 
 
-def mel_spectrogram(audio: AudioBuffer, n_bands: int = MEL_SPEC_BANDS,
-                    win_ms: float = MEL_SPEC_WIN_MS, n_fft: int = N_FFT) -> np.ndarray:
-    """Log-Mel time-frequency matrix, a column-major float64 (n_bands, T)
-    array at the MEL_SPEC_HOP_MS hop: a t-second clip yields T = ceil(10 t)
-    columns."""
-    _, power, n_fft = _frame_power(audio, win_ms, MEL_SPEC_HOP_MS, n_fft)
-    fb, _ = mel_filterbank(n_bands, n_fft, audio.sample_rate)
-    mel_energy = power @ fb.T
+def mel_spectrogram(audio: AudioBuffer) -> np.ndarray:
+    """Log-Mel time-frequency matrix, a column-major float64
+    (MEL_SPEC_BANDS, T) array at the MEL_SPEC_HOP_MS hop: a t-second clip
+    yields T = ceil(10 t) columns."""
+    _, power, n_fft = _frame_power(audio, MEL_SPEC_WIN_MS, MEL_SPEC_HOP_MS, N_FFT)
+    mel_energy = power @ mel_filterbank(MEL_SPEC_BANDS, n_fft, audio.sample_rate).T
     return np.log(np.maximum(mel_energy, LOG_FLOOR)).T

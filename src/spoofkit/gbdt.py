@@ -161,12 +161,6 @@ def pseudo_residuals(labels, probs) -> np.ndarray:
     return np.asarray(labels, dtype=np.float64) - np.asarray(probs, dtype=np.float64)
 
 
-def logistic_loss(labels, probs) -> float:
-    y = np.asarray(labels, dtype=np.float64)
-    p = np.clip(np.asarray(probs, dtype=np.float64), 1e-15, 1 - 1e-15)
-    return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
-
-
 def _newton_leaf(residuals, probs) -> float:
     denom = float((probs * (1.0 - probs)).sum())
     if denom <= 0:
@@ -314,8 +308,9 @@ def predict_proba(model: GbdtModel, X) -> np.ndarray:
     return sigmoid(decision_scores(model, X))
 
 
-def predict(model: GbdtModel, X, threshold: float = 0.5) -> np.ndarray:
-    return (predict_proba(model, X) >= threshold).astype(int)
+def predict(model: GbdtModel, X) -> np.ndarray:
+    """Class labels: spoof (1) where the probability is at least 0.5."""
+    return (predict_proba(model, X) >= 0.5).astype(int)
 
 
 # ---------------------------------------------------------------------------

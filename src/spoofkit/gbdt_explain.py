@@ -1,6 +1,6 @@
 """Interpretability for the boosted-tree classifier: permutation feature
-importance, Spearman correlation, Ward clustering of features, cluster
-representatives, and retrain-on-subset experiments.
+importance, Spearman correlation, Ward clustering of features and cluster
+representatives.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bench, gbdt
+from . import gbdt
 from .errors import InputError, MetricError
 
 DEFAULT_REPEATS = 10
@@ -225,25 +225,3 @@ def select_representatives(clustering: FeatureClustering,
         reps.append(members[int(np.argmax(scores))])
     clustering.representatives = reps
     return reps
-
-
-def retrain_subset(X_train, y_train, X_eval, y_eval, subset, config: gbdt.GbdtConfig,
-                   feature_names=None):
-    """Retrain on a feature subset and evaluate on the held-out split.
-
-    Returns (model, eval dict with accuracy/precision/recall).
-    """
-    subset = list(subset)
-    if not subset:
-        raise InputError("feature subset must be nonempty")
-    X_train = np.asarray(X_train, dtype=np.float64)[:, subset]
-    X_eval = np.asarray(X_eval, dtype=np.float64)[:, subset]
-    if feature_names is None:
-        feature_names = [f"f{j}" for j in subset]
-    else:
-        feature_names = [feature_names[j] for j in subset]
-    model = gbdt.train(X_train, y_train, config, feature_names)
-    scores = bench.evaluate(y_eval, gbdt.predict_proba(model, X_eval))
-    spoof = scores.per_class["spoof"]
-    return model, {"accuracy": scores.accuracy, "precision": spoof["precision"],
-                   "recall": spoof["recall"], "subset": subset}

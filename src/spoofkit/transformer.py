@@ -145,13 +145,13 @@ class TransformerModel:
 
 def extract_patches(values: np.ndarray, geometry: PatchGeometry):
     """Row-major sliding-window patches of an (..., H, W) array, flattened to
-    (..., N, patch_h*patch_w)."""
+    (..., N, patch_h*patch_w); `geometry.grid` gives the N = rows * cols."""
     rows, cols = geometry.grid(*values.shape[-2:])
     windows = sliding_window_view(values, (geometry.patch_h, geometry.patch_w),
                                   axis=(-2, -1))
     windows = windows[..., ::geometry.stride_h, ::geometry.stride_w, :, :]
     patches = np.array(windows, dtype=np.float64, order="C")
-    return patches.reshape(*values.shape[:-2], rows * cols, -1), rows, cols
+    return patches.reshape(*values.shape[:-2], rows * cols, -1)
 
 
 def token_time_spans(geometry: PatchGeometry, n_rows: int, n_cols: int,
@@ -213,7 +213,7 @@ def embed_dataset(specs, model: TransformerModel):
     values = _values(specs)
     if cfg.normalize_input:
         values = normalize_spec(values)
-    patches = extract_patches(values, cfg.geometry)[0]
+    patches = extract_patches(values, cfg.geometry)
     if patches.shape[-2] != cfg.n_patches:
         raise InputError(
             f"spectrogram yields {patches.shape[-2]} patches; model expects "

@@ -86,6 +86,32 @@ class TestExtract:
         assert X.shape == (4, dsp.N_FEATURES)
         assert sorted(y.tolist()) == [0, 0, 1, 1]
 
+    def test_duration_below_one_frame_exit_2_before_any_audio(self, tmp_path, capsys):
+        manifest = make_manifest(tmp_path, n_per_class=1)
+        out = tmp_path / "f.csv"
+        argv = ["extract", "--manifest", manifest, "--out-csv", str(out), "--duration"]
+        assert cli.main(argv + ["0.01"]) == 2
+        assert one_error_line(capsys) == ("error: --duration: the gbdt detector needs "
+                                          "clips of at least 0.02 s, got 0.01 s")
+        assert not out.exists()
+        assert cli.main(argv + ["0.02"]) == 0  # one whole 20 ms frame
+
+    @pytest.mark.parametrize("samples,flags", [
+        (np.ones(100), []),
+        (np.r_[np.zeros(600), np.ones(100), np.zeros(600)], ["--trim"]),
+    ], ids=["short", "short_after_trim"])
+    def test_clip_shorter_than_one_frame_named_exit_1(self, tmp_path, capsys, samples,
+                                                      flags):
+        wav = tmp_path / "clip.wav"
+        dsp.write_wav(wav, AudioBuffer(0.1 * samples, dsp.SAMPLE_RATE))
+        manifest = str(tmp_path / "m.csv")
+        bench.write_manifest(manifest, [bench.ManifestEntry(str(wav), 0, "-", "train")])
+        out = tmp_path / "f.csv"
+        assert cli.main(["extract", "--manifest", manifest, "--out-csv", str(out),
+                         *flags]) == 1
+        assert one_error_line(capsys) == f"error: {wav}: audio shorter than one frame"
+        assert not out.exists()
+
 
 class TestTrain:
     def test_gbdt_separable_fixture(self, tmp_path, capsys):
@@ -419,7 +445,8 @@ class TestHostileInput:
         rc = cli.main(["extract", "--manifest", manifest,
                        "--out-csv", str(tmp_path / "f.csv")])
         assert rc == 1
-        assert "clip.wav" in one_error_line(capsys)
+        assert one_error_line(capsys).count(str(wav)) == 1  # read_wav names it
+        assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("body,line", [
         (f"# meta\n{FEATURE_HEADER}\n{FEATURE_ROW},maybe\n", 3),

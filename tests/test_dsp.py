@@ -143,7 +143,8 @@ class TestStreamingStft:
         x = np.random.default_rng(n_frames).standard_normal(starts[-1] + 1)
         frames, power, size = dsp._frame_power(AudioBuffer(x, sr), n_fft=n_fft)
         frame_len = int(round(dsp.FRAME_MS * sr / 1000))
-        one_shot = dsp.power_spectrum(dsp.frames_at(x, starts, frame_len), n_fft)
+        one_shot = dsp.power_spectrum(
+            dsp.frames_at(x, starts, frame_len) * np.hanning(frame_len), n_fft)
         assert len(frames) == n_frames
         assert np.array_equal(power, one_shot)
         assert size == n_fft
@@ -195,7 +196,7 @@ class TestPowerSpectrum:
     def test_bin_centered_sinusoid_rect_window(self):
         # 1000 Hz = bin 32 exactly for n_fft 512 at 16 kHz
         x = np.sin(2 * np.pi * 1000 * np.arange(512) / SR)
-        ps = dsp.power_spectrum(x, 512, window="rect")
+        ps = dsp.power_spectrum(x, 512)
         assert ps.argmax() == 32
         # closed form: |DFT| of a full-cycle sinusoid is N/2 at its bin
         assert ps[32] == pytest.approx((512 / 2) ** 2, rel=1e-9)
@@ -206,16 +207,17 @@ class TestPowerSpectrum:
     def test_matches_naive_dft(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n)
-        ps = dsp.power_spectrum(x, 512)
-        oracle = naive_dft_power(x * dsp.hann(n), 512)
+        w = x * np.hanning(n)
+        ps = dsp.power_spectrum(w, 512)
+        oracle = naive_dft_power(w, 512)
         denom = np.maximum(np.abs(oracle), oracle.max() * 1e-30 + 1e-300)
         assert np.max(np.abs(ps - oracle) / denom) < 1e-9
 
     def test_parseval(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(320)
-        w = x * dsp.hann(320)
-        ps = dsp.power_spectrum(x, 512)
+        w = x * np.hanning(320)
+        ps = dsp.power_spectrum(w, 512)
         # rebuild the full two-sided spectrum energy from the one-sided bins
         full = ps.sum() * 2 - ps[0] - ps[-1]
         energy = 512 * np.sum(w ** 2)
@@ -241,21 +243,19 @@ class TestMfcc:
         x = audio.samples
         pre = np.append(x[0], x[1:] - dsp.PRE_EMPHASIS * x[:-1])
         frames = dsp.frame(AudioBuffer(pre, SR), 20, 10)
-        fb, _ = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
+        fb = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
         from scipy.fft import dct
         rows = []
         for fr in frames:
-            ps = dsp.power_spectrum(fr)
+            ps = dsp.power_spectrum(fr * np.hanning(fr.size))
             logmel = np.log(np.maximum(ps @ fb.T, dsp.LOG_FLOOR))
             rows.append(dct(logmel, type=2, norm="ortho")[: dsp.N_MFCC])
         assert np.allclose(got, np.array(rows), atol=1e-6)
 
     def test_filterbank_read_only(self):
-        fb, centers = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
+        fb = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
         with pytest.raises(ValueError):
             fb[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            centers[0] = 1.0
 
     def test_dc_input_pre_emphasis(self):
         audio = AudioBuffer(np.full(SR // 4, 0.5), SR)
@@ -266,11 +266,11 @@ class TestMfcc:
         assert np.allclose(pre[1:], 0.015)
         got = dsp.mfcc(audio)
         frames = dsp.frame(AudioBuffer(pre, SR), 20, 10)
-        fb, _ = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
+        fb = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
         from scipy.fft import dct
-        oracle = dct(np.log(np.maximum(
-            np.stack([dsp.power_spectrum(fr) for fr in frames]) @ fb.T,
-            dsp.LOG_FLOOR)), type=2, norm="ortho", axis=1)[:, : dsp.N_MFCC]
+        power = np.stack([dsp.power_spectrum(fr * np.hanning(fr.size)) for fr in frames])
+        oracle = dct(np.log(np.maximum(power @ fb.T, dsp.LOG_FLOOR)),
+                     type=2, norm="ortho", axis=1)[:, : dsp.N_MFCC]
         assert np.allclose(got, oracle, atol=1e-8)
 
     def test_scaling_shifts_only_first_coefficient(self):
@@ -286,12 +286,6 @@ class TestMfcc:
     def test_too_short_audio(self):
         with pytest.raises(InputError):
             dsp.mfcc(AudioBuffer(np.ones(100), SR))
-
-    def test_n_mfcc_bounds(self):
-        with pytest.raises(InputError):
-            dsp.mfcc(tone(440), n_mfcc=0)
-        with pytest.raises(InputError):
-            dsp.mfcc(tone(440), n_mfcc=dsp.N_MELS + 1)
 
 
 class TestSpectralScalars:
@@ -330,13 +324,23 @@ class TestSpectralScalars:
         assert np.all((sc[:, 3] >= 0) & (sc[:, 3] <= 1))
         assert np.all(sc[:, 4] >= 0)
 
-    def test_rolloff_monotone_in_percentage(self):
+    def test_rolloff_matches_per_frame_loop(self):
+        # the first bin whose cumulative power reaches ROLLOFF_PCT (85%) of
+        # the frame's total, one frame and one bin at a time
         rng = np.random.default_rng(5)
         audio = AudioBuffer(rng.standard_normal(4000), SR)
-        r50 = dsp.spectral_scalars(audio, rolloff_pct=0.50)[:, 2]
-        r85 = dsp.spectral_scalars(audio, rolloff_pct=0.85)[:, 2]
-        r99 = dsp.spectral_scalars(audio, rolloff_pct=0.99)[:, 2]
-        assert np.all(r50 <= r85) and np.all(r85 <= r99)
+        got = dsp.spectral_scalars(audio)[:, 2]
+        frames = dsp.frame(audio, dsp.FRAME_MS, dsp.HOP_MS)
+        assert len(got) == len(frames)
+        for fr, rolloff in zip(frames, got):
+            power = np.abs(np.fft.rfft(fr * np.hanning(fr.size), dsp.N_FFT)) ** 2
+            target = dsp.ROLLOFF_PCT * sum(power)
+            acc = 0.0
+            for k, p in enumerate(power):
+                acc += p
+                if acc >= target:
+                    break
+            assert rolloff == k * SR / dsp.N_FFT
 
 
 class TestChroma:
@@ -367,7 +371,7 @@ class TestChroma:
             fr = np.zeros(frame_len)
             chunk = x[start: start + frame_len]
             fr[: chunk.size] = chunk
-            ps = dsp.power_spectrum(fr, dsp.CHROMA_N_FFT)
+            ps = dsp.power_spectrum(fr * np.hanning(frame_len), dsp.CHROMA_N_FFT)
             row = np.zeros(12)
             for f, p in zip(freqs, ps):
                 if f >= dsp.CHROMA_FMIN_HZ:
@@ -396,10 +400,14 @@ class TestExtractFeatures:
         assert np.array_equal(fv, oracle)
 
     def test_mean_of_identical_frames(self):
-        # non-overlapping grid on a 320-periodic signal: all frames identical
-        pattern = np.sin(2 * np.pi * np.arange(320) * 3 / 320)
-        audio = AudioBuffer(np.tile(pattern, 10), SR)
-        m = dsp.mfcc(audio, frame_ms=20, hop_ms=20)
+        # a 160-periodic signal on the 160-sample (10 ms) hop: every whole
+        # 20 ms frame holds the same samples. Pre-emphasis changes frame 0's
+        # first sample only, which the Hann window zeroes.
+        pattern = np.sin(2 * np.pi * np.arange(160) * 3 / 160)
+        audio = AudioBuffer(np.tile(pattern, 20), SR)
+        m = dsp.mfcc(audio)
+        assert len(m) == 20
+        m = m[:-1]  # the last frame runs into zero padding
         assert np.allclose(m, m[0], atol=1e-9)
         assert np.allclose(m.mean(axis=0), m[0], atol=1e-9)
 
@@ -500,7 +508,7 @@ class TestAudioIO:
 
     def test_resample_preserves_duration(self):
         audio = tone(440, 0.5, sr=8000)
-        out = dsp.resample(audio, SR)
+        out = dsp.resample(audio)
         assert out.sample_rate == SR
         assert out.samples.size == SR // 2
 
@@ -517,7 +525,8 @@ class TestTrimSilence:
 
     def test_threshold_relative_to_peak(self):
         x = np.r_[np.full(100, 1e-4), np.ones(100)]
-        out = dsp.trim_silence(AudioBuffer(x, SR), threshold_db=-60.0)
+        # 1e-4 is 80 dB below the peak, under TRIM_DB (-60 dB)
+        out = dsp.trim_silence(AudioBuffer(x, SR))
         assert out.samples.size == 100
 
     def test_extract_features_trim_changes_padded_clip(self):

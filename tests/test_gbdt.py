@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import logistic_loss
 from spoofkit import gbdt
 from spoofkit.errors import DegenerateLabels, InputError
 
@@ -296,10 +297,10 @@ class TestTrain:
         X, y = blobs(60, seed=9)
         model = gbdt.train(X, y, gbdt.GbdtConfig(100, 3, 0.1))
         scores = np.full(y.size, model.f0)
-        prev = gbdt.logistic_loss(y, gbdt.sigmoid(scores))
+        prev = logistic_loss(y, gbdt.sigmoid(scores))
         for tree in model.trees:
             scores = scores + model.learning_rate * tree_values(tree, X)
-            cur = gbdt.logistic_loss(y, gbdt.sigmoid(scores))
+            cur = logistic_loss(y, gbdt.sigmoid(scores))
             assert cur <= prev + 1e-12
             prev = cur
 

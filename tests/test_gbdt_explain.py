@@ -348,40 +348,17 @@ class TestRepresentatives:
             gbdt_explain.select_representatives(clus, rep)
 
 
-class TestRetrainSubset:
-    def test_full_subset_matches_direct_training(self):
-        X, y = planted_dataset(300, 4, seed=10)
-        cfg = gbdt.GbdtConfig(20, 2, 0.2)
-        direct = gbdt.train(X[:200], y[:200], cfg)
-        model, report = gbdt_explain.retrain_subset(
-            X[:200], y[:200], X[200:], y[200:], [0, 1, 2, 3], cfg)
-        assert gbdt.to_json(model) == gbdt.to_json(direct)
-        assert report["accuracy"] == pytest.approx(
-            (gbdt.predict(direct, X[200:]) == y[200:]).mean())
+
+class TestTrainOnColumnSubset:
+    """A model trained on a column slice, as after selecting cluster
+    representatives, keeps the planted signal and gains none from noise."""
 
     def test_planted_column_alone_suffices(self):
         X, y = planted_dataset(600, 5, seed=11)
-        cfg = gbdt.GbdtConfig(30, 2, 0.2)
-        _, report = gbdt_explain.retrain_subset(
-            X[:400], y[:400], X[400:], y[400:], [0], cfg)
-        assert report["accuracy"] >= 0.95
+        model = gbdt.train(X[:400, [0]], y[:400], gbdt.GbdtConfig(30, 2, 0.2))
+        assert (gbdt.predict(model, X[400:, [0]]) == y[400:]).mean() >= 0.95
 
     def test_noise_only_subset_near_chance(self):
         X, y = planted_dataset(600, 5, seed=12)
-        cfg = gbdt.GbdtConfig(30, 2, 0.2)
-        _, report = gbdt_explain.retrain_subset(
-            X[:400], y[:400], X[400:], y[400:], [1, 2], cfg)
-        assert report["accuracy"] <= 0.65
-
-    def test_empty_subset_rejected(self):
-        X, y = planted_dataset(50, 3)
-        with pytest.raises(InputError):
-            gbdt_explain.retrain_subset(X, y, X, y, [], gbdt.GbdtConfig(5, 2))
-
-    def test_feature_names_projected(self):
-        X, y = planted_dataset(100, 3, seed=13)
-        model, report = gbdt_explain.retrain_subset(
-            X, y, X, y, [2, 0], gbdt.GbdtConfig(5, 2),
-            feature_names=["alpha", "beta", "gamma"])
-        assert model.feature_names == ["gamma", "alpha"]
-        assert report["subset"] == [2, 0]
+        model = gbdt.train(X[:400, [1, 2]], y[:400], gbdt.GbdtConfig(30, 2, 0.2))
+        assert (gbdt.predict(model, X[400:, [1, 2]]) == y[400:]).mean() <= 0.65
