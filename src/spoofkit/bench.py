@@ -387,8 +387,7 @@ STUDY_TRAIN = transformer.TrainConfig(steps=300)
 # `train(inputs, labels)` fits a model on a list of inputs, and
 # `predict_proba(model, inputs)` gives their spoof probabilities.
 # `min_samples` is the fewest samples at SAMPLE_RATE a clip needs.
-Detector = namedtuple("Detector", "front train predict_proba min_samples",
-                      defaults=(1,))
+Detector = namedtuple("Detector", "front train predict_proba min_samples")
 
 
 def gbdt_detector(cfg: gbdt.GbdtConfig) -> Detector:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -78,10 +79,72 @@ def write_features_csv(path, rows, labels, args) -> None:
 
 def read_features_csv(path):
     """Features and labels from a CSV written by `write_features_csv`; a
-    malformed file is a UsageError naming path:line."""
+    malformed file is a UsageError naming path:line.
+
+    The data rows are parsed by numpy's C reader, and again with float()
+    reading the cells if that parse fails or meets a line on which the two
+    may differ. If that parse fails too, `_reject` names the first bad
+    line."""
+    require_file(path)
+    features = _parse_features(path, c_floats=True) or _parse_features(path, c_floats=False)
+    if not features:
+        _reject(path)
+    return features
+
+
+def _float_only(line) -> bool:
+    """Whether a cell of `line` may read apart in numpy's C float parser and
+    in float(): float() reads Unicode digits and spaces and an underscore
+    between digits, and C strips \x1c-\x1f as spaces where float() does
+    not."""
+    return (not line.isascii() or "_" in line or "\x1c" in line or "\x1d" in line
+            or "\x1e" in line or "\x1f" in line)
+
+
+def _parse_features(path, c_floats):
+    """(X, y) from the feature CSV at `path`, or None if the parse fails:
+    the header row is read by `csv` and the data rows by one `np.loadtxt`,
+    whose cells are read by its C float parser if `c_floats`, else by
+    float(). A C parse also counts as failed when a data line is
+    `_float_only`."""
     n = dsp.N_FEATURES
-    X, y = [], []
-    with open(require_file(path)) as fh:
+    differs = False
+
+    def checked(lines):
+        nonlocal differs
+        for line in lines:
+            differs = differs or _float_only(line)
+            yield line
+
+    converters = {n: bench.LABELS.index}
+    if not c_floats:
+        converters.update(dict.fromkeys(range(n), float))
+    try:
+        with open(path) as fh:
+            # comment lines read as blank rows, as `_reject` reads them
+            lines = ("\n" if line.startswith("#") else line for line in fh)
+            if next((row for row in csv.reader(lines) if row), [])[:n] != list(dsp.FEATURE_NAMES):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a table with no rows
+                table = np.loadtxt(checked(lines) if c_floats else lines, delimiter=",",
+                                   quotechar='"', comments=None, usecols=range(n + 1),
+                                   converters=converters, ndmin=2)
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        return None
+    X = np.ascontiguousarray(table[:, :n])
+    if differs or not len(X) or not np.isfinite(X).all():
+        return None
+    return X, table[:, n].astype(int)
+
+
+def _reject(path):
+    """Raise the UsageError for the feature CSV at `path`, which
+    `read_features_csv` could not parse: the file is read again row by row,
+    and the first bad line is named. It reaches its end only for a file with
+    no data rows."""
+    n = dsp.N_FEATURES
+    with open(path) as fh:
         # comment lines read as blank rows, so line_num counts file lines
         reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
         rows = (row for row in reader if row)
@@ -90,9 +153,9 @@ def read_features_csv(path):
                 raise UsageError(f"{path}: feature columns do not match the "
                                  "expected 37-feature header")
             for row in rows:
-                X.append([float(v) for v in row[:n]])
-                y.append(bench.LABELS.index(row[n]))
-                if not all(map(math.isfinite, X[-1])):
+                x = [float(v) for v in row[:n]]
+                bench.LABELS.index(row[n])
+                if not all(map(math.isfinite, x)):
                     raise UsageError(f"{path}:{reader.line_num}: features must "
                                      "be finite numbers (no nan or inf)")
         except UnicodeDecodeError:
@@ -100,9 +163,7 @@ def read_features_csv(path):
         except (IndexError, ValueError, csv.Error):
             raise UsageError(f"{path}:{reader.line_num}: expected {n} numbers "
                              "and a label (bonafide or spoof)") from None
-    if not y:
-        raise UsageError(f"{path}: no feature rows")
-    return np.asarray(X), np.asarray(y)
+    raise UsageError(f"{path}: no feature rows")
 
 
 # ---------------------------------------------------------------------------

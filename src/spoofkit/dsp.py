@@ -154,7 +154,7 @@ def samples_for_frames(n_frames: int, hop_ms: float, sample_rate: int) -> int:
     return int(np.floor((n_frames - 1) * hop_ms * sample_rate / 1000.0)) + 1
 
 
-def frame(audio: AudioBuffer, frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS) -> np.ndarray:
+def frame(audio: AudioBuffer, frame_ms: float, hop_ms: float) -> np.ndarray:
     """Slice audio into (n_frames, frame_len) frames; frame i starts at
     floor(i * hop_ms * sr / 1000), for every start inside the audio.
 
@@ -173,7 +173,7 @@ def frame(audio: AudioBuffer, frame_ms: float = FRAME_MS, hop_ms: float = HOP_MS
     return frames_at(audio.samples, starts[starts < n], frame_len)
 
 
-def power_spectrum(frame_samples: np.ndarray, n_fft: int = N_FFT) -> np.ndarray:
+def power_spectrum(frame_samples: np.ndarray, n_fft: int) -> np.ndarray:
     """|DFT|^2 of each frame, zero-padded to n_fft, over the last axis of a
     (..., L) array; one-sided (n_fft//2+1 bins). The caller windows the
     frames."""
@@ -186,8 +186,7 @@ def power_spectrum(frame_samples: np.ndarray, n_fft: int = N_FFT) -> np.ndarray:
     return np.abs(spec) ** 2
 
 
-def _frame_power(audio: AudioBuffer, frame_ms=FRAME_MS, hop_ms=HOP_MS, n_fft=N_FFT,
-                 pre_emphasis: float | None = None):
+def _frame_power(audio: AudioBuffer, frame_ms, hop_ms, n_fft, pre_emphasis: float | None = None):
     """Shared helper: (frames, power matrix, FFT size) for the analysis grid.
 
     The FFT size is n_fft, or the next power of two at or above a longer

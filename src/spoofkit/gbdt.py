@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,19 +125,27 @@ class Ensemble:
             scores += contribution
         return scores
 
-    def path_features(self, d) -> np.ndarray:
-        """(nodes, d) bool: entry (i, j) says whether a split on the path from
-        its root to node i tests feature j."""
-        tested = np.zeros((self.feature.size, d), dtype=bool)
+    def feature_paths(self, j):
+        """Three (nodes,) arrays for feature j, found top-down in one pass:
+        the first split on the path from its root to each node, that node
+        excluded, that tests j (-1 if none does), and bounds low and high
+        such that a value x of feature j with low < x <= high takes the
+        path's branch at every split on j along it."""
+        first = np.full(self.feature.size, -1)
+        low = np.full(self.feature.size, -np.inf)
+        high = np.full(self.feature.size, np.inf)
         level = self.roots
         while level.size:
             level = level[self.feature[level] >= 0]
-            rows = tested[level]
-            rows[np.arange(level.size), self.feature[level]] = True
-            tested[self.left[level]] = rows
-            tested[self.right[level]] = rows
-            level = np.r_[self.left[level], self.right[level]]
-        return tested
+            tests = self.feature[level] == j
+            left, right, t = self.left[level], self.right[level], self.threshold[level]
+            above = first[level]
+            first[left] = first[right] = np.where(tests & (above < 0), level, above)
+            low[left], high[right] = low[level], high[level]
+            high[left] = np.where(tests, np.minimum(high[level], t), high[level])
+            low[right] = np.where(tests, np.maximum(low[level], t), low[level])
+            level = np.r_[left, right]
+        return first, low, high
 
 
 def sigmoid(z):
@@ -323,7 +331,7 @@ def to_json(model: GbdtModel) -> str:
         "f0": model.f0,
         "learning_rate": model.learning_rate,
         "feature_names": model.feature_names,
-        "trees": [asdict(t) for t in model.trees],
+        "trees": [vars(t) for t in model.trees],
     }
     return json.dumps(doc, sort_keys=True)
 

@@ -71,7 +71,10 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
 
     Every tree is walked once on X, as in `gbdt.decision_scores`. A shuffle
     of column j can move a row only in the trees whose path for that row
-    tests j, so only those (tree, row) pairs are walked again.
+    tests j, and there only if the row's shuffled value leaves the bounds
+    that the splits on j along the path set. Only those (tree, row) pairs
+    are walked again, each from the first split on its path that tests j:
+    the splits above it do not read column j.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -86,21 +89,25 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
     leaves = ens.leaves(X)
     scores = ens.scores(leaves)
     s = _accuracy(scores, y)
-    tested = ens.path_features(d)
     rng = np.random.default_rng(seed)
     means = np.zeros(d)
     stds = np.zeros(d)
     for j in range(d):
-        on_path = tested[leaves, j]  # (trees, n): the tree's path for the row tests j
+        first, low, high = ens.feature_paths(j)
+        on_path = first[leaves] >= 0  # (trees, n): the tree's path for the row tests j
         moved = np.flatnonzero(on_path.any(axis=0))
-        tree_of, row_of = np.nonzero(on_path[:, moved])
-        start = ens.roots[tree_of]
         moved_leaves = leaves[:, moved]
+        pairs = np.flatnonzero(on_path[:, moved])  # positions in moved_leaves
+        del on_path
+        reached = moved_leaves.ravel()[pairs]
+        rows = moved[pairs % moved.size]
         drops = np.zeros(repeats)
         for r in range(repeats):
             perm = rng.permutation(n)
+            x = X[perm[rows], j]
+            off = ~((x > low[reached]) & (x <= high[reached]))  # NaN is walked
             leaf = moved_leaves.copy()
-            leaf[tree_of, row_of] = ens.walk(start, X, moved[row_of], j, perm)
+            leaf.ravel()[pairs[off]] = ens.walk(first[reached[off]], X, rows[off], j, perm)
             shuffled = scores.copy()
             shuffled[moved] = ens.scores(leaf)
             drops[r] = s - _accuracy(shuffled, y)
@@ -113,20 +120,22 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
 def _average_ranks(X) -> np.ndarray:
     """Ranks 1..n within each column of the (n, d) matrix X; a run of tied
     values shares the mean of its ranks, as in `scipy.stats.rankdata`.
+    Columns are ranked one at a time, so no temporary outgrows a column.
 
     Those means are whole or half numbers, so they are exact in float64."""
     n = X.shape[0]
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    pos = np.arange(n)[:, None]
-    first = np.ones(X.shape, dtype=bool)  # sorted position opens a tie run
-    first[1:] = xs[1:] != xs[:-1]
-    last = np.ones(X.shape, dtype=bool)  # sorted position closes a tie run
-    last[:-1] = first[1:]
-    lo = np.maximum.accumulate(np.where(first, pos, 0), axis=0)
-    hi = np.minimum.accumulate(np.where(last, pos, n)[::-1], axis=0)[::-1]
+    pos = np.arange(n)
     ranks = np.empty(X.shape)
-    np.put_along_axis(ranks, order, (lo + hi) / 2.0 + 1.0, axis=0)
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        first = np.ones(n, dtype=bool)  # sorted position opens a tie run
+        first[1:] = xs[1:] != xs[:-1]
+        last = np.ones(n, dtype=bool)  # sorted position closes a tie run
+        last[:-1] = first[1:]
+        lo = np.maximum.accumulate(np.where(first, pos, 0))
+        hi = np.minimum.accumulate(np.where(last, pos, n)[::-1])[::-1]
+        ranks[order, j] = (lo + hi) / 2.0 + 1.0
     return ranks
 
 
@@ -141,13 +150,13 @@ def spearman_matrix(X) -> np.ndarray:
         raise InputError("need a (n_samples >= 2, n_features) matrix")
     if not np.all(np.isfinite(X)):
         raise InputError("features contain NaN or inf")
-    ranks = _average_ranks(X)
-    centered = ranks - ranks.mean(axis=0)
-    norms = np.sqrt((centered ** 2).sum(axis=0))
+    normed = _average_ranks(X)
+    normed -= normed.mean(axis=0)
+    norms = np.sqrt((normed ** 2).sum(axis=0))
     constant = norms == 0
-    safe = np.where(constant, 1.0, norms)
-    normed = centered / safe
+    normed /= np.where(constant, 1.0, norms)
     corr = normed.T @ normed
+    del normed
     corr = (corr + corr.T) / 2.0  # exact symmetry despite BLAS reassociation
     corr[constant, :] = 0.0
     corr[:, constant] = 0.0

@@ -37,7 +37,7 @@ def test_criterion_01_dsp_oracles():
     worst = 0.0
     for _ in range(200):
         x = rng.normal(0, 1, 320)
-        got = dsp.power_spectrum(x * np.hanning(320))
+        got = dsp.power_spectrum(x * np.hanning(320), n_fft)
         xw = np.zeros(n_fft)
         xw[:320] = x * np.hanning(320)
         ref = np.abs(dft @ xw) ** 2

@@ -354,7 +354,7 @@ def rms_threshold():
 
     return bench.Detector(
         lambda audio: float(np.sqrt(np.mean(audio.samples ** 2))), train,
-        lambda cut, rms: 1.0 / (1.0 + np.exp(-1000.0 * (np.asarray(rms) - cut))))
+        lambda cut, rms: 1.0 / (1.0 + np.exp(-1000.0 * (np.asarray(rms) - cut))), 1)
 
 
 class TestRunGeneralization:

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from spoofkit import attn_explain, bench, cli, dsp, gbdt, gbdt_explain
 from spoofkit import transformer as tr
 from spoofkit.dsp import AudioBuffer
-from spoofkit.errors import SpoofkitError
+from spoofkit.errors import SpoofkitError, UsageError
 
 
 def make_manifest(root, n_per_class=3, duration_s=0.3, seed=0):
@@ -824,6 +825,73 @@ CSV_LINES = st.one_of(
     st.lists(st.sampled_from(["0.5", "-1e3", "nan", "", "spoof", "bonafide",
                               "maybe", '"', "# x"]), max_size=40).map(",".join))
 
+# feature-CSV cells that are not plain float reprs: numbers in other
+# spellings, cells only float() reads (underscores, Unicode digits and
+# spaces), cells numpy's C parser alone would strip (\x1c-\x1f), quoted and
+# multi-line cells, non-finite and malformed ones
+ODD_CELLS = st.sampled_from([
+    "-0.0", "5e-324", "2.2250738585072014e-308", "1e308", "1.7976931348623157e308",
+    "1E-3", "+.5e+2", "-7.25e-07", "12", "nan", "-inf", "Infinity", "1e999", " 0.5 ",
+    "\t2\t", '"0.5"', '"1e3"4', '"0.5\n"', '"0.\n5"', "1_0", "1_0.5_5", "1__0", "_1",
+    "1_", "\u0661\u0662", "\u00a00.5", "0.5\u2003", "\u20081", "\x1c0.5", "0.5\x1f",
+    "1\x1d", "0x10", "", ".", "x", '"', '0.5"x"', '""', "# 1", "1\x00"])
+LABEL_CELLS = st.sampled_from(["bonafide", "spoof"] * 5 + [
+    '"spoof"', '"bona"fide', "maybe", " spoof", "spoof ", "", "spoof\x1c", '"spo\nof"',
+    "spoof\u00a0", "SPOOF", "spoof# x"])
+ONE_IN_FOUR = st.sampled_from([True, False, False, False])
+BLANK_LINES = st.sampled_from(["", "# spoofkit meta", "#"])
+ODD_LINES = st.sampled_from(["   ", "\t", ",", '""', "\x1c", "\u2028", FEATURE_HEADER])
+
+
+@st.composite
+def feature_rows(draw):
+    """A data row: float reprs, some cells swapped for ODD_CELLS, sometimes
+    cut short, a label and sometimes extra columns."""
+    cells = [repr(v) for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                            min_size=dsp.N_FEATURES, max_size=dsp.N_FEATURES))]
+    while draw(ONE_IN_FOUR):
+        cells[draw(st.integers(0, dsp.N_FEATURES - 1))] = draw(ODD_CELLS)
+    if draw(ONE_IN_FOUR) and draw(ONE_IN_FOUR):
+        cells = cells[:draw(st.integers(0, dsp.N_FEATURES - 1))]
+    else:
+        cells.append(draw(LABEL_CELLS))
+    cells += draw(st.lists(st.sampled_from(["x", "", "1_0", '"a,b"', "\u00e9"]), max_size=2))
+    return ",".join(cells)
+
+
+@st.composite
+def feature_files(draw):
+    """The bytes of a feature CSV: comment and blank lines, a header (now
+    and then a wrong one), data rows, blank and odd lines, each ended by
+    LF, CRLF or CR, and now and then a byte that is not UTF-8."""
+    lines = draw(st.lists(BLANK_LINES, max_size=2))
+    lines.append(draw(st.sampled_from([FEATURE_HEADER] * 3 + [
+        FEATURE_HEADER + ",extra", FEATURE_HEADER.replace(",", ",\u00a0", 1),
+        ",".join(dsp.FEATURE_NAMES[:-1])])))
+    for _ in range(draw(st.integers(0, 6))):
+        lines.append(draw(feature_rows() if not draw(ONE_IN_FOUR)
+                          else ODD_LINES if draw(ONE_IN_FOUR) else BLANK_LINES))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    data = "".join(line + end for line, end in zip(lines, ends)).encode()
+    if draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    if draw(ONE_IN_FOUR) and draw(ONE_IN_FOUR):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3(", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def read_outcome(read, path):
+    """What `read` makes of the feature CSV at `path`: its message if it
+    raises a UsageError, else X's dtype, shape and bits and y."""
+    try:
+        X, y = read(path)
+    except UsageError as exc:
+        return str(exc)
+    return X.dtype, X.shape, X.view(np.int64).tolist(), y.dtype, y.tolist()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: (st.lists(inner, max_size=3)
@@ -880,6 +948,22 @@ class TestFuzz:
             return
         assert X.shape == (len(y), dsp.N_FEATURES)
         assert np.isfinite(X).all()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=feature_files())
+    @example(content=f"{FEATURE_HEADER}\n{FEATURE_ROW},spoof\n".encode())
+    @example(content=f"{FEATURE_HEADER}\r\n1_0{FEATURE_ROW[3:]},spoof\r\n".encode())
+    @example(content=f"{FEATURE_HEADER}\n\u0661{FEATURE_ROW[3:]},spoof\n".encode())
+    @example(content=f"{FEATURE_HEADER}\n\x1c{FEATURE_ROW},spoof\n".encode())
+    @example(content=f"{FEATURE_HEADER}\n{FEATURE_ROW},spoof\n  \n".encode())
+    @example(content=f"# m\n{FEATURE_HEADER}\n\"{FEATURE_ROW}\n\",spoof\n".encode())
+    @example(content=f"{FEATURE_HEADER}\n{FEATURE_ROW},spoof\n".encode() + b"\xff")
+    def test_read_features_csv_matches_row_by_row_oracle(self, tmp_path, content):
+        path = tmp_path / "f.csv"
+        path.write_bytes(content)
+        assert (read_outcome(cli.read_features_csv, str(path))
+                == read_outcome(oracles.read_features_csv, str(path)))
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
@@ -1063,7 +1147,7 @@ def parsed(argv):
 def record_factories(monkeypatch):
     """Swap the two detector factories for ones that record their
     arguments in the returned list and build a detector of no functions."""
-    calls, idle = [], bench.Detector(None, None, None)
+    calls, idle = [], bench.Detector(None, None, None, 1)
     monkeypatch.setattr(bench, "gbdt_detector",
                         lambda cfg: calls.append(("gbdt", cfg)) or idle)
     monkeypatch.setattr(bench, "transformer_detector", lambda cfg, train_cfg:

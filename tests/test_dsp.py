@@ -125,8 +125,9 @@ class TestFramesAt:
         assert peak - held < 1.5 * audio.samples.nbytes
 
     def test_frame_view_at_16k_copy_at_22050(self):
-        assert not dsp.frame(AudioBuffer(np.ones(SR), SR)).flags.writeable
-        assert dsp.frame(AudioBuffer(np.ones(22050), 22050)).flags.owndata
+        grid = dsp.FRAME_MS, dsp.HOP_MS
+        assert not dsp.frame(AudioBuffer(np.ones(SR), SR), *grid).flags.writeable
+        assert dsp.frame(AudioBuffer(np.ones(22050), 22050), *grid).flags.owndata
 
 
 def block_edges(n_fft):
@@ -141,7 +142,7 @@ class TestStreamingStft:
         # starts at floor(i * 10 ms * sr); the last frame starts inside the clip
         starts = np.floor(np.arange(n_frames) * dsp.HOP_MS * sr / 1000).astype(int)
         x = np.random.default_rng(n_frames).standard_normal(starts[-1] + 1)
-        frames, power, size = dsp._frame_power(AudioBuffer(x, sr), n_fft=n_fft)
+        frames, power, size = dsp._frame_power(AudioBuffer(x, sr), dsp.FRAME_MS, dsp.HOP_MS, n_fft)
         frame_len = int(round(dsp.FRAME_MS * sr / 1000))
         one_shot = dsp.power_spectrum(
             dsp.frames_at(x, starts, frame_len) * np.hanning(frame_len), n_fft)
@@ -191,7 +192,7 @@ class TestStreamingStft:
 
 class TestPowerSpectrum:
     def test_zero_frame(self):
-        assert np.all(dsp.power_spectrum(np.zeros(320)) == 0.0)
+        assert np.all(dsp.power_spectrum(np.zeros(320), dsp.N_FFT) == 0.0)
 
     def test_bin_centered_sinusoid_rect_window(self):
         # 1000 Hz = bin 32 exactly for n_fft 512 at 16 kHz
@@ -225,9 +226,9 @@ class TestPowerSpectrum:
 
     def test_stack_equals_single_frames(self):
         x = np.random.default_rng(2).standard_normal((2, 3, 320))
-        stacked = dsp.power_spectrum(x)
+        stacked = dsp.power_spectrum(x, dsp.N_FFT)
         assert stacked.shape == (2, 3, 257)
-        assert np.array_equal(stacked[1, 2], dsp.power_spectrum(x[1, 2]))
+        assert np.array_equal(stacked[1, 2], dsp.power_spectrum(x[1, 2], dsp.N_FFT))
 
     def test_frame_longer_than_nfft_rejected(self):
         with pytest.raises(InputError):
@@ -247,7 +248,7 @@ class TestMfcc:
         from scipy.fft import dct
         rows = []
         for fr in frames:
-            ps = dsp.power_spectrum(fr * np.hanning(fr.size))
+            ps = dsp.power_spectrum(fr * np.hanning(fr.size), dsp.N_FFT)
             logmel = np.log(np.maximum(ps @ fb.T, dsp.LOG_FLOOR))
             rows.append(dct(logmel, type=2, norm="ortho")[: dsp.N_MFCC])
         assert np.allclose(got, np.array(rows), atol=1e-6)
@@ -268,7 +269,8 @@ class TestMfcc:
         frames = dsp.frame(AudioBuffer(pre, SR), 20, 10)
         fb = dsp.mel_filterbank(dsp.N_MELS, dsp.N_FFT, SR)
         from scipy.fft import dct
-        power = np.stack([dsp.power_spectrum(fr * np.hanning(fr.size)) for fr in frames])
+        power = np.stack([dsp.power_spectrum(fr * np.hanning(fr.size), dsp.N_FFT)
+                          for fr in frames])
         oracle = dct(np.log(np.maximum(power @ fb.T, dsp.LOG_FLOOR)),
                      type=2, norm="ortho", axis=1)[:, : dsp.N_MFCC]
         assert np.allclose(got, oracle, atol=1e-8)

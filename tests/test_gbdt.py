@@ -377,6 +377,55 @@ class TestPredict:
         assert np.array_equal(gbdt.predict_proba(model, X), before)
 
 
+def feature_paths_oracle(tree, j):
+    """Per-path oracle of `Ensemble.feature_paths` on one tree: a walk from
+    the root down to every node, carrying the first split on j met on the
+    way and the bounds low < x <= high that the splits on j set."""
+    found = {}
+
+    def visit(node, first, low, high):
+        found[node] = (first, low, high)
+        f, thr = tree.feature[node], tree.threshold[node]
+        if f < 0:
+            return
+        if f == j:
+            first = node if first < 0 else first
+            visit(tree.left[node], first, low, min(high, thr))
+            visit(tree.right[node], first, max(low, thr), high)
+        else:
+            visit(tree.left[node], first, low, high)
+            visit(tree.right[node], first, low, high)
+
+    visit(0, -1, -np.inf, np.inf)
+    return [found[i] for i in range(len(tree.feature))]
+
+
+class TestFeaturePaths:
+    def test_matches_per_path_oracle(self):
+        # few distinct values and depth 6: a feature is split on again and
+        # again down a path; a leaf-only tree has no split at all
+        rng = np.random.default_rng(21)
+        X = rng.integers(0, 4, (300, 4)).astype(float)
+        y = ((X[:, 0] + X[:, 1] * X[:, 2] + rng.integers(0, 3, 300)) % 2).astype(int)
+        model = gbdt.train(X, y, gbdt.GbdtConfig(20, 6, 0.3))
+        stump = gbdt.RegressionTree()
+        stump.add_leaf(0.5)
+        model.trees.insert(3, stump)
+        assert any(sum(f == 0 for f in t.feature) >= 3 for t in model.trees)
+        ens = gbdt.Ensemble(model)
+        for j in range(X.shape[1]):
+            first, low, high = ens.feature_paths(j)
+            for tree, root in zip(model.trees, ens.roots):
+                nodes = slice(root, root + len(tree.feature))
+                want = np.array(feature_paths_oracle(tree, j)).T
+                assert np.array_equal(first[nodes], np.where(want[0] < 0, -1, want[0] + root))
+                assert np.array_equal(low[nodes], want[1])
+                assert np.array_equal(high[nodes], want[2])
+            # every row lies within the bounds of the leaf it reaches
+            leaves = ens.leaves(X)
+            assert np.all((low[leaves] < X[:, j]) & (X[:, j] <= high[leaves]))
+
+
 class TestSerialization:
     def test_roundtrip(self):
         X, y = blobs(30, seed=6)

@@ -68,6 +68,36 @@ class TestPermutationImportance:
         assert rep.mean_importance[4] == 0.0 and rep.std_importance[4] == 0.0
         assert rep.mean_importance[0] > 0
 
+    def test_paper_default_ensemble_matches_reference_exactly(self):
+        # 400 depth-8 trees on 240 rows of correlated features with noisy,
+        # partly flipped labels: most features are first split on at depth 3
+        # or below, and many shuffled values stay within their path's bounds
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((240, 8)) @ rng.standard_normal((8, 37))
+        X += 0.5 * rng.standard_normal((240, 37))
+        y = (X @ rng.standard_normal(37) + 2 * rng.standard_normal(240) > 0).astype(int)
+        y = np.where(rng.random(240) < 0.15, 1 - y, y)
+        model = gbdt.train(X, y, gbdt.GbdtConfig(400, 8))
+        assert max(len(t.feature) for t in model.trees) > 2 ** 6
+        rep = gbdt_explain.permutation_importance(model, X, y, repeats=3, seed=2)
+        means, stds = reference_importance(model, X, y, 3, 2)
+        assert np.array_equal(rep.mean_importance, means)
+        assert np.array_equal(rep.std_importance, stds)
+        assert np.count_nonzero(means) > 20
+
+    def test_non_finite_cells_match_reference_exactly(self):
+        # a NaN goes right at every split, outside any path's bounds; -inf
+        # goes left at every split, on the bounds' open end
+        X, y = planted_dataset(200, 4, seed=8)
+        model = gbdt.train(X, y, gbdt.GbdtConfig(20, 4, 0.2))
+        X[::7, 0] = np.nan
+        X[3::11, 1] = -np.inf
+        X[5::13, 2] = np.inf
+        rep = gbdt_explain.permutation_importance(model, X, y, repeats=4, seed=1)
+        means, stds = reference_importance(model, X, y, 4, 1)
+        assert np.array_equal(rep.mean_importance, means)
+        assert np.array_equal(rep.std_importance, stds)
+
     def test_unused_feature_exactly_zero(self):
         X, y = planted_dataset(300, 5, seed=2)
         model = gbdt.train(X, y, gbdt.GbdtConfig(30, 2, 0.2))

@@ -1,7 +1,8 @@
 """Layer benchmarks of spoofkit, one topic at a time, on seeded synthetic
 inputs:
 
-  gbdt     tree fit, predict and permutation importance on feature tables
+  gbdt     tree fit, predict, permutation importance, the feature-CSV read,
+           Spearman correlation and model serialization on feature tables
   explain  model load, the occlusion scan, argparse's parse of the
            `explain rollout` command line, and one `explain occlusion` and
            one `explain rollout` call, with a transformer trained here;
@@ -188,6 +189,20 @@ def run_gbdt(sk):
                lambda: sk.gbdt_explain.permutation_importance(
                    models["train_400x8_240x37"], X, y, repeats=10, seed=0),
                lambda report: sha(report.to_json().encode()))
+    X, y = table(8000)
+    yield Case("importance_5x8_8000rows_5repeats",
+               lambda: sk.gbdt_explain.permutation_importance(
+                   models["train_5x8_8000x37"], X, y, repeats=5, seed=0),
+               lambda report: sha(report.to_json().encode()))
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "features.csv")
+        sk.cli.write_features_csv(path, X, y, argparse.Namespace(seed=0))
+        yield Case("read_features_csv_8000rows", lambda: sk.cli.read_features_csv(path),
+                   lambda Xy: sha(Xy[0].tobytes() + Xy[1].tobytes()))
+    yield Case("spearman_8000x37", lambda: sk.gbdt_explain.spearman_matrix(X),
+               lambda corr: sha(corr.tobytes()))
+    yield Case("to_json_5x8_8000", lambda: sk.gbdt.to_json(models["train_5x8_8000x37"]),
+               lambda text: sha(text.encode()))
 
 
 def cli(sk, argv) -> None:
@@ -389,7 +404,7 @@ def versions() -> dict:
     return found
 
 
-TOPICS = {"gbdt": (run_gbdt, 5), "explain": (run_explain, 20), "dsp": (run_dsp, 20),
+TOPICS = {"gbdt": (run_gbdt, 10), "explain": (run_explain, 20), "dsp": (run_dsp, 20),
           "augment": (run_augment, 20), "startup": (run_startup, 10),
           "transformer": (run_transformer, 20)}
 
