@@ -6,15 +6,18 @@ studies with Markdown reports.
 from __future__ import annotations
 
 import csv
+import ctypes
 import os
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import dsp, gbdt, transformer
 from .dsp import AudioBuffer
-from .errors import BalanceError, InputError, ManifestError, SplitOverlap
+from .errors import BalanceError, InputError, ManifestError, SplitOverlap, SpoofkitError
 
 LABELS = ("bonafide", "spoof")  # encoded 0 / 1; spoof is the positive class
 SPLITS = ("train", "eval")
@@ -509,12 +512,96 @@ def run_augmentation_study(manifest: DatasetManifest, augmentations,
         if a not in AUGMENTATIONS:
             raise InputError(f"unknown augmentation {a!r}")
     train_entries, eval_entries = _split(manifest, "train"), _split(manifest, "eval")
-    reports = []
-    for aug in augmentations:
-        ids = {"dataset_id": manifest.name, "augmentation_id": aug}
-        reports += _study(detectors, train_entries, [(eval_entries, ids)],
-                          seed, duration_s, aug)
+
+    def condition(i):
+        ids = {"dataset_id": manifest.name, "augmentation_id": augmentations[i]}
+        return _study(detectors, train_entries, [(eval_entries, ids)],
+                      seed, duration_s, augmentations[i])
+
+    reports = [r for rows in _fork_map(condition, len(augmentations)) for r in rows]
     return reports, augmentation_markdown(reports)
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads and forked workers
+
+@lru_cache(maxsize=None)
+def _openblas():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None
+    where numpy's BLAS exports neither. dlsym on numpy's extension module
+    also searches the libraries it links."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold BLAS to one thread inside the block and restore its thread count
+    after it; yields whether numpy's BLAS could be held. A product split over
+    threads sums in another order, so without this an artifact could depend
+    on the thread count (chroma's filterbank product moves in the last bit),
+    and forked workers would wait on each other's BLAS threads."""
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield True
+    finally:
+        set_(before)
+
+
+_task = None  # the function a forked worker of `_fork_map` runs
+
+
+def _set_task(task):
+    global _task
+    _task = task
+
+
+def _run_task(i):
+    return _task(i)
+
+
+def _fork_map(task, n):
+    """[task(i) for i in range(n)] under `one_blas_thread`, computed by
+    forked workers, one per CPU this process may use (`taskset` limits them),
+    or in this process when one worker would do, where the platform cannot
+    fork, or where BLAS cannot be held to one thread.
+
+    Workers are forked, not spawned: under fork the initializer's arguments
+    are inherited, not pickled, so `task` may be a closure, and spawn would
+    leave multiprocessing's resource tracker running. An error raised in a
+    worker is raised here; a worker that dies is a SpoofkitError. No worker
+    outlives the call."""
+    import multiprocessing  # with concurrent.futures, only when a study runs
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
+    jobs = min(n, len(cpus))
+    with one_blas_thread() as held:
+        if jobs < 2 or not held or "fork" not in multiprocessing.get_all_start_methods():
+            return [task(i) for i in range(n)]
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = ProcessPoolExecutor(jobs, multiprocessing.get_context("fork"),
+                                   _set_task, (task,))
+        try:
+            return list(pool.map(_run_task, range(n)))
+        except BrokenProcessPool as exc:
+            raise SpoofkitError(f"a study worker process died: {exc}") from None
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------

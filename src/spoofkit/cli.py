@@ -551,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        with bench.one_blas_thread():  # artifacts must not follow the thread count
+            return args.func(args)
     except (SpoofkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_COMPUTE

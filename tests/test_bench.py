@@ -1,7 +1,10 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
-from spoofkit import bench, dsp, gbdt, transformer
+from spoofkit import bench, cli, dsp, gbdt, transformer
 from spoofkit.dsp import AudioBuffer
 from spoofkit.errors import (BalanceError, InputError, ManifestError,
                              SplitOverlap)
@@ -422,6 +425,57 @@ class TestRunAugmentationStudy:
         reports, _ = bench.run_augmentation_study(aug, ["identity"], detectors,
                                                   duration_s=3.13)
         assert [r.model_id for r in reports] == ["transformer"]
+
+
+def cpus(monkeypatch, n):
+    """Let the studies see `n` CPUs: more than one forks workers, even on a
+    host with one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestForkedConditions:
+    CONDITIONS = ["identity", "codec", "rerecord"]
+
+    def test_workers_match_the_in_process_run(self, small_corpora, tmp_path,
+                                              monkeypatch):
+        _, _, aug = small_corpora
+        rms = rms_threshold()
+
+        def train(*args):  # names the process that trained, results unchanged
+            (tmp_path / f"{os.getpid()}.pid").touch()
+            return rms.train(*args)
+
+        detectors = {"rms": rms._replace(train=train), **gbdt_only()}
+        runs = {}
+        for n in (2, 1):
+            cpus(monkeypatch, n)
+            runs[n] = bench.run_augmentation_study(aug, self.CONDITIONS, detectors)
+            assert not multiprocessing.active_children()
+            pids = {int(p.stem) for p in tmp_path.glob("*.pid")}
+            assert (os.getpid() in pids) == (n == 1)
+            for p in tmp_path.glob("*.pid"):
+                p.unlink()
+        (forked, forked_md), (serial, serial_md) = runs[2], runs[1]
+        assert [r.to_dict() for r in forked] == [r.to_dict() for r in serial]
+        assert [(r.augmentation_id, r.model_id) for r in forked] == [
+            (a, m) for a in self.CONDITIONS for m in ("rms", "gbdt")]
+        assert forked_md == serial_md
+
+    def test_bench_augment_writes_the_same_bytes(self, small_corpora, tmp_path,
+                                                 monkeypatch, capsys):
+        _, _, aug = small_corpora
+        manifest = os.path.join(os.path.dirname(aug.entries[0].path), "corpus.csv")
+        argv = ["bench", "augment", "--manifest", manifest, "--out", str(tmp_path),
+                "--models", "gbdt", "--n-estimators", "10"]
+        written = {}
+        for n in (2, 1):
+            cpus(monkeypatch, n)
+            assert cli.main(argv) == 0
+            assert not multiprocessing.active_children()
+            written[n] = {name: (tmp_path / f"augmentation.{name}").read_bytes()
+                          for name in ("json", "csv", "md")}
+        assert written[2] == written[1]
+        assert capsys.readouterr().err == ""
 
 
 class TestDetectorTable:

@@ -1,7 +1,9 @@
 import argparse
 import json
+import multiprocessing
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -112,6 +114,35 @@ class TestExtract:
                          *flags]) == 1
         assert one_error_line(capsys) == f"error: {wav}: audio shorter than one frame"
         assert not out.exists()
+
+
+class TestBlasThreads:
+    def test_extract_bytes_do_not_follow_the_blas_thread_count(self, tmp_path):
+        # on two threads OpenBLAS sums chroma's filterbank product in another
+        # order, and on the 1.7 and 2.9 s clips chroma6 moves in the last bit
+        blas = bench._openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no thread-count functions")
+        get, set_ = blas
+        entries = []
+        for k, duration in enumerate((1.7, 2.9, 3.6)):
+            path = str(tmp_path / f"{k}.wav")
+            dsp.write_wav(path, bench.synth_clip(np.random.default_rng(6), duration, 0.3,
+                                                 0.05, [(440.0, 0.4), (6500.0, 0.5)], []))
+            entries.append(bench.ManifestEntry(path, k % 2, "-", "train"))
+        manifest, out = str(tmp_path / "m.csv"), tmp_path / "f.csv"
+        bench.write_manifest(manifest, entries)
+        before, written = get(), {}
+        try:
+            for n in (2, 1):
+                set_(n)
+                assert cli.main(["extract", "--manifest", manifest,
+                                 "--out-csv", str(out)]) == 0
+                assert get() == n  # the caller's count, restored
+                written[n] = out.read_bytes()
+        finally:
+            set_(before)
+        assert written[2] == written[1]
 
 
 class TestTrain:
@@ -415,6 +446,57 @@ class TestBench:
     def test_missing_manifest_exit_2_before_any_output(self, tmp_path, argv, needle):
         line = usage_error_line(tmp_path, ["bench", argv[0], "--out", "out", *argv[1:]])
         assert needle in line
+
+
+class TestForkedStudyErrors:
+    """`bench augment` runs its conditions in forked workers when it may use
+    more than one CPU; a failed worker gives the one `error:` line of the
+    in-process run, and leaves no process behind."""
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        rng = np.random.default_rng(0)
+        entries = []
+        for split in ("train", "eval"):
+            for label in (0, 1):
+                for k in range(3):
+                    path = str(tmp_path / f"{split}_{label}_{k}.wav")
+                    dsp.write_wav(path, bench.synth_clip(rng, 0.5, 0.3, 0.05,
+                                                         [(440.0, 0.4)], []))
+                    entries.append(bench.ManifestEntry(path, label, "-", split))
+        path = str(tmp_path / "m.csv")
+        bench.write_manifest(path, entries)
+        return path
+
+    def augment(self, manifest, out, cpus, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        rc = cli.main(["bench", "augment", "--manifest", manifest, "--out", str(out),
+                       "--models", "gbdt", "--n-estimators", "5", "--duration", "0.5"])
+        assert not multiprocessing.active_children()
+        return rc
+
+    def test_unreadable_eval_wav_exit_1_as_in_process(self, manifest, tmp_path,
+                                                      monkeypatch, capsys):
+        wav = tmp_path / "eval_1_2.wav"
+        wav.write_bytes(float32_wav_bytes())
+        lines = []
+        for cpus in (2, 1):
+            assert self.augment(manifest, tmp_path / "out", cpus, monkeypatch) == 1
+            lines.append(one_error_line(capsys))
+        assert lines[0] == lines[1]
+        assert lines[0].count(str(wav)) == 1
+
+    def test_worker_killed_exit_1_one_line(self, manifest, tmp_path, monkeypatch,
+                                           capsys):
+        parent = os.getpid()
+
+        def killed(*args, **kwargs):
+            assert os.getpid() != parent, "the study ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(bench, "_study", killed)
+        assert self.augment(manifest, tmp_path / "out", 2, monkeypatch) == 1
+        assert one_error_line(capsys).startswith("error: a study worker process died")
 
 
 def one_error_line(capsys):

@@ -9,7 +9,10 @@ inputs:
            every call after the first loads the same unchanged model file
   dsp      MFCC, chroma, spectral scalars, log-Mel and the 37-dim feature
            vector of 1.6, 2.6 and 3.6 s clips
-  augment  the codec and rerecord simulators on the same clips
+  augment  the codec and rerecord simulators on the same clips, and the
+           three-condition augmentation study (gbdt, and the transformer at
+           STUDY_STEPS steps) on a small corpus; where a source runs the
+           conditions in forked workers, tracemalloc sees only this process
   transformer
            `forward_batch` and one `loss_and_grads` step of the study
            transformer on 120 spectrograms at 9, 41 and 81 tokens, and 50
@@ -69,6 +72,8 @@ STEPS = 50  # training steps; the timings do not depend on how well it fits
 CUE_HZ = 6500.0  # spoof cue: a sustained tone
 DSP_CLIP_S = (1.6, 2.6, 3.6)
 DSP_STAGES = ("mfcc", "chroma", "spectral_scalars", "mel_spectrogram", "extract_features")
+STUDY_CLIPS = 8  # augmentation-study clips per class in each split
+STUDY_STEPS = 20  # transformer training steps in the augmentation study
 WARMUP_S = 3.0  # the first ~1 s of calls in a fresh process run several times slower
 
 TRANSFORMER_BATCH = 120  # clips, as a study trains on
@@ -295,7 +300,8 @@ def run_dsp(sk):
 def run_augment(sk):
     """The codec and rerecord simulators as `bench augment` calls them. A
     rerecord case also records the largest difference of its reverb (no
-    noise) from direct convolution with the same room response."""
+    noise) from direct convolution with the same room response. The study
+    case's digest covers its reports."""
     for duration, clip in dsp_clips(sk):
         yield Case(f"augment_codec_{duration}s", lambda: sk.bench.augment_codec(clip),
                    lambda out: sha(out.samples.tobytes()))
@@ -307,6 +313,16 @@ def run_augment(sk):
                    lambda: sk.bench.augment_rerecord(clip, seed=0),
                    lambda out: sha(out.samples.tobytes()),
                    lambda _: {"max_abs_diff_vs_direct": diff})
+    with tempfile.TemporaryDirectory() as root:
+        manifest = sk.bench.make_augmentation_corpus(root, n_train=STUDY_CLIPS,
+                                                     n_eval=STUDY_CLIPS)
+        detectors = {"gbdt": sk.bench.gbdt_detector(sk.bench.STUDY_GBDT),
+                     "transformer": sk.bench.transformer_detector(
+                         sk.transformer.TransformerConfig(),
+                         sk.transformer.TrainConfig(steps=STUDY_STEPS))}
+        yield Case("augmentation_study_3_conditions", lambda: sk.bench.run_augmentation_study(
+            manifest, list(sk.bench.AUGMENTATIONS), detectors),
+            lambda out: sha(json.dumps([r.to_dict() for r in out[0]]).encode()))
 
 
 def run_transformer(sk):
