@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dsp, gbdt, transformer
 from .dsp import AudioBuffer
-from .errors import BalanceError, InputError, ManifestError, SplitOverlap, SpoofkitError
+from .errors import InputError, SpoofkitError
 
 LABELS = ("bonafide", "spoof")  # encoded 0 / 1; spoof is the positive class
 SPLITS = ("train", "eval")
@@ -52,7 +52,7 @@ def load_manifest(path, name: str | None = None) -> DatasetManifest:
     """Load and validate a `path,label,attack,split` CSV manifest."""
     path = str(path)
     if not os.path.exists(path):
-        raise ManifestError(f"manifest not found: {path}")
+        raise InputError(f"manifest not found: {path}")
     entries = []
     seen = {}
     missing = []
@@ -61,34 +61,36 @@ def load_manifest(path, name: str | None = None) -> DatasetManifest:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError:
-        raise ManifestError(f"{path}: not a text CSV file") from None
+        raise InputError(f"{path}: not a text CSV file") from None
     if not rows or [h.strip() for h in rows[0][:4]] != ["path", "label", "attack", "split"]:
-        raise ManifestError(f"{path}: header must be path,label,attack,split")
+        raise InputError(f"{path}: header must be path,label,attack,split")
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) < 4:
-            raise ManifestError(f"{path}:{lineno}: expected 4 columns")
+            raise InputError(f"{path}:{lineno}: expected 4 columns")
         p, label, attack, split = (c.strip() for c in row[:4])
         if label not in LABELS:
-            raise ManifestError(
+            raise InputError(
                 f"{path}:{lineno}: label must be bonafide or spoof, got {label!r}")
         if split not in SPLITS:
-            raise ManifestError(
+            raise InputError(
                 f"{path}:{lineno}: split must be train or eval, got {split!r}")
+        if not p:
+            raise InputError(f"{path}:{lineno}: empty audio path")
         full = p if os.path.isabs(p) else os.path.join(base, p)
         if full in seen and seen[full] != split:
-            raise SplitOverlap(f"{path}:{lineno}: {p} appears in both splits")
+            raise InputError(f"{path}:{lineno}: {p} appears in both splits")
         seen[full] = split
-        if not os.path.exists(full):
+        if not os.path.isfile(full):
             missing.append(p)
         entries.append(ManifestEntry(full, LABELS.index(label), attack, split))
     if missing:
         more = f" and {len(missing) - 3} more" if len(missing) > 3 else ""
-        raise ManifestError(f"{path}: {len(missing)} missing audio file(s): "
-                            f"{', '.join(missing[:3])}{more}")
+        raise InputError(f"{path}: {len(missing)} missing audio file(s): "
+                         f"{', '.join(missing[:3])}{more}")
     if not entries:
-        raise ManifestError(f"{path}: manifest has no entries")
+        raise InputError(f"{path}: manifest has no entries")
     return DatasetManifest(name or os.path.splitext(os.path.basename(path))[0], entries)
 
 
@@ -427,23 +429,23 @@ def fit_clip_length(audio: AudioBuffer, duration_s: float) -> AudioBuffer:
 def balanced_indices(labels, n_per_class: int, rng) -> np.ndarray:
     """Seeded uniform downsample to n_per_class per class, original order."""
     if n_per_class < 1:
-        raise BalanceError("n_per_class must be >= 1")
+        raise InputError("n_per_class must be >= 1")
     y = np.asarray(labels)
     chosen = []
     for cls in (0, 1):
         pool = np.where(y == cls)[0]
         if pool.size < n_per_class:
-            raise BalanceError(
+            raise InputError(
                 f"class {LABELS[cls]} has {pool.size} samples, need {n_per_class}")
         chosen.append(rng.choice(pool, size=n_per_class, replace=False))
     return np.sort(np.concatenate(chosen))
 
 
 def _split(manifest: DatasetManifest, split: str) -> list:
-    """The manifest's entries of `split`; a ManifestError if it has none."""
+    """The manifest's entries of `split`; an InputError if it has none."""
     entries = manifest.subset(split)
     if not entries:
-        raise ManifestError(f"{manifest.name}: no {split} split")
+        raise InputError(f"{manifest.name}: no {split} split")
     return entries
 
 
@@ -491,7 +493,7 @@ def run_generalization(train_manifest: DatasetManifest,
     (B eval), each downsampled to balance_n per class. Returns a report list
     and a Markdown table."""
     if balance_n < 1:
-        raise BalanceError("balance_n must be >= 1")
+        raise InputError("balance_n must be >= 1")
     train_entries = _split(train_manifest, "train")
     domains = [("in-domain", train_manifest)]
     if train_manifest.name != eval_manifest.name:

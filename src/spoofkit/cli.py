@@ -81,15 +81,11 @@ def read_features_csv(path):
     """Features and labels from a CSV written by `write_features_csv`; a
     malformed file is a UsageError naming path:line.
 
-    The data rows are parsed by numpy's C reader, and again with float()
-    reading the cells if that parse fails or meets a line on which the two
-    may differ. If that parse fails too, `_reject` names the first bad
-    line."""
+    The data rows are parsed by numpy's C reader; if that parse fails or
+    meets a line on which it may read apart from float(), `_read_rows` reads
+    the file again row by row."""
     require_file(path)
-    features = _parse_features(path, c_floats=True) or _parse_features(path, c_floats=False)
-    if not features:
-        _reject(path)
-    return features
+    return _parse_features(path) or _read_rows(path)
 
 
 def _float_only(line) -> bool:
@@ -101,12 +97,11 @@ def _float_only(line) -> bool:
             or "\x1e" in line or "\x1f" in line)
 
 
-def _parse_features(path, c_floats):
+def _parse_features(path):
     """(X, y) from the feature CSV at `path`, or None if the parse fails:
     the header row is read by `csv` and the data rows by one `np.loadtxt`,
-    whose cells are read by its C float parser if `c_floats`, else by
-    float(). A C parse also counts as failed when a data line is
-    `_float_only`."""
+    whose cells are read by its C float parser. The parse also counts as
+    failed when a data line is `_float_only`."""
     n = dsp.N_FEATURES
     differs = False
 
@@ -116,20 +111,17 @@ def _parse_features(path, c_floats):
             differs = differs or _float_only(line)
             yield line
 
-    converters = {n: bench.LABELS.index}
-    if not c_floats:
-        converters.update(dict.fromkeys(range(n), float))
     try:
         with open(path) as fh:
-            # comment lines read as blank rows, as `_reject` reads them
+            # comment lines read as blank rows, as `_read_rows` reads them
             lines = ("\n" if line.startswith("#") else line for line in fh)
             if next((row for row in csv.reader(lines) if row), [])[:n] != list(dsp.FEATURE_NAMES):
                 return None
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # a table with no rows
-                table = np.loadtxt(checked(lines) if c_floats else lines, delimiter=",",
-                                   quotechar='"', comments=None, usecols=range(n + 1),
-                                   converters=converters, ndmin=2)
+                table = np.loadtxt(checked(lines), delimiter=",", quotechar='"',
+                                   comments=None, usecols=range(n + 1),
+                                   converters={n: bench.LABELS.index}, ndmin=2)
     except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
         return None
     X = np.ascontiguousarray(table[:, :n])
@@ -138,12 +130,11 @@ def _parse_features(path, c_floats):
     return X, table[:, n].astype(int)
 
 
-def _reject(path):
-    """Raise the UsageError for the feature CSV at `path`, which
-    `read_features_csv` could not parse: the file is read again row by row,
-    and the first bad line is named. It reaches its end only for a file with
-    no data rows."""
+def _read_rows(path):
+    """(X, y) from the feature CSV at `path` read row by row, every cell by
+    float(); a UsageError names the first bad line."""
     n = dsp.N_FEATURES
+    X, y = [], []
     with open(path) as fh:
         # comment lines read as blank rows, so line_num counts file lines
         reader = csv.reader("\n" if line.startswith("#") else line for line in fh)
@@ -153,9 +144,9 @@ def _reject(path):
                 raise UsageError(f"{path}: feature columns do not match the "
                                  "expected 37-feature header")
             for row in rows:
-                x = [float(v) for v in row[:n]]
-                bench.LABELS.index(row[n])
-                if not all(map(math.isfinite, x)):
+                X.append([float(v) for v in row[:n]])
+                y.append(bench.LABELS.index(row[n]))
+                if not all(map(math.isfinite, X[-1])):
                     raise UsageError(f"{path}:{reader.line_num}: features must "
                                      "be finite numbers (no nan or inf)")
         except UnicodeDecodeError:
@@ -163,7 +154,9 @@ def _reject(path):
         except (IndexError, ValueError, csv.Error):
             raise UsageError(f"{path}:{reader.line_num}: expected {n} numbers "
                              "and a label (bonafide or spoof)") from None
-    raise UsageError(f"{path}: no feature rows")
+    if not y:
+        raise UsageError(f"{path}: no feature rows")
+    return np.array(X), np.array(y)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +299,10 @@ def cmd_explain_occlusion(args) -> int:
     if args.stride and not args.box:
         raise UsageError("--stride requires --box")
     model, spec = _transformer_and_spec(args)
-    if args.box:
-        cfg = attn_explain.OcclusionConfig(box=tuple(args.box),
-                                           stride=tuple(args.stride),
-                                           fill=args.fill)
-    else:
-        cfg = attn_explain.default_occlusion_config(spec.shape)
+    grid = attn_explain.default_occlusion_config(spec.shape)
+    cfg = attn_explain.OcclusionConfig(box=tuple(args.box or grid.box),
+                                       stride=tuple(args.stride or grid.stride),
+                                       fill=args.fill)
     heatmap = attn_explain.occlusion_scan(
         lambda stack: transformer.predict_proba(model, stack), spec, cfg)
     out = ensure_outdir(args.out)

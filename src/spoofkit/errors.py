@@ -10,31 +10,8 @@ class SpoofkitError(Exception):
 
 
 class InputError(SpoofkitError):
-    """Malformed or out-of-contract input data."""
-
-
-class DegenerateLabels(SpoofkitError):
-    """A label vector contains only one class where two are required."""
-
-
-class MetricError(SpoofkitError):
-    """A metric is undefined on the given data slice."""
-
-
-class TrainingError(SpoofkitError):
-    """Optimization diverged or otherwise failed."""
-
-
-class BalanceError(SpoofkitError):
-    """Not enough samples to balance classes to the requested count."""
-
-
-class SplitOverlap(SpoofkitError):
-    """The same file appears in more than one dataset split."""
-
-
-class ManifestError(SpoofkitError):
-    """A dataset manifest failed validation."""
+    """Malformed or out-of-contract input data, or data on which a step is
+    undefined (one class, an empty slice, a diverged fit)."""
 
 
 class UsageError(SpoofkitError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateLabels, InputError, malformed, model_doc
+from .errors import InputError, malformed, model_doc
 
 LEAF_CLAMP = 4.0
 SPLIT_BLOCK = 1 << 15  # elements per block of the split search's (features, rows) arrays
@@ -160,7 +160,7 @@ def init_log_odds(labels) -> float:
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels("both classes must be present")
+        raise InputError("both classes must be present")
     return float(np.log(n_pos / n_neg))
 
 

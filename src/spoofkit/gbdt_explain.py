@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gbdt
-from .errors import InputError, MetricError
+from .errors import InputError
 
 DEFAULT_REPEATS = 10
 DEFAULT_CLUSTER_THRESHOLD = 1.0
@@ -81,7 +81,7 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
     if repeats < 1:
         raise InputError("repeats must be >= 1")
     if y.size == 0:
-        raise MetricError("empty evaluation slice")
+        raise InputError("empty evaluation slice")
     n, d = X.shape
     if d != model.n_features:
         raise InputError(f"expected {model.n_features} features, got {d}")

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dsp import MEL_SPEC_HOP_MS
-from .errors import InputError, TrainingError, malformed, model_doc
+from .errors import InputError, malformed, model_doc
 
 LN_EPS = 1e-6
 PARAMS_FORMAT_VERSION = 1
@@ -502,7 +502,7 @@ def train_toy(dataset, config: TransformerConfig,
         tokens = _tokens(patches, model.params)
         loss, grads, probs = loss_and_grads(model, tokens, patches, labels)
         if not np.isfinite(loss):
-            raise TrainingError(f"loss diverged at step {step}")
+            raise InputError(f"loss diverged at step {step}")
         acc = float(((probs[:, 1] >= 0.5).astype(int) == labels).mean())
         model.history.append((step, loss, acc))
         g = np.concatenate([grads[k].ravel() for k in model.params])

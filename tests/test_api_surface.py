@@ -63,3 +63,20 @@ def test_a_name_read_only_inside_its_own_definition_is_unused():
     assert "f" not in names_used(alone, skip=alone.body[0])
     called = ast.parse(recursive + "x = f(3)\n")
     assert "f" in names_used(called, skip=called.body[0])
+
+
+def test_every_exception_class_has_a_caller_that_tells_it_apart():
+    """A class in errors.py earns its place only if some code in src/ names it
+    in an `except` clause or as the class argument of an `isinstance` call;
+    otherwise it exits the same way as its base and is folded into it."""
+    told_apart = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                told_apart |= names_used(node.type)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and len(node.args) == 2):
+                told_apart |= names_used(node.args[1])
+    classes = [node.name for node in parse(PACKAGE / "errors.py").body
+               if isinstance(node, ast.ClassDef)]
+    assert classes and [name for name in classes if name not in told_apart] == []

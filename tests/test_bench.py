@@ -6,8 +6,7 @@ import pytest
 
 from spoofkit import bench, cli, dsp, gbdt, transformer
 from spoofkit.dsp import AudioBuffer
-from spoofkit.errors import (BalanceError, InputError, ManifestError,
-                             SplitOverlap)
+from spoofkit.errors import InputError
 
 
 def write_clip(path, seed=0, duration_s=0.2):
@@ -42,44 +41,50 @@ class TestManifest:
     def test_bad_label_rejected_with_line_number(self, tmp_path):
         write_clip(tmp_path / "a.wav")
         p = write_manifest_csv(tmp_path / "m.csv", [("a.wav", "fake", "-", "train")])
-        with pytest.raises(ManifestError, match=r"m\.csv:2.*fake"):
+        with pytest.raises(InputError, match=r"m\.csv:2.*fake"):
             bench.load_manifest(p)
 
     def test_bad_split_rejected(self, tmp_path):
         write_clip(tmp_path / "a.wav")
         p = write_manifest_csv(tmp_path / "m.csv", [("a.wav", "spoof", "-", "test")])
-        with pytest.raises(ManifestError, match=":2"):
+        with pytest.raises(InputError, match=":2"):
             bench.load_manifest(p)
 
     def test_split_overlap_rejected(self, tmp_path):
         write_clip(tmp_path / "a.wav")
         p = write_manifest_csv(tmp_path / "m.csv", [
             ("a.wav", "spoof", "-", "train"), ("a.wav", "spoof", "-", "eval")])
-        with pytest.raises(SplitOverlap):
+        with pytest.raises(InputError, match="appears in both splits"):
             bench.load_manifest(p)
 
     def test_missing_audio_listed(self, tmp_path):
         p = write_manifest_csv(tmp_path / "m.csv", [("gone.wav", "spoof", "-", "train")])
-        with pytest.raises(ManifestError, match="gone.wav"):
+        with pytest.raises(InputError, match="gone.wav"):
             bench.load_manifest(p)
 
     def test_many_missing_audio_counted(self, tmp_path):
         rows = [(f"gone_{i:02d}.wav", "spoof", "-", "train") for i in range(50)]
         p = write_manifest_csv(tmp_path / "m.csv", rows)
-        with pytest.raises(ManifestError, match="50 missing") as info:
+        with pytest.raises(InputError, match="50 missing") as info:
             bench.load_manifest(p)
         msg = str(info.value)
         assert "gone_00.wav" in msg and "gone_03.wav" not in msg
         assert len(msg) < 300
 
+    def test_directory_counted_as_missing_audio(self, tmp_path):
+        (tmp_path / "d.wav").mkdir()
+        p = write_manifest_csv(tmp_path / "m.csv", [("d.wav", "spoof", "-", "train")])
+        with pytest.raises(InputError, match="1 missing audio file.*d.wav"):
+            bench.load_manifest(p)
+
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("file,label\n")
-        with pytest.raises(ManifestError, match="header"):
+        with pytest.raises(InputError, match="header"):
             bench.load_manifest(str(p))
 
     def test_nonexistent_manifest(self, tmp_path):
-        with pytest.raises(ManifestError, match="not found"):
+        with pytest.raises(InputError, match="not found"):
             bench.load_manifest(str(tmp_path / "nope.csv"))
 
     def test_roundtrip_write_load(self, tmp_path):
@@ -325,11 +330,11 @@ class TestBalancedIndices:
 
     def test_insufficient_samples(self):
         y = np.r_[np.zeros(3), np.ones(30)].astype(int)
-        with pytest.raises(BalanceError, match="bonafide"):
+        with pytest.raises(InputError, match="bonafide"):
             bench.balanced_indices(y, 5, np.random.default_rng(0))
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(BalanceError):
+        with pytest.raises(InputError, match="n_per_class must be >= 1"):
             bench.balanced_indices(np.array([0, 1]), 0, np.random.default_rng(0))
 
 
@@ -384,7 +389,7 @@ class TestRunGeneralization:
 
     def test_balance_zero_rejected(self, small_corpora):
         a, b, _ = small_corpora
-        with pytest.raises(BalanceError):
+        with pytest.raises(InputError, match="balance_n must be >= 1"):
             bench.run_generalization(a, b, gbdt_only(), balance_n=0)
 
     def test_loudness_keyed_model_collapses_cross_domain(self, small_corpora):

@@ -264,6 +264,20 @@ class TestExplain:
         assert (tmp_path / "occlusion.pgm").exists()
         assert (tmp_path / "occlusion.csv").exists()
 
+    def test_fill_applies_to_the_default_grid(self, trained_artifacts, tmp_path):
+        docs = {}
+        for fill in ("zero", "mean"):
+            rc = cli.main(["explain", "occlusion",
+                           "--model", trained_artifacts["transformer"],
+                           "--wav", trained_artifacts["wav"],
+                           "--out", str(tmp_path / fill), "--fill", fill])
+            assert rc == 0
+            docs[fill] = json.loads((tmp_path / fill / "occlusion.json").read_text())
+        assert docs["mean"]["fill"] == "mean"
+        assert docs["mean"]["box"] == docs["zero"]["box"]
+        assert ([b["delta"] for b in docs["mean"]["boxes"]]
+                != [b["delta"] for b in docs["zero"]["boxes"]])
+
     def test_reference_box_too_large_exit_1(self, trained_artifacts, tmp_path,
                                             capsys):
         # the published box/stride values target a much larger input grid
@@ -615,6 +629,15 @@ class TestHostileInput:
                        "--out", str(tmp_path), "--n-estimators", "2"])
         assert rc == 1
         one_error_line(capsys)
+
+    def test_empty_manifest_path_exit_1_naming_the_line(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("path,label,attack,split\n,spoof,-,train\n")
+        rc = cli.main(["extract", "--manifest", str(manifest),
+                       "--out-csv", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert f"{manifest}:2: empty audio path" in one_error_line(capsys)
+        assert not (tmp_path / "f.csv").exists()
 
     def test_non_utf8_manifest_exit_1(self, tmp_path, capsys):
         manifest = tmp_path / "m.csv"

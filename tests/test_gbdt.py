@@ -6,7 +6,7 @@ import pytest
 
 from oracles import logistic_loss
 from spoofkit import gbdt
-from spoofkit.errors import DegenerateLabels, InputError
+from spoofkit.errors import InputError
 
 
 def blobs(n_per_class=100, seed=0, d=2, sep=2.0):
@@ -124,7 +124,7 @@ class TestInitLogOdds:
         assert gbdt.init_log_odds([1] + [0] * 999) == pytest.approx(np.log(1 / 999))
 
     def test_single_class_rejected(self):
-        with pytest.raises(DegenerateLabels):
+        with pytest.raises(InputError, match="both classes must be present"):
             gbdt.init_log_odds([1, 1, 1])
 
 
