@@ -16,40 +16,19 @@ OCCLUSION_CHUNK = 64  # rows per predict_fn call in occlusion_scan
 
 
 @dataclass
-class OcclusionConfig:
-    box: tuple = (32, 15)       # (height bins, width steps)
-    stride: tuple = (16, 7)
-    fill: str = "zero"          # zero | one | mean
-
-    def __post_init__(self):
-        if min(*self.box, *self.stride) < 1:
-            raise InputError("box and stride must be positive")
-        if self.fill not in ("zero", "one", "mean"):
-            raise InputError(f"unknown fill mode {self.fill!r}")
-
-
-@dataclass
 class OcclusionHeatmap:
     importance: np.ndarray  # per-cell mean |delta| over covering boxes
     base_prob: float
     boxes: list  # (row, col, height, width, delta)
+    box: tuple  # (height bins, width steps) of the scan
+    stride: tuple
 
 
 @dataclass
 class RolloutMap:
     matrix: np.ndarray  # (N+1, N+1) cumulative attention
     cls_importance: np.ndarray  # length N, sums to 1
-    token_time_spans: list
     uniform_fallback: bool = False
-
-
-def default_occlusion_config(shape) -> OcclusionConfig:
-    """Scale the occlusion grid to the input: box = quarter of each dim,
-    stride = half the box."""
-    H, W = shape
-    box = (max(1, H // 4), max(1, W // 4))
-    stride = (max(1, box[0] // 2), max(1, box[1] // 2))
-    return OcclusionConfig(box=box, stride=stride)
 
 
 def _fill_value(values: np.ndarray, fill: str) -> float:
@@ -72,9 +51,16 @@ def aggregate_boxes(boxes, shape) -> np.ndarray:
     return np.divide(acc, cover, out=np.zeros_like(acc), where=cover > 0)
 
 
-def occlusion_scan(predict_fn, spec, cfg: OcclusionConfig) -> OcclusionHeatmap:
-    """Slide an occlusion box over the spectrogram and record, per position,
-    the absolute change in predicted spoof probability.
+def occlusion_scan(predict_fn, spec, box=None, stride=None,
+                   fill: str = "zero") -> OcclusionHeatmap:
+    """Slide an occlusion `box` (height bins, width steps) over the
+    spectrogram in steps of `stride` and record, per position, the absolute
+    change in predicted spoof probability. The occluded cells are set to 0,
+    1 or the spectrogram's mean (`fill` zero, one or mean).
+
+    The default grid scales with the input: the box is a quarter of each
+    dimension (at least 1), and the stride half the box (at least 1); a
+    (128, 60) log-Mel gets box (32, 15) and stride (16, 7).
 
     `predict_fn` maps a (B, H, W) stack to (B,) probabilities. Row 0 of the
     stack is the unoccluded input and row k its copy with box k filled; the
@@ -84,11 +70,15 @@ def occlusion_scan(predict_fn, spec, cfg: OcclusionConfig) -> OcclusionHeatmap:
     """
     values = np.asarray(spec, dtype=np.float64)
     H, W = values.shape
-    bh, bw = cfg.box
-    sh, sw = cfg.stride
+    bh, bw = box = tuple(box or (max(1, H // 4), max(1, W // 4)))
+    sh, sw = stride = tuple(stride or (max(1, bh // 2), max(1, bw // 2)))
+    if min(*box, *stride) < 1:
+        raise InputError("box and stride must be positive")
+    if fill not in ("zero", "one", "mean"):
+        raise InputError(f"unknown fill mode {fill!r}")
     if bh > H or bw > W:
-        raise InputError(f"occlusion box {cfg.box} larger than input {values.shape}")
-    fill = _fill_value(values, cfg.fill)
+        raise InputError(f"occlusion box {box} larger than input {values.shape}")
+    value = _fill_value(values, fill)
     corners = [None] + [(r0, c0) for r0 in range(0, H - bh + 1, sh)
                         for c0 in range(0, W - bw + 1, sw)]
     probs = []
@@ -98,12 +88,12 @@ def occlusion_scan(predict_fn, spec, cfg: OcclusionConfig) -> OcclusionHeatmap:
         for occluded, corner in zip(stack, chunk):
             if corner is not None:
                 r0, c0 = corner
-                occluded[r0:r0 + bh, c0:c0 + bw] = fill
+                occluded[r0:r0 + bh, c0:c0 + bw] = value
         probs.extend(np.asarray(predict_fn(stack), dtype=np.float64).tolist())
     base = probs[0]
     boxes = [(r0, c0, bh, bw, abs(base - p))
              for (r0, c0), p in zip(corners[1:], probs[1:])]
-    return OcclusionHeatmap(aggregate_boxes(boxes, (H, W)), base, boxes)
+    return OcclusionHeatmap(aggregate_boxes(boxes, (H, W)), base, boxes, box, stride)
 
 
 def layer_attention_maps(record) -> list:
@@ -113,8 +103,7 @@ def layer_attention_maps(record) -> list:
     return [np.asarray(a).mean(axis=0) for a in record]
 
 
-def rollout(record, residual_mode: str = "plain",
-            token_time_spans=None) -> RolloutMap:
+def rollout(record, residual_mode: str = "plain") -> RolloutMap:
     """Cumulative attention: the ordered product of head-averaged per-layer
     matrices. `residual_half` mixes in 0.5 I per layer (re-normalized) before
     multiplying; `last` takes the final layer's matrix alone. CLS importance
@@ -143,7 +132,7 @@ def rollout(record, residual_mode: str = "plain",
     else:
         cls_importance = cls_row / total
         fallback = False
-    return RolloutMap(W, cls_importance, token_time_spans or [], fallback)
+    return RolloutMap(W, cls_importance, fallback)
 
 
 @dataclass
@@ -161,11 +150,12 @@ class Timeline:
         }, indent=2)
 
 
-def cls_timeline(rmap: RolloutMap) -> Timeline:
+def cls_timeline(rmap: RolloutMap, token_time_spans) -> Timeline:
     """Merge adjacent tokens whose CLS importance exceeds its
-    SEGMENT_PERCENTILE-th percentile into highlighted time segments."""
-    if not rmap.token_time_spans:
-        raise InputError("rollout map carries no token time spans")
+    SEGMENT_PERCENTILE-th percentile into highlighted time segments;
+    `token_time_spans` holds each token's (start_ms, end_ms)."""
+    if not token_time_spans:
+        raise InputError("no token time spans")
     imp = rmap.cls_importance
     thr = float(np.percentile(imp, SEGMENT_PERCENTILE))
     hot = imp > thr
@@ -181,8 +171,8 @@ def cls_timeline(rmap: RolloutMap) -> Timeline:
         j = i
         while j + 1 < n and hot[j + 1]:
             j += 1
-        start = rmap.token_time_spans[i][0]
-        end = rmap.token_time_spans[j][1]
+        start = token_time_spans[i][0]
+        end = token_time_spans[j][1]
         segments.append((start, end, float(imp[i:j + 1].sum())))
         i = j + 1
     return Timeline(segments, thr)

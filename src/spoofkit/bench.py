@@ -25,6 +25,11 @@ DEFAULT_CLIP_S = 1.6
 CODEC_CUTOFF_REF_HZ = 16000.0
 CODEC_REF_RATE = 44100.0
 CODEC_QUANT_LEVELS = 64
+RERECORD_RT60_S = 0.25  # reverberation time of the simulated room
+RERECORD_TAIL_GAIN = 0.3  # room response tail gain, relative to the direct path
+GENERALIZATION_TRAIN = 60  # domain A train clips per class
+GENERALIZATION_EVAL = 30  # domain A eval clips per class
+GENERALIZATION_EVAL_B = 40  # domain B eval clips per class
 GENERALIZATION_MIN_S = 0.6  # a spoof's 0.4 s burst starts in [0.1, duration - 0.5] s
 
 
@@ -59,12 +64,14 @@ def load_manifest(path, name: str | None = None) -> DatasetManifest:
     base = os.path.dirname(path)
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            # each record with the file line it ends on, as a quoted cell may hold newlines
+            rows = [(reader.line_num, row) for row in reader]
     except UnicodeDecodeError:
         raise InputError(f"{path}: not a text CSV file") from None
-    if not rows or [h.strip() for h in rows[0][:4]] != ["path", "label", "attack", "split"]:
+    if not rows or [h.strip() for h in rows[0][1][:4]] != ["path", "label", "attack", "split"]:
         raise InputError(f"{path}: header must be path,label,attack,split")
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) < 4:
@@ -202,7 +209,7 @@ def evaluate(labels, probs, model_id: str = "", dataset_id: str = "",
 # ---------------------------------------------------------------------------
 # Augmentation simulators
 
-def augment_codec(audio: AudioBuffer, quant_levels: int = CODEC_QUANT_LEVELS) -> AudioBuffer:
+def augment_codec(audio: AudioBuffer) -> AudioBuffer:
     """Lossy-compression simulation: STFT low-pass at the scaled reference
     cutoff plus coarse magnitude quantization, resynthesized by overlap-add."""
     x = audio.samples
@@ -221,7 +228,7 @@ def augment_codec(audio: AudioBuffer, quant_levels: int = CODEC_QUANT_LEVELS) ->
     mag = np.abs(spec)
     peak = mag.max()
     if peak > 0:
-        step = peak / quant_levels
+        step = peak / CODEC_QUANT_LEVELS
         qmag = np.round(mag / step) * step
         phase = np.where(mag > 0, spec / np.where(mag > 0, mag, 1.0), 0.0)
         spec = qmag * phase
@@ -248,13 +255,12 @@ def room_impulse_response(sample_rate: int, rt60_s: float, tail_gain: float,
     return np.r_[1.0, tail]
 
 
-def augment_rerecord(audio: AudioBuffer, seed: int = 0, rt60_s: float = 0.25,
-                     snr_db: float | None = 25.0,
-                     tail_gain: float = 0.3) -> AudioBuffer:
+def augment_rerecord(audio: AudioBuffer, seed: int = 0,
+                     snr_db: float | None = 25.0) -> AudioBuffer:
     """Playback-and-rerecord simulation: synthetic room reverberation plus
     additive noise at the configured SNR. Deterministic given the seed."""
     rng = np.random.default_rng(seed)
-    h = room_impulse_response(audio.sample_rate, rt60_s, tail_gain, rng)
+    h = room_impulse_response(audio.sample_rate, RERECORD_RT60_S, RERECORD_TAIL_GAIN, rng)
     x = audio.samples
     # FFT convolution; n >= x.size + h.size - 1 keeps it linear, not circular
     n = 1 << (x.size + h.size - 2).bit_length()
@@ -305,8 +311,7 @@ def _random_voice_tones(rng):
             for _ in range(n_tones)]
 
 
-def make_generalization_corpora(root, seed: int = 0, n_train: int = 60,
-                                n_eval: int = 30, n_eval_b: int = 40,
+def make_generalization_corpora(root, seed: int = 0,
                                 duration_s: float = DEFAULT_CLIP_S):
     """Two synthetic domains sharing one spoof cue (a high-band tone burst)
     under a loudness confound that flips between domains.
@@ -350,10 +355,11 @@ def make_generalization_corpora(root, seed: int = 0, n_train: int = 60,
 
     manifest_a = make_domain("domain_a", spoof_gain=0.5, bonafide_gain=0.1,
                              noise_level=0.002,
-                             counts={"train": n_train, "eval": n_eval})
+                             counts={"train": GENERALIZATION_TRAIN,
+                                     "eval": GENERALIZATION_EVAL})
     manifest_b = make_domain("domain_b", spoof_gain=0.1, bonafide_gain=0.5,
                              noise_level=0.004,
-                             counts={"eval": n_eval_b})
+                             counts={"eval": GENERALIZATION_EVAL_B})
     return manifest_a, manifest_b
 
 

@@ -299,18 +299,15 @@ def cmd_explain_occlusion(args) -> int:
     if args.stride and not args.box:
         raise UsageError("--stride requires --box")
     model, spec = _transformer_and_spec(args)
-    grid = attn_explain.default_occlusion_config(spec.shape)
-    cfg = attn_explain.OcclusionConfig(box=tuple(args.box or grid.box),
-                                       stride=tuple(args.stride or grid.stride),
-                                       fill=args.fill)
     heatmap = attn_explain.occlusion_scan(
-        lambda stack: transformer.predict_proba(model, stack), spec, cfg)
+        lambda stack: transformer.predict_proba(model, stack), spec,
+        args.box, args.stride, args.fill)
     out = ensure_outdir(args.out)
     attn_explain.render_heatmap(heatmap.importance,
                                 os.path.join(out, "occlusion"))
     write_json_artifact(os.path.join(out, "occlusion.json"), {
         "base_prob": heatmap.base_prob,
-        "box": list(cfg.box), "stride": list(cfg.stride), "fill": cfg.fill,
+        "box": list(heatmap.box), "stride": list(heatmap.stride), "fill": args.fill,
         "boxes": [{"row": r, "col": c, "h": h, "w": w, "delta": d}
                   for r, c, h, w, d in heatmap.boxes],
     }, args)
@@ -325,9 +322,8 @@ def cmd_explain_rollout(args) -> int:
     out = ensure_outdir(args.out)
     fwd = transformer.forward(spec, model)
     mode = {"residual": "residual_half"}.get(args.rollout, args.rollout)
-    rmap = attn_explain.rollout(fwd.attention, mode,
-                                token_time_spans=fwd.token_time_spans)
-    timeline = attn_explain.cls_timeline(rmap)
+    rmap = attn_explain.rollout(fwd.attention, mode)
+    timeline = attn_explain.cls_timeline(rmap, fwd.token_time_spans)
     attn_explain.render_heatmap(rmap.matrix, os.path.join(out, "rollout"))
     with open(os.path.join(out, "timeline.json"), "w") as fh:
         fh.write(timeline.to_json())

@@ -216,20 +216,6 @@ def _best_split(X, residuals, order, total_sum, base):
     return best
 
 
-def fit_tree(X, residuals, probs, config: GbdtConfig) -> RegressionTree:
-    """Fit one regression tree to the residuals; leaf values are Newton steps
-    sum(r) / sum(p(1-p)), clamped to +/- LEAF_CLAMP.
-
-    Exact greedy search on a presort: each column is stable-sorted once into
-    a (d, n) matrix of row ids. A node owns the columns lo:hi of it, and a
-    split partitions them stably in place into its children's. Node rows
-    stay in ascending row order, so each node's sorted ids equal the node's
-    own stable argsort. Nodes are numbered in pre-order, left subtree first."""
-    X = np.asarray(X, dtype=np.float64)
-    return _fit_presorted(X, np.asarray(residuals, dtype=np.float64),
-                          np.asarray(probs, dtype=np.float64), config, _presort(X))[0]
-
-
 def _presort(X) -> np.ndarray:
     """(d, n) int32 row ids that stable-sort each column of X."""
     n, d = X.shape
@@ -239,10 +225,18 @@ def _presort(X) -> np.ndarray:
     return order
 
 
-def _fit_presorted(X, residuals, probs, config: GbdtConfig, order):
-    """`fit_tree` on float64 arrays and X's presort `order`, which the
-    split partitions overwrite. Returns the tree and the (n,) value of the
-    leaf each row of X lands in."""
+def fit_tree(X, residuals, probs, config: GbdtConfig, order) -> tuple:
+    """Fit one regression tree to the residuals; leaf values are Newton steps
+    sum(r) / sum(p(1-p)), clamped to +/- LEAF_CLAMP. X, residuals and probs
+    are float64 arrays, and `order` is X's `_presort`, which the fit
+    overwrites. Returns the tree and the (n,) value of the leaf each row of
+    X lands in.
+
+    Exact greedy search on the presort: a node owns the columns lo:hi of
+    `order`, and a split partitions them stably in place into its children's.
+    Node rows stay in ascending row order, so each node's sorted ids equal
+    the node's own stable argsort. Nodes are numbered in pre-order, left
+    subtree first."""
     n, d = X.shape
     tree = RegressionTree()
     fitted = np.empty(n)
@@ -296,7 +290,7 @@ def train(X, labels, config: GbdtConfig, feature_names=None) -> GbdtModel:
     for _ in range(config.n_estimators):
         p = sigmoid(scores)
         r = pseudo_residuals(y, p)
-        tree, fitted = _fit_presorted(X, r, p, config, order.copy())
+        tree, fitted = fit_tree(X, r, p, config, order.copy())
         trees.append(tree)
         scores = scores + config.learning_rate * fitted
     return GbdtModel(f0, trees, config.learning_rate, list(feature_names))

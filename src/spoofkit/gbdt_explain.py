@@ -113,8 +113,7 @@ def permutation_importance(model, X, y, repeats: int = DEFAULT_REPEATS,
             drops[r] = s - _accuracy(shuffled, y)
         means[j] = drops.mean()
         stds[j] = drops.std()
-    names = getattr(model, "feature_names", None) or [f"f{j}" for j in range(d)]
-    return ImportanceReport(list(names), means, stds, repeats)
+    return ImportanceReport(list(model.feature_names), means, stds, repeats)
 
 
 def _average_ranks(X) -> np.ndarray:

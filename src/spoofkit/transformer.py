@@ -475,7 +475,7 @@ class TrainConfig:
 
 
 def train_toy(dataset, config: TransformerConfig,
-              train_config: TrainConfig | None = None) -> TransformerModel:
+              train_config: TrainConfig) -> TransformerModel:
     """Train a randomly initialized encoder by full-batch AdamW.
 
     `dataset` is a sequence of (spectrogram, label) pairs with binary labels
@@ -486,7 +486,6 @@ def train_toy(dataset, config: TransformerConfig,
     labels = np.asarray([lab for _, lab in dataset], dtype=int)
     if len(set(labels.tolist())) < 2:
         raise InputError("both classes must be present")
-    tc = train_config or TrainConfig()
     model = TransformerModel(config, init_params(config))
     _, patches = embed_dataset([s for s, _ in dataset], model)
     # the parameters are views into one flat vector, so one AdamW update is a
@@ -497,7 +496,7 @@ def train_toy(dataset, config: TransformerConfig,
                     for (k, p), end in zip(model.params.items(), ends)}
     m = np.zeros_like(flat)
     v = np.zeros_like(flat)
-    for step in range(1, tc.steps + 1):
+    for step in range(1, train_config.steps + 1):
         # tokens depend on embed/cls/pos params: re-embed each step
         tokens = _tokens(patches, model.params)
         loss, grads, probs = loss_and_grads(model, tokens, patches, labels)
@@ -510,8 +509,8 @@ def train_toy(dataset, config: TransformerConfig,
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         mhat = m / (1 - ADAM_BETA1 ** step)
         vhat = v / (1 - ADAM_BETA2 ** step)
-        flat -= tc.learning_rate * (
-            mhat / (np.sqrt(vhat) + ADAM_EPS) + tc.weight_decay * flat)
+        flat -= train_config.learning_rate * (
+            mhat / (np.sqrt(vhat) + ADAM_EPS) + train_config.weight_decay * flat)
     return model
 
 

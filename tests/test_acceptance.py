@@ -267,8 +267,8 @@ def test_criterion_07_occlusion():
     def region_model(values):
         return 1.0 / (1.0 + np.exp(-values[8:12, 8:12].sum()))
 
-    cfg = attn_explain.OcclusionConfig(box=(4, 4), stride=(4, 4))
-    hm = attn_explain.occlusion_scan(lambda stack: [region_model(v) for v in stack], spec, cfg)
+    hm = attn_explain.occlusion_scan(lambda stack: [region_model(v) for v in stack], spec,
+                                     box=(4, 4), stride=(4, 4))
     for r0, c0, bh, bw, delta in hm.boxes:
         intersects = r0 < 12 and r0 + bh > 8 and c0 < 12 and c0 + bw > 8
         assert (delta > 0.0) if intersects else (delta == 0.0)
@@ -302,9 +302,7 @@ def test_criterion_07b_padded_region_saliency():
     padded = bench.fit_clip_length(short, 1.6)
     spec = dsp.mel_spectrogram(padded)
     predict = lambda v: tr.forward(v, model).prob_spoof
-    hm = attn_explain.occlusion_scan(
-        lambda stack: [predict(v) for v in stack], spec,
-        attn_explain.default_occlusion_config(spec.shape))
+    hm = attn_explain.occlusion_scan(lambda stack: [predict(v) for v in stack], spec)
     hot = max(hm.boxes, key=lambda b: b[4])
     pad_start_col = 7  # ceil(10 * 0.7): first all-padding spectrogram column
     overlaps = hot[1] + hot[3] > pad_start_col

@@ -27,30 +27,37 @@ def random_stochastic(rng, T):
     return a / a.sum(axis=1, keepdims=True)
 
 
-class TestOcclusionConfig:
+class TestOcclusionGrid:
+    def scan(self, shape, **grid):
+        return ax.occlusion_scan(per_clip(lambda v: 0.5), np.zeros(shape), **grid)
+
     def test_defaults_scale_to_grid(self):
-        cfg = ax.default_occlusion_config((128, 60))
-        assert cfg.box == (32, 15)
-        assert cfg.stride == (16, 7)
+        hm = self.scan((128, 60))
+        assert hm.box == (32, 15)
+        assert hm.stride == (16, 7)
 
     def test_tiny_grid_floors_at_one(self):
-        cfg = ax.default_occlusion_config((3, 2))
-        assert cfg.box == (1, 1) and cfg.stride == (1, 1)
+        hm = self.scan((3, 2))
+        assert hm.box == (1, 1) and hm.stride == (1, 1)
+
+    def test_stride_defaults_to_half_the_box(self):
+        hm = self.scan((16, 16), box=(8, 5))
+        assert hm.box == (8, 5) and hm.stride == (4, 2)
+        assert [b[:2] for b in hm.boxes[:3]] == [(0, 0), (0, 2), (0, 4)]
 
     def test_bad_fill_rejected(self):
-        with pytest.raises(InputError):
-            ax.OcclusionConfig(fill="median")
+        with pytest.raises(InputError, match="unknown fill mode 'median'"):
+            self.scan((8, 8), fill="median")
 
     def test_nonpositive_box_rejected(self):
-        with pytest.raises(InputError):
-            ax.OcclusionConfig(box=(0, 5))
+        with pytest.raises(InputError, match="box and stride must be positive"):
+            self.scan((8, 8), box=(0, 5))
 
 
 class TestOcclusionScan:
     def test_constant_model_all_zero(self):
         spec = np.random.default_rng(0).normal(0, 1, (16, 16))
-        hm = ax.occlusion_scan(per_clip(lambda v: 0.7), spec,
-                               ax.OcclusionConfig(box=(4, 4), stride=(2, 2)))
+        hm = ax.occlusion_scan(per_clip(lambda v: 0.7), spec, box=(4, 4), stride=(2, 2))
         assert np.array_equal(hm.importance, np.zeros((16, 16)))
         assert hm.base_prob == 0.7
         assert all(b[4] == 0.0 for b in hm.boxes)
@@ -61,8 +68,7 @@ class TestOcclusionScan:
         rng = np.random.default_rng(1)
         spec = rng.uniform(0.5, 1.5, (16, 16))
         predict = region_reader(8, 12, 8, 12)
-        cfg = ax.OcclusionConfig(box=(4, 4), stride=(4, 4))
-        hm = ax.occlusion_scan(per_clip(predict), spec, cfg)
+        hm = ax.occlusion_scan(per_clip(predict), spec, box=(4, 4), stride=(4, 4))
         for r0, c0, bh, bw, delta in hm.boxes:
             intersects = r0 < 12 and r0 + bh > 8 and c0 < 12 and c0 + bw > 8
             if intersects:
@@ -73,8 +79,7 @@ class TestOcclusionScan:
     def test_full_box_single_position(self):
         spec = np.random.default_rng(2).uniform(0.1, 1.0, (8, 8))
         predict = region_reader(0, 8, 0, 8)
-        cfg = ax.OcclusionConfig(box=(8, 8), stride=(8, 8))
-        hm = ax.occlusion_scan(per_clip(predict), spec, cfg)
+        hm = ax.occlusion_scan(per_clip(predict), spec, box=(8, 8), stride=(8, 8))
         assert len(hm.boxes) == 1
         expected = abs(predict(spec) - predict(np.zeros((8, 8))))
         assert hm.boxes[0][4] == pytest.approx(expected)
@@ -83,8 +88,8 @@ class TestOcclusionScan:
     def test_uncovered_cells_exactly_zero(self):
         # stride 5 with box 2 leaves columns/rows 2..4 etc. uncovered
         spec = np.random.default_rng(3).normal(0, 1, (7, 7))
-        cfg = ax.OcclusionConfig(box=(2, 2), stride=(5, 5))
-        hm = ax.occlusion_scan(per_clip(region_reader(0, 7, 0, 7)), spec, cfg)
+        hm = ax.occlusion_scan(per_clip(region_reader(0, 7, 0, 7)), spec,
+                               box=(2, 2), stride=(5, 5))
         covered = np.zeros((7, 7), dtype=bool)
         for r0, c0, bh, bw, _ in hm.boxes:
             covered[r0:r0 + bh, c0:c0 + bw] = True
@@ -93,8 +98,8 @@ class TestOcclusionScan:
 
     def test_overlap_average_matches_manual_accumulation(self):
         spec = np.random.default_rng(4).uniform(0.2, 1.0, (10, 10))
-        cfg = ax.OcclusionConfig(box=(4, 4), stride=(2, 2))
-        hm = ax.occlusion_scan(per_clip(region_reader(0, 10, 0, 10)), spec, cfg)
+        hm = ax.occlusion_scan(per_clip(region_reader(0, 10, 0, 10)), spec,
+                               box=(4, 4), stride=(2, 2))
         acc = np.zeros((10, 10))
         cover = np.zeros((10, 10))
         # reversed order: averaging must not depend on scan order
@@ -111,25 +116,25 @@ class TestOcclusionScan:
 
     def test_fill_modes(self):
         spec = np.full((4, 4), 0.5)
-        cfg_one = ax.OcclusionConfig(box=(4, 4), stride=(4, 4), fill="one")
-        hm = ax.occlusion_scan(per_clip(lambda v: sigmoid(v.sum())), spec, cfg_one)
+        hm = ax.occlusion_scan(per_clip(lambda v: sigmoid(v.sum())), spec,
+                               box=(4, 4), stride=(4, 4), fill="one")
         assert hm.boxes[0][4] == pytest.approx(abs(sigmoid(8.0) - sigmoid(16.0)))
-        cfg_mean = ax.OcclusionConfig(box=(4, 4), stride=(4, 4), fill="mean")
-        hm = ax.occlusion_scan(per_clip(lambda v: sigmoid(v.sum())), spec, cfg_mean)
+        hm = ax.occlusion_scan(per_clip(lambda v: sigmoid(v.sum())), spec,
+                               box=(4, 4), stride=(4, 4), fill="mean")
         assert hm.boxes[0][4] == 0.0  # mean fill of a constant input is a no-op
 
     def test_box_larger_than_input_rejected(self):
         with pytest.raises(InputError):
             ax.occlusion_scan(per_clip(lambda v: 0.5), np.zeros((8, 8)),
-                              ax.OcclusionConfig(box=(200, 50), stride=(100, 25)))
+                              box=(200, 50), stride=(100, 25))
 
 
-def naive_occlusion_scan(model, values, cfg):
+def naive_occlusion_scan(model, values, box, stride):
     """Per-box oracle: one single-clip forward for the input and one for
     each occluded copy. Returns (base_prob, boxes)."""
     H, W = values.shape
-    bh, bw = cfg.box
-    sh, sw = cfg.stride
+    bh, bw = box
+    sh, sw = stride
     base = tr.forward(values, model).prob_spoof
     boxes = []
     for r0 in range(0, H - bh + 1, sh):
@@ -159,19 +164,19 @@ def toy_model():
 
 
 class TestBatchedOcclusion:
-    @pytest.mark.parametrize("box", [None, (1, 1)], ids=["default_grid", "1x1_stride_1"])
-    def test_matches_per_box_forward_loop(self, toy_model, box):
+    @pytest.mark.parametrize("box,stride", [(None, None), ((1, 1), (1, 1))],
+                             ids=["default_grid", "1x1_stride_1"])
+    def test_matches_per_box_forward_loop(self, toy_model, box, stride):
         model, spec = toy_model
-        cfg = ax.OcclusionConfig(box=box, stride=(1, 1)) if box \
-            else ax.default_occlusion_config(spec.shape)
         sizes = []
 
         def predict_fn(stack):
             sizes.append(len(stack))
             return tr.predict_proba(model, stack)
 
-        hm = ax.occlusion_scan(predict_fn, spec, cfg)
-        base, boxes = naive_occlusion_scan(model, spec, cfg)
+        hm = ax.occlusion_scan(predict_fn, spec, box, stride)
+        # the default grid of a 32x16 input: a quarter of each side, half that
+        base, boxes = naive_occlusion_scan(model, spec, box or (8, 4), stride or (4, 2))
         assert sum(sizes) == len(boxes) + 1
         assert max(sizes) <= ax.OCCLUSION_CHUNK
         if box:
@@ -287,17 +292,17 @@ def spans(n, width=20.0):
 class TestClsTimeline:
     def rmap(self, importance):
         imp = np.asarray(importance, dtype=np.float64)
-        return ax.RolloutMap(np.eye(len(imp) + 1), imp, spans(len(imp)))
+        return ax.RolloutMap(np.eye(len(imp) + 1), imp)
 
     def test_uniform_importance_no_salient_region(self):
-        tl = ax.cls_timeline(self.rmap(np.full(10, 0.1)))
+        tl = ax.cls_timeline(self.rmap(np.full(10, 0.1)), spans(10))
         assert tl.no_salient_region
         assert tl.segments == []
 
     def test_single_hot_token(self):
         imp = np.zeros(10)
         imp[4] = 1.0
-        tl = ax.cls_timeline(self.rmap(imp))
+        tl = ax.cls_timeline(self.rmap(imp), spans(10))
         assert tl.segments == [(80.0, 100.0, 1.0)]
         assert not tl.no_salient_region
 
@@ -306,7 +311,7 @@ class TestClsTimeline:
         imp = np.full(20, 0.01)
         imp[3] = 0.45
         imp[4] = 0.47
-        tl = ax.cls_timeline(self.rmap(imp))
+        tl = ax.cls_timeline(self.rmap(imp), spans(20))
         assert len(tl.segments) == 1
         start, end, mass = tl.segments[0]
         assert (start, end) == (60.0, 100.0)
@@ -316,15 +321,15 @@ class TestClsTimeline:
         imp = np.full(20, 0.01)
         imp[1] = 0.4
         imp[7] = 0.52
-        tl = ax.cls_timeline(self.rmap(imp))
+        tl = ax.cls_timeline(self.rmap(imp), spans(20))
         assert len(tl.segments) == 2
         assert tl.segments[0][:2] == (20.0, 40.0)
         assert tl.segments[1][:2] == (140.0, 160.0)
 
     def test_missing_spans_rejected(self):
-        rmap = ax.RolloutMap(np.eye(4), np.full(3, 1 / 3), [])
+        rmap = ax.RolloutMap(np.eye(4), np.full(3, 1 / 3))
         with pytest.raises(InputError):
-            ax.cls_timeline(rmap)
+            ax.cls_timeline(rmap, [])
 
 
 class TestRenderHeatmap:

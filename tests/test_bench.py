@@ -44,6 +44,15 @@ class TestManifest:
         with pytest.raises(InputError, match=r"m\.csv:2.*fake"):
             bench.load_manifest(p)
 
+    def test_line_number_counts_file_lines_past_a_quoted_newline(self, tmp_path):
+        # the second record spans file lines 2-3, so the bad row is on line 4
+        write_clip(tmp_path / "a\nb.wav")
+        p = tmp_path / "m.csv"
+        p.write_text('path,label,attack,split\n"a\nb.wav",spoof,-,train\n'
+                     "c.wav,fake,-,train\n")
+        with pytest.raises(InputError, match=r"m\.csv:4: label must be .*'fake'"):
+            bench.load_manifest(p)
+
     def test_bad_split_rejected(self, tmp_path):
         write_clip(tmp_path / "a.wav")
         p = write_manifest_csv(tmp_path / "m.csv", [("a.wav", "spoof", "-", "test")])
@@ -236,15 +245,15 @@ class TestAugmentCodec:
             e2 = self.band_energy(twice, dsp.SAMPLE_RATE, lo, hi)
             assert abs(10 * np.log10(e2 / e1)) <= 1.0
 
-    def test_fine_quantization_reconstructs(self):
+    def test_fine_quantization_reconstructs(self, monkeypatch):
         # in-band tones and a step far below their level: the periodic-Hann
         # overlap-add divided by the summed win**2 must give the input back
         n = 8000
         t = np.arange(n) / dsp.SAMPLE_RATE
         x = np.hanning(n) * (0.4 * np.sin(2 * np.pi * 300 * t)
                              + 0.3 * np.sin(2 * np.pi * 1234 * t))
-        out = bench.augment_codec(AudioBuffer(x, dsp.SAMPLE_RATE),
-                                  quant_levels=2 ** 30)
+        monkeypatch.setattr(bench, "CODEC_QUANT_LEVELS", 2 ** 30)
+        out = bench.augment_codec(AudioBuffer(x, dsp.SAMPLE_RATE))
         assert np.abs(out.samples - x).max() <= 1e-6
 
     def test_length_and_rate_preserved(self):
@@ -274,10 +283,10 @@ class TestAugmentRerecord:
         (4001, 0.0), (6000, 0.0),
     ], ids=["1.6s", "odd", "even", "shorter_than_h", "one_sample",
             "rt60_0_odd", "rt60_0_even"])
-    def test_matches_direct_convolution(self, n, rt60_s):
+    def test_matches_direct_convolution(self, monkeypatch, n, rt60_s):
+        monkeypatch.setattr(bench, "RERECORD_RT60_S", rt60_s)
         x = 0.3 * np.random.default_rng(n).standard_normal(n)
-        out = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE), seed=5,
-                                     rt60_s=rt60_s, snr_db=None)
+        out = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE), seed=5, snr_db=None)
         h = bench.room_impulse_response(dsp.SAMPLE_RATE, rt60_s, 0.3,
                                         np.random.default_rng(5))
         assert h.size == (1 if rt60_s == 0 else 4001)
@@ -286,11 +295,11 @@ class TestAugmentRerecord:
         np.testing.assert_allclose(out.samples, expected, rtol=0,
                                    atol=1e-12 * np.abs(h).max())
 
-    def test_degenerate_parameters_identity(self):
+    def test_degenerate_parameters_identity(self, monkeypatch):
+        monkeypatch.setattr(bench, "RERECORD_RT60_S", 0.0)
         rng = np.random.default_rng(8)
         x = 0.3 * rng.standard_normal(4000)
-        out = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE),
-                                     seed=0, rt60_s=0.0, snr_db=None)
+        out = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE), seed=0, snr_db=None)
         assert np.allclose(out.samples, x, atol=1e-6)
 
     def test_seed_determinism(self):
@@ -300,11 +309,11 @@ class TestAugmentRerecord:
         b = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE), seed=17)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_snr_roughly_honored(self):
+    def test_snr_roughly_honored(self, monkeypatch):
+        monkeypatch.setattr(bench, "RERECORD_RT60_S", 0.0)
         rng = np.random.default_rng(10)
         x = 0.3 * np.sin(2 * np.pi * 440 * np.arange(16000) / 16000)
-        out = bench.augment_rerecord(AudioBuffer(x, 16000), seed=0,
-                                     rt60_s=0.0, snr_db=20.0)
+        out = bench.augment_rerecord(AudioBuffer(x, 16000), seed=0, snr_db=20.0)
         noise = out.samples - x
         measured = 10 * np.log10((x ** 2).mean() / (noise ** 2).mean())
         assert measured == pytest.approx(20.0, abs=1.0)
@@ -341,8 +350,11 @@ class TestBalancedIndices:
 @pytest.fixture(scope="module")
 def small_corpora(tmp_path_factory):
     root = tmp_path_factory.mktemp("corpora")
-    a, b = bench.make_generalization_corpora(
-        root / "gen", seed=0, n_train=6, n_eval=5, n_eval_b=5)
+    with pytest.MonkeyPatch.context() as mp:  # 6 train, 5 eval, 5 domain-B eval clips per class
+        mp.setattr(bench, "GENERALIZATION_TRAIN", 6)
+        mp.setattr(bench, "GENERALIZATION_EVAL", 5)
+        mp.setattr(bench, "GENERALIZATION_EVAL_B", 5)
+        a, b = bench.make_generalization_corpora(root / "gen", seed=0)
     aug = bench.make_augmentation_corpus(root / "aug", seed=0,
                                          n_train=6, n_eval=6)
     return a, b, aug

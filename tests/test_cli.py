@@ -289,6 +289,18 @@ class TestExplain:
         assert rc == 1
         assert "larger than input" in capsys.readouterr().err
 
+    def test_box_without_stride_exit_2_on_a_valid_model(self, trained_artifacts,
+                                                        tmp_path, capsys):
+        # occlusion_scan would take half the box; the CLI asks for both flags
+        out = tmp_path / "out"
+        rc = cli.main(["explain", "occlusion",
+                       "--model", trained_artifacts["transformer"],
+                       "--wav", trained_artifacts["wav"],
+                       "--out", str(out), "--box", "16", "4"])
+        assert rc == 2
+        assert "--box requires --stride" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_occlusion_on_gbdt_model_exit_2(self, trained_artifacts, tmp_path,
                                             capsys):
         rc = cli.main(["explain", "occlusion",
@@ -389,9 +401,8 @@ class TestParserReuse:
         assert cli.main(argv) == 0
         doc = json.loads((tmp_path / "out" / "occlusion.json").read_text())
         cold = cli.build_parser.__wrapped__().parse_args(argv)
-        cfg = attn_explain.default_occlusion_config(cli._transformer_and_spec(cold)[1].shape)
-        assert (doc["box"], doc["stride"], doc["fill"]) == (
-            list(cfg.box), list(cfg.stride), cfg.fill)
+        # the default grid of the 128x16 log-Mel: a quarter of each side, half that
+        assert (doc["box"], doc["stride"], doc["fill"]) == ([32, 4], [16, 2], "zero")
         assert doc["meta"]["config_hash"] == cli.config_hash(cold)
         assert vars(parsed(argv)) == vars(cold)
 
@@ -399,8 +410,11 @@ class TestParserReuse:
 @pytest.fixture(scope="module")
 def corpora(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_bench")
-    bench.make_generalization_corpora(
-        root / "gen", seed=0, n_train=6, n_eval=5, n_eval_b=5)
+    with pytest.MonkeyPatch.context() as mp:  # 6 train, 5 eval, 5 domain-B eval clips per class
+        mp.setattr(bench, "GENERALIZATION_TRAIN", 6)
+        mp.setattr(bench, "GENERALIZATION_EVAL", 5)
+        mp.setattr(bench, "GENERALIZATION_EVAL_B", 5)
+        bench.make_generalization_corpora(root / "gen", seed=0)
     bench.make_augmentation_corpus(root / "aug", seed=0, n_train=6, n_eval=6)
     gen_root = str(root / "gen")
     return {"train": os.path.join(gen_root, "domain_a.csv"),

@@ -99,6 +99,11 @@ def naive_fit_tree(X, residuals, probs, config):
     return tree
 
 
+def fit_tree(X, residuals, probs, config):
+    """The tree `gbdt.fit_tree` grows on a fresh presort of X."""
+    return gbdt.fit_tree(X, residuals, probs, config, gbdt._presort(X))[0]
+
+
 def node_lists(tree):
     return tree.feature, tree.threshold, tree.left, tree.right, tree.value
 
@@ -145,7 +150,7 @@ class TestFitTree:
         r = np.array([-0.5, -0.5, 0.5, 0.5])
         p = np.array([0.5, 0.5, 0.5, 0.5])
         cfg = gbdt.GbdtConfig(n_estimators=1, max_depth=1)
-        tree = gbdt.fit_tree(X, r, p, cfg)
+        tree = fit_tree(X, r, p, cfg)
         assert tree.feature[0] == 0
         # hand Newton step: sum(r)/sum(p(1-p)) = -1.0 / 0.5 = -2 left, +2 right
         assert walk_tree(tree, [-1.5]) == pytest.approx(-2.0)
@@ -155,7 +160,7 @@ class TestFitTree:
         X = np.arange(10, dtype=float).reshape(-1, 1)
         r = np.full(10, 0.3)
         p = np.full(10, 0.7)
-        tree = gbdt.fit_tree(X, r, p, gbdt.GbdtConfig(n_estimators=1, max_depth=3))
+        tree = fit_tree(X, r, p, gbdt.GbdtConfig(n_estimators=1, max_depth=3))
         assert len(tree.feature) == 1 and tree.feature[0] == -1
         # c / (p(1-p)) per sample summed: 10*0.3 / (10*0.21)
         assert tree.value[0] == pytest.approx(0.3 / 0.21)
@@ -164,7 +169,7 @@ class TestFitTree:
         X = np.arange(4, dtype=float).reshape(-1, 1)
         r = np.full(4, 0.999)
         p = np.full(4, 0.999)  # tiny hessian -> huge raw step
-        tree = gbdt.fit_tree(X, r, p, gbdt.GbdtConfig(n_estimators=1, max_depth=2))
+        tree = fit_tree(X, r, p, gbdt.GbdtConfig(n_estimators=1, max_depth=2))
         assert tree.value[0] == 4.0
 
 
@@ -181,7 +186,7 @@ class TestPresortedSplitSearch:
         r = y - p
         for depth in range(1, 7):
             cfg = gbdt.GbdtConfig(1, depth, 0.1)
-            assert node_lists(gbdt.fit_tree(X, r, p, cfg)) \
+            assert node_lists(fit_tree(X, r, p, cfg)) \
                 == node_lists(naive_fit_tree(X, r, p, cfg))
 
     @pytest.mark.parametrize("column,r,splits", [
@@ -198,7 +203,7 @@ class TestPresortedSplitSearch:
         r = np.array(r)
         p = np.full(r.size, 0.5)
         cfg = gbdt.GbdtConfig(1, 3)
-        tree = gbdt.fit_tree(X, r, p, cfg)
+        tree = fit_tree(X, r, p, cfg)
         assert node_lists(tree) == node_lists(naive_fit_tree(X, r, p, cfg))
         assert sum(f >= 0 for f in tree.feature) == splits
         # every leaf holds at least one training row
@@ -213,7 +218,7 @@ class TestPresortedSplitSearch:
         p = np.full(200, 0.3)
         for depth in (2, 6):
             cfg = gbdt.GbdtConfig(1, depth)
-            assert node_lists(gbdt.fit_tree(X, r, p, cfg)) \
+            assert node_lists(fit_tree(X, r, p, cfg)) \
                 == node_lists(naive_fit_tree(X, r, p, cfg))
 
     def test_trained_ensemble_matches_per_node_argsort(self):
@@ -263,12 +268,27 @@ class TestPresortedSplitSearch:
         scores = np.full(y.size, model.f0)
         for tree in model.trees:
             p = gbdt.sigmoid(scores)
-            fresh = gbdt.fit_tree(X, gbdt.pseudo_residuals(y, p), p, cfg)
+            fresh = fit_tree(X, gbdt.pseudo_residuals(y, p), p, cfg)
             assert node_lists(tree) == node_lists(fresh)
             scores = scores + cfg.learning_rate * tree_values(fresh, X)
 
 
 class TestTrain:
+    def test_each_round_is_one_fit_tree_call(self, monkeypatch):
+        X, y = blobs(40, seed=6, d=3)
+        cfg = gbdt.GbdtConfig(7, 3, 0.3)
+        plain = gbdt.to_json(gbdt.train(X, y, cfg))
+        calls = []
+        unwrapped = gbdt.fit_tree
+
+        def counted(*args):
+            calls.append(args)
+            return unwrapped(*args)
+
+        monkeypatch.setattr(gbdt, "fit_tree", counted)
+        assert gbdt.to_json(gbdt.train(X, y, cfg)) == plain
+        assert len(calls) == 7
+
     def test_separable_blobs_high_accuracy(self):
         X, y = blobs(100)
         model = gbdt.train(X, y, gbdt.GbdtConfig(100, 3, 0.1))

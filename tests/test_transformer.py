@@ -504,11 +504,11 @@ class TestTraining:
     def test_single_class_rejected(self):
         data = [(s, 1) for s, _ in toy_dataset(6)]
         with pytest.raises(InputError):
-            tr.train_toy(data, toy_config())
+            tr.train_toy(data, toy_config(), tr.TrainConfig())
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InputError):
-            tr.train_toy([], toy_config())
+            tr.train_toy([], toy_config(), tr.TrainConfig())
 
     def test_predict_proba_shape_and_range(self):
         data = toy_dataset(10)

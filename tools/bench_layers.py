@@ -262,9 +262,12 @@ def run_explain(sk):
             lambda m: sha(sk.transformer.to_json(m).encode()))
         spec = sk.dsp.mel_spectrogram(sk.bench.fit_clip_length(
             sk.dsp.load_audio(wav), sk.bench.DEFAULT_CLIP_S))
-        cfg = sk.attn_explain.default_occlusion_config(spec.shape)
+        # sources up to 1723fa0 take the default grid as an OcclusionConfig;
+        # later ones scale the same grid to the input themselves
+        grid = getattr(sk.attn_explain, "default_occlusion_config", None)
+        grid = (grid(spec.shape),) if grid else ()
         yield Case("occlusion_scan_128x16", lambda: sk.attn_explain.occlusion_scan(
-            lambda stack: sk.transformer.predict_proba(model, stack), spec, cfg),
+            lambda stack: sk.transformer.predict_proba(model, stack), spec, *grid),
             lambda h: sha(np.array([h.base_prob] + [b[4] for b in h.boxes]).tobytes()),
             lambda h: {"boxes": len(h.boxes)})
         # explain_rollout's argv relative to `root`: the same strings on both sides
