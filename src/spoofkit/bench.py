@@ -526,7 +526,7 @@ def run_augmentation_study(manifest: DatasetManifest, augmentations,
         return _study(detectors, train_entries, [(eval_entries, ids)],
                       seed, duration_s, augmentations[i])
 
-    reports = [r for rows in _fork_map(condition, len(augmentations)) for r in rows]
+    reports = [r for rows in fork_map(condition, len(augmentations)) for r in rows]
     return reports, augmentation_markdown(reports)
 
 
@@ -569,7 +569,7 @@ def one_blas_thread():
         set_(before)
 
 
-_task = None  # the function a forked worker of `_fork_map` runs
+_task = None  # the function a forked worker of `fork_map` runs
 
 
 def _set_task(task):
@@ -581,18 +581,21 @@ def _run_task(i):
     return _task(i)
 
 
-def _fork_map(task, n):
+def fork_map(task, n):
     """[task(i) for i in range(n)] under `one_blas_thread`, computed by
     forked workers, one per CPU this process may use (`taskset` limits them),
     or in this process when one worker would do, where the platform cannot
-    fork, or where BLAS cannot be held to one thread.
+    fork, or where BLAS cannot be held to one thread. Each i is one task, so
+    tasks of unequal cost balance across the workers. Its callers: the
+    augmentation study (one task per condition) and `spoofkit extract` (one
+    per manifest clip).
 
     Workers are forked, not spawned: under fork the initializer's arguments
     are inherited, not pickled, so `task` may be a closure, and spawn would
     leave multiprocessing's resource tracker running. An error raised in a
     worker is raised here; a worker that dies is a SpoofkitError. No worker
     outlives the call."""
-    import multiprocessing  # with concurrent.futures, only when a study runs
+    import multiprocessing  # with concurrent.futures, only when a command maps
 
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
     jobs = min(n, len(cpus))
@@ -607,7 +610,7 @@ def _fork_map(task, n):
         try:
             return list(pool.map(_run_task, range(n)))
         except BrokenProcessPool as exc:
-            raise SpoofkitError(f"a study worker process died: {exc}") from None
+            raise SpoofkitError(f"a worker process died: {exc}") from None
         finally:
             pool.shutdown(cancel_futures=True)
 

@@ -165,18 +165,19 @@ def _read_rows(path):
 def cmd_extract(args) -> int:
     if args.duration:
         _require_duration(args, "gbdt", bench.gbdt_detector(bench.STUDY_GBDT).min_samples)
-    manifest = bench.load_manifest(require_file(args.manifest))
-    rows, labels = [], []
-    for entry in manifest.entries:
-        audio = dsp.load_audio(entry.path)  # its errors name the file
+    entries = bench.load_manifest(require_file(args.manifest)).entries
+
+    def features(i):  # one clip's row, in a worker when there are CPUs to spare
+        audio = dsp.load_audio(entries[i].path)  # its errors name the file
         if args.duration:
             audio = bench.fit_clip_length(audio, args.duration)
         try:
-            rows.append(dsp.extract_features(audio, trim=args.trim).values)
+            return dsp.extract_features(audio, trim=args.trim).values
         except InputError as exc:
-            raise InputError(f"{entry.path}: {exc}") from None
-        labels.append(entry.label)
-    write_features_csv(args.out_csv, rows, labels, args)
+            raise InputError(f"{entries[i].path}: {exc}") from None
+
+    rows = bench.fork_map(features, len(entries))
+    write_features_csv(args.out_csv, rows, [e.label for e in entries], args)
     print(f"wrote {len(rows)} feature rows to {args.out_csv}")
     return EXIT_OK
 

@@ -524,7 +524,97 @@ class TestForkedStudyErrors:
 
         monkeypatch.setattr(bench, "_study", killed)
         assert self.augment(manifest, tmp_path / "out", 2, monkeypatch) == 1
-        assert one_error_line(capsys).startswith("error: a study worker process died")
+        assert one_error_line(capsys).startswith("error: a worker process died")
+
+
+class TestForkedExtract:
+    """`extract` computes its rows in forked workers, one clip per task, when
+    it may use more than one CPU; the CSV and every error are those of the
+    in-process run, and no process outlives the call."""
+
+    @pytest.fixture
+    def clips(self, tmp_path):
+        rng = np.random.default_rng(6)
+        paths = []
+        for k, duration in enumerate((1.6, 2.9, 3.6)):
+            path = str(tmp_path / f"{k}.wav")
+            dsp.write_wav(path, bench.synth_clip(rng, duration, 0.3, 0.05,
+                                                 [(440.0, 0.4), (6500.0, 0.5)], []))
+            paths.append(path)
+        return paths
+
+    def extract(self, tmp_path, paths, cpus, monkeypatch, flags=()):
+        manifest = str(tmp_path / "m.csv")
+        bench.write_manifest(manifest, [bench.ManifestEntry(p, k % 2, "-", "train")
+                                        for k, p in enumerate(paths)])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        rc = cli.main(["extract", "--manifest", manifest,
+                       "--out-csv", str(tmp_path / "f.csv"), *flags])
+        assert not multiprocessing.active_children()
+        return rc
+
+    @pytest.mark.parametrize("flags", [[], ["--trim"], ["--duration", "1.0"]],
+                             ids=["plain", "trim", "duration"])
+    def test_csv_bytes_do_not_follow_the_cpu_count(self, clips, tmp_path, monkeypatch,
+                                                   flags):
+        out, written = tmp_path / "f.csv", {}
+        for cpus in (2, 1):
+            assert self.extract(tmp_path, clips, cpus, monkeypatch, flags) == 0
+            written[cpus] = out.read_bytes()
+            out.unlink()
+        assert written[2] == written[1]
+        assert len(written[2].splitlines()) == 2 + len(clips)
+
+    def test_workers_compute_the_rows(self, clips, tmp_path, monkeypatch):
+        pids, extract_features = tmp_path / "pids", dsp.extract_features
+
+        def probe(*args, **kwargs):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return extract_features(*args, **kwargs)
+
+        monkeypatch.setattr(dsp, "extract_features", probe)
+        assert self.extract(tmp_path, clips, 2, monkeypatch) == 0
+        seen = pids.read_text().split()
+        assert len(seen) == len(clips)
+        assert str(os.getpid()) not in seen
+
+    def test_first_sub_frame_clip_named_as_in_process(self, clips, tmp_path, monkeypatch,
+                                                      capsys):
+        short = []
+        for k in range(2):
+            short.append(str(tmp_path / f"short_{k}.wav"))
+            dsp.write_wav(short[-1], AudioBuffer(0.1 * np.ones(100), dsp.SAMPLE_RATE))
+        # the 4th and 7th of seven entries
+        paths = [*clips, short[0], clips[0], clips[1], short[1]]
+        for cpus in (2, 1):
+            assert self.extract(tmp_path, paths, cpus, monkeypatch) == 1
+            assert one_error_line(capsys) == \
+                f"error: {short[0]}: audio shorter than one frame"
+            assert not (tmp_path / "f.csv").exists()
+
+    def test_unreadable_wav_line_as_in_process(self, clips, tmp_path, monkeypatch, capsys):
+        wav = tmp_path / "float32.wav"
+        wav.write_bytes(float32_wav_bytes())
+        lines = []
+        for cpus in (2, 1):
+            assert self.extract(tmp_path, [*clips, str(wav)], cpus, monkeypatch) == 1
+            lines.append(one_error_line(capsys))
+            assert not (tmp_path / "f.csv").exists()
+        assert lines[0] == lines[1]
+        assert lines[0].count(str(wav)) == 1
+
+    def test_worker_killed_exit_1_one_line(self, clips, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def killed(*args, **kwargs):
+            assert os.getpid() != parent, "the clip ran in the test process"
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(dsp, "extract_features", killed)
+        assert self.extract(tmp_path, clips, 2, monkeypatch) == 1
+        assert one_error_line(capsys).startswith("error: a worker process died")
+        assert not (tmp_path / "f.csv").exists()
 
 
 def one_error_line(capsys):
