@@ -44,8 +44,6 @@ def test_interleaved_same_source(sides):
     assert len(entry["ratios"]) == 3
     assert entry["ratio_median"] == sorted(entry["ratios"])[1]
     assert 0 <= entry["change_faster"] <= 3
-    low, high = entry["ratio_ci95"]
-    assert min(entry["ratios"]) <= low <= entry["ratio_median"] <= high <= max(entry["ratios"])
     assert entry["parent_peak_bytes"] > 0 and entry["change_peak_bytes"] > 0
 
 
@@ -64,23 +62,3 @@ def test_calls_alternate_which_side_goes_first():
     bench_layers.record({"parent": case("p"), "change": case("c")}, repeats=4)
     # one untimed call each, then parent first in even rounds, change in odd
     assert "".join(calls) == "pc" + "pc" "cp" "pc" "cp"
-
-
-def timed_rounds(speedup, rounds=20, seed=0):
-    """Per-round change/parent ratios of a synthetic case: each side's time is
-    10 ms with 5% log-normal noise, and the change takes `speedup` of it."""
-    rng = np.random.default_rng(seed)
-    parent, change = 0.01 * np.exp(0.05 * rng.standard_normal((2, rounds)))
-    return list(speedup * change / parent)
-
-
-def test_ratio_interval_holds_1_for_equal_sides():
-    ratios = timed_rounds(1.0)
-    low, high = bench_layers.ratio_ci95(ratios)
-    assert low < 1 < high
-    assert bench_layers.ratio_ci95(ratios) == [low, high]  # seeded
-
-
-def test_ratio_interval_below_1_for_a_change_10_percent_faster():
-    low, high = bench_layers.ratio_ci95(timed_rounds(0.9))
-    assert low < high < 1

@@ -8,10 +8,7 @@ inputs:
            one `explain rollout` call, with a transformer trained here;
            every call after the first loads the same unchanged model file
   dsp      MFCC, chroma, spectral scalars, log-Mel and the 37-dim feature
-           vector of 1.6, 2.6 and 3.6 s clips, and one `extract` call on a
-           manifest of EXTRACT_CLIPS clips of each of those lengths; where a
-           source extracts in forked workers, tracemalloc sees only this
-           process, so that case records no peak
+           vector of 1.6, 2.6 and 3.6 s clips
   augment  the codec and rerecord simulators on the same clips, and the
            three-condition augmentation study (gbdt, and the transformer at
            STUDY_STEPS steps) on a small corpus; where a source runs the
@@ -39,11 +36,8 @@ the tracemalloc peak of one more call; a startup case, whose call is a fresh
 interpreter importing the source's package, records the median of its peak
 resident set (VmHWM, Linux) instead. With two sources, those fields are
 prefixed `parent_` or `change_`, and the case adds every round's
-change/parent time ratio, their median, the count of rounds in which the
-change was faster and `ratio_ci95`, a seeded percentile-bootstrap 95%
-interval of that median: a case shows a gain only when the interval lies
-below 1, a loss only when it lies above 1, and no change when it holds 1.
-The entry for `--label` (with the machine, Python, numpy
+change/parent time ratio, their median and the count of rounds in which the
+change was faster. The entry for `--label` (with the machine, Python, numpy
 and, where installed, scipy versions) is merged into `--out`,
 BENCH_<topic>.json by default, keeping other labels.
 """
@@ -78,11 +72,9 @@ STEPS = 50  # training steps; the timings do not depend on how well it fits
 CUE_HZ = 6500.0  # spoof cue: a sustained tone
 DSP_CLIP_S = (1.6, 2.6, 3.6)
 DSP_STAGES = ("mfcc", "chroma", "spectral_scalars", "mel_spectrogram", "extract_features")
-EXTRACT_CLIPS = 4  # manifest clips of each DSP_CLIP_S length in the extract_manifest case
 STUDY_CLIPS = 8  # augmentation-study clips per class in each split
 STUDY_STEPS = 20  # transformer training steps in the augmentation study
 WARMUP_S = 3.0  # the first ~1 s of calls in a fresh process run several times slower
-BOOTSTRAP = 2000  # resamples of a case's ratios behind its ratio_ci95
 
 TRANSFORMER_BATCH = 120  # clips, as a study trains on
 TRANSFORMER_COLUMNS = {9: 16, 41: 80, 81: 160}  # tokens -> columns of a 128-band input
@@ -126,15 +118,6 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def ratio_ci95(ratios, seed=0) -> list:
-    """[low, high]: the seeded percentile-bootstrap 95% interval of the
-    median of `ratios`, from BOOTSTRAP resamples of them with replacement."""
-    ratios = np.asarray(ratios, dtype=float)
-    picks = np.random.default_rng(seed).integers(0, ratios.size, (BOOTSTRAP, ratios.size))
-    low, high = np.percentile(np.median(ratios[picks], axis=1), [2.5, 97.5])
-    return [float(low), float(high)]
-
-
 def record(sides: dict, repeats: int):
     """Time one case on each side of `sides` ({"change": Case}, or
     {"parent": Case, "change": Case}) as the module doc says. Returns the
@@ -166,10 +149,8 @@ def record(sides: dict, repeats: int):
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
     entry = {f"{side}_{key}": value for side in order for key, value in fields[side].items()}
     entry.update(ratios=ratios, ratio_median=statistics.median(ratios),
-                 change_faster=sum(x < 1 for x in ratios), ratio_ci95=ratio_ci95(ratios))
-    low, high = entry["ratio_ci95"]
-    print(f"{line}, change faster in {entry['change_faster']} of {repeats}, "
-          f"ratio 95% interval {low:.3f}-{high:.3f}", file=sys.stderr)
+                 change_faster=sum(x < 1 for x in ratios))
+    print(f"{line}, change faster in {entry['change_faster']} of {repeats}", file=sys.stderr)
     return entry, results
 
 
@@ -317,19 +298,6 @@ def run_dsp(sk):
             # sources up to 342cf1e a MelSpectrogram; both hold .values
             yield Case(f"{stage}_{duration}s", lambda: fn(clip),
                        lambda out: sha(getattr(out, "values", out).tobytes()))
-    with tempfile.TemporaryDirectory() as root:
-        entries = []
-        for k in range(EXTRACT_CLIPS):
-            for duration, clip in dsp_clips(sk):
-                path = os.path.join(root, f"{k}_{duration}s.wav")
-                sk.dsp.write_wav(path, clip)
-                entries.append(sk.bench.ManifestEntry(path, k % 2, "-", "train"))
-        manifest, out = os.path.join(root, "clips.csv"), os.path.join(root, "extract")
-        sk.bench.write_manifest(manifest, entries)
-        os.makedirs(out)
-        yield Case("extract_manifest", lambda: cli(sk, [
-            "extract", "--manifest", manifest, "--out-csv", os.path.join(out, "features.csv")]),
-            lambda _: files_digest(out), peak=False)
 
 
 def run_augment(sk):
