@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import dsp, gbdt, transformer
-from .dsp import AudioBuffer
 from .errors import InputError, SpoofkitError
 
 LABELS = ("bonafide", "spoof")  # encoded 0 / 1; spoof is the positive class
@@ -209,11 +208,9 @@ def evaluate(labels, probs, model_id: str = "", dataset_id: str = "",
 # ---------------------------------------------------------------------------
 # Augmentation simulators
 
-def augment_codec(audio: AudioBuffer) -> AudioBuffer:
+def augment_codec(x: np.ndarray) -> np.ndarray:
     """Lossy-compression simulation: STFT low-pass at the scaled reference
     cutoff plus coarse magnitude quantization, resynthesized by overlap-add."""
-    x = audio.samples
-    sr = audio.sample_rate
     hop = 256
     n_fft = 2 * hop  # half overlap: each output block sums two frame halves
     win = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(n_fft) / n_fft)  # periodic Hann
@@ -222,8 +219,8 @@ def augment_codec(audio: AudioBuffer) -> AudioBuffer:
     xp = np.r_[np.zeros(n_fft), x, np.zeros(n_fft)]
     spec = np.fft.rfft(dsp.frames_at(xp, np.arange(0, xp.size, hop), n_fft) * win,
                        axis=1)
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sr)
-    cutoff = CODEC_CUTOFF_REF_HZ * sr / CODEC_REF_RATE
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / dsp.SAMPLE_RATE)
+    cutoff = CODEC_CUTOFF_REF_HZ * dsp.SAMPLE_RATE / CODEC_REF_RATE
     spec[:, freqs > cutoff] = 0.0
     mag = np.abs(spec)
     peak = mag.max()
@@ -240,28 +237,26 @@ def augment_codec(audio: AudioBuffer) -> AudioBuffer:
     den[:-1] += win[:hop] ** 2
     den[1:] += win[hop:] ** 2
     out = np.divide(out, den, out=np.zeros_like(out), where=den > 1e-8).ravel()
-    return AudioBuffer(out[n_fft: n_fft + len(x)], sr)
+    return out[n_fft: n_fft + len(x)]
 
 
-def room_impulse_response(sample_rate: int, rt60_s: float, tail_gain: float,
-                          rng) -> np.ndarray:
-    """Direct path plus an exponentially decaying noise tail; rt60_s = 0
-    degenerates to a pure delta."""
+def room_impulse_response(rt60_s: float, tail_gain: float, rng) -> np.ndarray:
+    """Direct path plus an exponentially decaying noise tail at SAMPLE_RATE;
+    rt60_s = 0 degenerates to a pure delta."""
     if rt60_s <= 0:
         return np.array([1.0])
-    n = max(1, int(round(rt60_s * sample_rate)))
-    t = np.arange(1, n + 1) / sample_rate
+    n = max(1, int(round(rt60_s * dsp.SAMPLE_RATE)))
+    t = np.arange(1, n + 1) / dsp.SAMPLE_RATE
     tail = tail_gain * rng.standard_normal(n) * np.exp(-6.908 * t / rt60_s)
     return np.r_[1.0, tail]
 
 
-def augment_rerecord(audio: AudioBuffer, seed: int = 0,
-                     snr_db: float | None = 25.0) -> AudioBuffer:
+def augment_rerecord(x: np.ndarray, seed: int = 0,
+                     snr_db: float | None = 25.0) -> np.ndarray:
     """Playback-and-rerecord simulation: synthetic room reverberation plus
     additive noise at the configured SNR. Deterministic given the seed."""
     rng = np.random.default_rng(seed)
-    h = room_impulse_response(audio.sample_rate, RERECORD_RT60_S, RERECORD_TAIL_GAIN, rng)
-    x = audio.samples
+    h = room_impulse_response(RERECORD_RT60_S, RERECORD_TAIL_GAIN, rng)
     # FFT convolution; n >= x.size + h.size - 1 keeps it linear, not circular
     n = 1 << (x.size + h.size - 2).bit_length()
     out = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(h, n), n)[: x.size]
@@ -270,7 +265,7 @@ def augment_rerecord(audio: AudioBuffer, seed: int = 0,
         if sig_power > 0:
             noise_power = sig_power / (10.0 ** (snr_db / 10.0))
             out = out + np.sqrt(noise_power) * rng.standard_normal(out.size)
-    return AudioBuffer(out, audio.sample_rate)
+    return out
 
 
 AUGMENTATIONS = {
@@ -284,25 +279,24 @@ AUGMENTATIONS = {
 # Synthetic corpora
 
 def synth_clip(rng, duration_s: float, gain: float, noise_level: float,
-               tones, bursts) -> AudioBuffer:
+               tones, bursts) -> np.ndarray:
     """Noise floor + sustained tones + time-localized tone bursts at
     SAMPLE_RATE, all scaled by `gain`. Amplitudes in `tones`/`bursts` are
     relative to the gain."""
-    sample_rate = dsp.SAMPLE_RATE
-    n = int(round(duration_s * sample_rate))
-    t = np.arange(n) / sample_rate
+    n = int(round(duration_s * dsp.SAMPLE_RATE))
+    t = np.arange(n) / dsp.SAMPLE_RATE
     x = noise_level * rng.standard_normal(n)
     for freq, amp in tones:
         x += amp * np.sin(2 * np.pi * freq * t + rng.uniform(0, 2 * np.pi))
     for freq, amp, start_s, dur_s in bursts:
-        i0 = int(round(start_s * sample_rate))
-        i1 = min(n, i0 + int(round(dur_s * sample_rate)))
+        i0 = int(round(start_s * dsp.SAMPLE_RATE))
+        i1 = min(n, i0 + int(round(dur_s * dsp.SAMPLE_RATE)))
         x[i0:i1] += amp * np.sin(2 * np.pi * freq * t[i0:i1])
     x = gain * x
     peak = np.abs(x).max()
     if peak > 0.99:
         x = x * (0.99 / peak)
-    return AudioBuffer(x, sample_rate)
+    return x
 
 
 def _random_voice_tones(rng):
@@ -341,9 +335,7 @@ def make_generalization_corpora(root, seed: int = 0,
                         bursts = [(burst_freq, 0.6, start, 0.4)]
                     clip = synth_clip(rng, duration_s, gain, 0.05,
                                       _random_voice_tones(rng), bursts)
-                    clip = AudioBuffer(
-                        clip.samples + noise_level * rng.standard_normal(clip.samples.size),
-                        clip.sample_rate)
+                    clip = clip + noise_level * rng.standard_normal(clip.size)
                     wav = f"{split}_{LABELS[label]}_{k:03d}.wav"
                     dsp.write_wav(os.path.join(ddir, wav), clip)
                     # manifest paths are relative to the manifest's directory
@@ -404,10 +396,10 @@ Detector = namedtuple("Detector", "front train predict_proba min_samples")
 def gbdt_detector(cfg: gbdt.GbdtConfig) -> Detector:
     """Boosted trees on the 37-feature vector; a clip needs one MFCC frame."""
     return Detector(
-        lambda audio: dsp.extract_features(audio).values,
+        dsp.extract_features,
         lambda X, y: gbdt.train(np.stack(X), y, cfg, dsp.FEATURE_NAMES),
         lambda model, X: gbdt.predict_proba(model, np.stack(X)),
-        dsp.frame_length(dsp.FRAME_MS, dsp.SAMPLE_RATE))
+        dsp.frame_length(dsp.FRAME_MS))
 
 
 def transformer_detector(cfg: transformer.TransformerConfig,
@@ -419,17 +411,15 @@ def transformer_detector(cfg: transformer.TransformerConfig,
             list(zip(specs, labels)),
             replace(cfg, input_shape=specs[0].shape), train_cfg)
     return Detector(dsp.mel_spectrogram, train, transformer.predict_proba,
-                    dsp.samples_for_frames(cfg.geometry.patch_w, dsp.MEL_SPEC_HOP_MS,
-                                           dsp.SAMPLE_RATE))
+                    dsp.samples_for_frames(cfg.geometry.patch_w, dsp.MEL_SPEC_HOP_MS))
 
 
-def fit_clip_length(audio: AudioBuffer, duration_s: float) -> AudioBuffer:
+def fit_clip_length(x: np.ndarray, duration_s: float) -> np.ndarray:
     """Pad with zeros or truncate to exactly `duration_s`."""
-    n = int(round(duration_s * audio.sample_rate))
-    x = audio.samples
+    n = int(round(duration_s * dsp.SAMPLE_RATE))
     if x.size >= n:
-        return AudioBuffer(x[:n], audio.sample_rate)
-    return AudioBuffer(np.r_[x, np.zeros(n - x.size)], audio.sample_rate)
+        return x[:n]
+    return np.r_[x, np.zeros(n - x.size)]
 
 
 def balanced_indices(labels, n_per_class: int, rng) -> np.ndarray:

@@ -172,7 +172,7 @@ def cmd_extract(args) -> int:
         if args.duration:
             audio = bench.fit_clip_length(audio, args.duration)
         try:
-            return dsp.extract_features(audio, trim=args.trim).values
+            return dsp.extract_features(audio, trim=args.trim)
         except InputError as exc:
             raise InputError(f"{entries[i].path}: {exc}") from None
 

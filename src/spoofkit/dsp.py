@@ -1,14 +1,14 @@
 """Signal-processing front end: framing, spectra, MFCC/chroma/spectral
 scalars, the 37-dim averaged feature vector, and log-Mel spectrograms.
 
-All functions are pure and deterministic; audio is represented as float64
-samples in [-1, 1] at a known sample rate.
+All functions are pure and deterministic. A clip is a 1-D float64 array of
+samples in [-1, 1] at SAMPLE_RATE: `load_audio` resamples every file to it,
+so a file's own rate exists only between `read_wav` and `resample`.
 """
 
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InputError
 
 SAMPLE_RATE = 16000
+MIN_SAMPLE_RATE = 8000  # lowest WAV rate read; no corpus named in README is below it
 N_FFT = 512
 FRAME_MS = 20.0
 HOP_MS = 10.0
@@ -44,39 +45,13 @@ FEATURE_NAMES = (
 N_FEATURES = len(FEATURE_NAMES)  # 37
 
 
-@dataclass
-class AudioBuffer:
-    samples: np.ndarray
-    sample_rate: int
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.samples.ndim != 1 or self.samples.size == 0:
-            raise InputError("audio must be a non-empty 1-D sample array")
-        if not np.all(np.isfinite(self.samples)):
-            raise InputError("audio contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise InputError("sample_rate must be positive")
-
-
-@dataclass
-class FeatureVector:
-    values: np.ndarray  # length 37, FEATURE_NAMES order
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (N_FEATURES,):
-            raise InputError(f"feature vector must have {N_FEATURES} entries")
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("feature vector contains non-finite values")
-
-
 # ---------------------------------------------------------------------------
 # Audio I/O
 
-def read_wav(path) -> AudioBuffer:
-    """Read a 16-bit PCM WAV file; stereo is downmixed by channel averaging.
-    An unreadable, empty or non-PCM file is an InputError naming the path."""
+def read_wav(path):
+    """Read a 16-bit PCM WAV file as (samples, sample rate); stereo is
+    downmixed by channel averaging. An unreadable, non-PCM or sample-less
+    file, or one below MIN_SAMPLE_RATE, is an InputError naming the path."""
     try:
         with wave.open(str(path), "rb") as wf:
             n_ch = wf.getnchannels()
@@ -93,35 +68,36 @@ def read_wav(path) -> AudioBuffer:
     data = np.frombuffer(raw, dtype="<i2", count=count).astype(np.float64) / 32768.0
     if n_ch > 1:
         data = data.reshape(-1, n_ch).mean(axis=1)
-    try:
-        return AudioBuffer(data, sr)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    if data.size == 0:
+        raise InputError(f"{path}: audio must be a non-empty 1-D sample array")
+    # near 0 Hz, `resample` would allocate gigabytes
+    if sr < MIN_SAMPLE_RATE:
+        raise InputError(f"{path}: sample rate {sr} Hz is below {MIN_SAMPLE_RATE} Hz")
+    return data, sr
 
 
-def write_wav(path, audio: AudioBuffer) -> None:
-    """Write mono 16-bit PCM WAV."""
-    pcm = np.clip(np.round(audio.samples * 32767.0), -32768, 32767).astype("<i2")
+def write_wav(path, x: np.ndarray) -> None:
+    """Write a clip as mono 16-bit PCM WAV at SAMPLE_RATE."""
+    pcm = np.clip(np.round(x * 32767.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(audio.sample_rate)
+        wf.setframerate(SAMPLE_RATE)
         wf.writeframes(pcm.tobytes())
 
 
-def resample(audio: AudioBuffer) -> AudioBuffer:
-    """Linear-interpolation resampling to SAMPLE_RATE."""
-    if audio.sample_rate == SAMPLE_RATE:
-        return audio
-    n_out = max(1, int(round(audio.samples.size * SAMPLE_RATE / audio.sample_rate)))
-    t_out = np.arange(n_out) * (audio.sample_rate / SAMPLE_RATE)
-    out = np.interp(t_out, np.arange(audio.samples.size), audio.samples)
-    return AudioBuffer(out, SAMPLE_RATE)
+def resample(samples: np.ndarray, rate: int) -> np.ndarray:
+    """Linear-interpolation resampling from `rate` Hz to SAMPLE_RATE."""
+    if rate == SAMPLE_RATE:
+        return samples
+    n_out = max(1, int(round(samples.size * SAMPLE_RATE / rate)))
+    t_out = np.arange(n_out) * (rate / SAMPLE_RATE)
+    return np.interp(t_out, np.arange(samples.size), samples)
 
 
-def load_audio(path) -> AudioBuffer:
-    """Read a WAV and normalize to mono at the toolkit rate."""
-    return resample(read_wav(path))
+def load_audio(path) -> np.ndarray:
+    """Read a WAV as a clip: mono at SAMPLE_RATE."""
+    return resample(*read_wav(path))
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +108,8 @@ def frames_at(x: np.ndarray, starts, frame_len: int) -> np.ndarray:
     past the end of `x` read as zeros. Returns (len(starts), frame_len): a
     read-only strided view when the starts are evenly spaced at most
     `frame_len` apart, else a copy. (A view keeps the whole zero-padded clip
-    alive, which for frames with gaps between them is more than they read.)"""
+    alive, which for frames with gaps between them, as the log-Mel's 25 ms
+    frames at a 100 ms hop, is more than they read.)"""
     starts = np.asarray(starts)
     padded = np.zeros(max(x.size, int(starts[-1]) + frame_len))
     padded[: x.size] = x
@@ -143,34 +120,28 @@ def frames_at(x: np.ndarray, starts, frame_len: int) -> np.ndarray:
     return windows[starts]
 
 
-def frame_length(frame_ms: float, sample_rate: int) -> int:
+def frame_length(frame_ms: float) -> int:
     """Samples in a frame of `frame_ms` milliseconds."""
-    return int(round(frame_ms * sample_rate / 1000.0))
+    return int(round(frame_ms * SAMPLE_RATE / 1000.0))
 
 
-def samples_for_frames(n_frames: int, hop_ms: float, sample_rate: int) -> int:
+def samples_for_frames(n_frames: int, hop_ms: float) -> int:
     """Fewest samples from which `frame` cuts `n_frames` frames: frame
-    n_frames - 1 must start inside the audio."""
-    return int(np.floor((n_frames - 1) * hop_ms * sample_rate / 1000.0)) + 1
+    n_frames - 1 must start inside the clip."""
+    return int(np.floor((n_frames - 1) * hop_ms * SAMPLE_RATE / 1000.0)) + 1
 
 
-def frame(audio: AudioBuffer, frame_ms: float, hop_ms: float) -> np.ndarray:
-    """Slice audio into (n_frames, frame_len) frames; frame i starts at
-    floor(i * hop_ms * sr / 1000), for every start inside the audio.
+def frame(x: np.ndarray, frame_ms: float, hop_ms: float) -> np.ndarray:
+    """Slice a clip into (n_frames, frame_len) frames, one every
+    frame_length(hop_ms) samples (160 at the 10 ms hop, 1600 at 100 ms) for
+    every start inside the clip.
 
     The trailing partial frames are zero-padded to the full frame length.
     """
     if frame_ms <= 0 or hop_ms <= 0:
         raise InputError("frame_ms and hop_ms must be positive")
-    sr = audio.sample_rate
-    frame_len = frame_length(frame_ms, sr)
-    if frame_len < 1:
-        raise InputError("frame shorter than one sample")
-    n = audio.samples.size
-    # two spare indices absorb rounding in the bound; starts >= n are dropped
-    i = np.arange(int(np.ceil(n / (hop_ms * sr / 1000.0))) + 2)
-    starts = np.floor(i * hop_ms * sr / 1000.0).astype(np.intp)
-    return frames_at(audio.samples, starts[starts < n], frame_len)
+    starts = np.arange(0, x.size, frame_length(hop_ms))
+    return frames_at(x, starts, frame_length(frame_ms))
 
 
 def power_spectrum(frame_samples: np.ndarray, n_fft: int) -> np.ndarray:
@@ -186,29 +157,23 @@ def power_spectrum(frame_samples: np.ndarray, n_fft: int) -> np.ndarray:
     return np.abs(spec) ** 2
 
 
-def _frame_power(audio: AudioBuffer, frame_ms, hop_ms, n_fft, pre_emphasis: float | None = None):
-    """Shared helper: (frames, power matrix, FFT size) for the analysis grid.
+def _frame_power(x: np.ndarray, frame_ms, hop_ms, n_fft, pre_emphasis: float | None = None):
+    """Shared helper: (frames, power matrix) for the analysis grid.
 
-    The FFT size is n_fft, or the next power of two at or above a longer
-    frame, so that every windowed sample reaches the spectrum; the caller's
-    filterbank must be built for it. The power matrix is filled
-    STFT_BLOCK // size frames at a time, so the windowed frames and their
-    complex spectrum exist for one block only. A row depends on its own frame
-    alone, so the matrix is bit for bit the one a single FFT over all frames
-    gives."""
-    x = audio.samples
+    The power matrix is filled STFT_BLOCK // n_fft frames at a time, so the
+    windowed frames and their complex spectrum exist for one block only. A
+    row depends on its own frame alone, so the matrix is bit for bit the one
+    a single FFT over all frames gives."""
     if pre_emphasis:
         x = np.append(x[0], x[1:] - pre_emphasis * x[:-1])
-        audio = AudioBuffer(x, audio.sample_rate)
-    frames = frame(audio, frame_ms, hop_ms)
-    n_fft = max(n_fft, 1 << (frames.shape[1] - 1).bit_length())
+    frames = frame(x, frame_ms, hop_ms)
     win = np.hanning(frames.shape[1])
     power = np.empty((len(frames), n_fft // 2 + 1))
     step = max(1, STFT_BLOCK // n_fft)
     for i in range(0, len(frames), step):
         block = frames[i: i + step] * win
         power[i: i + step] = power_spectrum(block, n_fft)
-    return frames, power, n_fft
+    return frames, power
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +188,12 @@ def mel_to_hz(m):
 
 
 @lru_cache(maxsize=None)
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int):
+def mel_filterbank(n_mels: int, n_fft: int):
     """Triangular HTK-style Mel filters from 0 Hz to Nyquist: a read-only
     (n_mels, n_fft//2+1) array, shared between calls with equal arguments."""
-    mel_pts = np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2)
+    mel_pts = np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2.0), n_mels + 2)
     hz_pts = mel_to_hz(mel_pts)
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / SAMPLE_RATE)
     fb = np.zeros((n_mels, freqs.size))
     for m in range(n_mels):
         lo, ctr, hi = hz_pts[m], hz_pts[m + 1], hz_pts[m + 2]
@@ -251,13 +216,13 @@ def _dct_matrix(n: int, n_keep: int) -> np.ndarray:
     return basis
 
 
-def mfcc(audio: AudioBuffer) -> np.ndarray:
+def mfcc(x: np.ndarray) -> np.ndarray:
     """Per-frame MFCCs: pre-emphasis -> frame -> Hann -> FFT power -> Mel ->
     log -> orthonormal DCT-II. Returns (n_frames, N_MFCC)."""
-    if audio.samples.size < frame_length(FRAME_MS, audio.sample_rate):
+    if x.size < frame_length(FRAME_MS):
         raise InputError("audio shorter than one frame")
-    _, power, n_fft = _frame_power(audio, FRAME_MS, HOP_MS, N_FFT, PRE_EMPHASIS)
-    mel_energy = power @ mel_filterbank(N_MELS, n_fft, audio.sample_rate).T
+    _, power = _frame_power(x, FRAME_MS, HOP_MS, N_FFT, PRE_EMPHASIS)
+    mel_energy = power @ mel_filterbank(N_MELS, N_FFT).T
     log_mel = np.log(np.maximum(mel_energy, LOG_FLOOR))
     return log_mel @ _dct_matrix(N_MELS, N_MFCC)
 
@@ -265,13 +230,13 @@ def mfcc(audio: AudioBuffer) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Spectral scalars and chroma
 
-def spectral_scalars(audio: AudioBuffer) -> np.ndarray:
+def spectral_scalars(x: np.ndarray) -> np.ndarray:
     """Per-frame (centroid, bandwidth, rolloff, zcr, rms); shape (n_frames, 5).
 
     Silent frames get centroid = bandwidth = rolloff = 0 so averages stay finite.
     """
-    frames, power, n_fft = _frame_power(audio, FRAME_MS, HOP_MS, N_FFT)
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / audio.sample_rate)
+    frames, power = _frame_power(x, FRAME_MS, HOP_MS, N_FFT)
+    freqs = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
     mag = np.sqrt(power)
     mag_sum = mag.sum(axis=1)
     live = mag_sum > 0
@@ -298,10 +263,10 @@ def spectral_scalars(audio: AudioBuffer) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _chroma_fold(n_fft: int, sample_rate: int, fmin: float) -> np.ndarray:
+def _chroma_fold(n_fft: int, fmin: float) -> np.ndarray:
     """Read-only (n_fft//2+1, 12) 0/1 matrix sending each bin at or above
     fmin to its pitch class (A440 reference, A -> class 9)."""
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate)
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / SAMPLE_RATE)
     usable = np.flatnonzero(freqs >= fmin)
     classes = (np.round(12.0 * np.log2(freqs[usable] / 440.0)).astype(int) + 9) % 12
     fold = np.zeros((freqs.size, N_CHROMA))
@@ -310,7 +275,7 @@ def _chroma_fold(n_fft: int, sample_rate: int, fmin: float) -> np.ndarray:
     return fold
 
 
-def chroma(audio: AudioBuffer) -> np.ndarray:
+def chroma(x: np.ndarray) -> np.ndarray:
     """Per-frame 12-bin pitch-class profile (A440 reference, A -> class 9).
 
     Bin energies above the low-frequency cutoff are folded onto pitch
@@ -319,10 +284,8 @@ def chroma(audio: AudioBuffer) -> np.ndarray:
     needs better than 26 Hz frequency resolution; the hop matches the other
     per-frame features.
     """
-    if audio.sample_rate < 8000:
-        raise InputError("chroma requires sample_rate >= 8000")
-    _, power, n_fft = _frame_power(audio, CHROMA_WIN_MS, HOP_MS, CHROMA_N_FFT)
-    out = power @ _chroma_fold(n_fft, audio.sample_rate, CHROMA_FMIN_HZ)
+    _, power = _frame_power(x, CHROMA_WIN_MS, HOP_MS, CHROMA_N_FFT)
+    out = power @ _chroma_fold(CHROMA_N_FFT, CHROMA_FMIN_HZ)
     norms = np.linalg.norm(out, axis=1, keepdims=True)
     nz = norms[:, 0] > 0
     out[nz] /= norms[nz]
@@ -332,33 +295,32 @@ def chroma(audio: AudioBuffer) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Aggregate features and Mel spectrogram
 
-def trim_silence(audio: AudioBuffer) -> AudioBuffer:
+def trim_silence(x: np.ndarray) -> np.ndarray:
     """Strip leading/trailing samples below TRIM_DB relative to peak.
     All-silent input is returned unchanged."""
-    x = audio.samples
     peak = np.abs(x).max()
     if peak == 0:
-        return audio
+        return x
     live = np.where(np.abs(x) > peak * 10.0 ** (TRIM_DB / 20.0))[0]
     if live.size == 0:
-        return audio
-    return AudioBuffer(x[live[0]: live[-1] + 1], audio.sample_rate)
+        return x
+    return x[live[0]: live[-1] + 1]
 
 
-def extract_features(audio: AudioBuffer, trim: bool = False) -> FeatureVector:
+def extract_features(x: np.ndarray, trim: bool = False) -> np.ndarray:
     """Frame-averaged 37-dim feature vector in FEATURE_NAMES order."""
     if trim:
-        audio = trim_silence(audio)
-    m = mfcc(audio).mean(axis=0)
-    c = chroma(audio).mean(axis=0)
-    s = spectral_scalars(audio).mean(axis=0)
-    return FeatureVector(np.concatenate([m, c, s]))
+        x = trim_silence(x)
+    m = mfcc(x).mean(axis=0)
+    c = chroma(x).mean(axis=0)
+    s = spectral_scalars(x).mean(axis=0)
+    return np.concatenate([m, c, s])
 
 
-def mel_spectrogram(audio: AudioBuffer) -> np.ndarray:
+def mel_spectrogram(x: np.ndarray) -> np.ndarray:
     """Log-Mel time-frequency matrix, a column-major float64
     (MEL_SPEC_BANDS, T) array at the MEL_SPEC_HOP_MS hop: a t-second clip
     yields T = ceil(10 t) columns."""
-    _, power, n_fft = _frame_power(audio, MEL_SPEC_WIN_MS, MEL_SPEC_HOP_MS, N_FFT)
-    mel_energy = power @ mel_filterbank(MEL_SPEC_BANDS, n_fft, audio.sample_rate).T
+    _, power = _frame_power(x, MEL_SPEC_WIN_MS, MEL_SPEC_HOP_MS, N_FFT)
+    mel_energy = power @ mel_filterbank(MEL_SPEC_BANDS, N_FFT).T
     return np.log(np.maximum(mel_energy, LOG_FLOOR)).T

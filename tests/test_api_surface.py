@@ -126,3 +126,26 @@ def test_every_exception_class_has_a_caller_that_tells_it_apart():
     classes = [node.name for node in parse(PACKAGE / "errors.py").body
                if isinstance(node, ast.ClassDef)]
     assert classes and [name for name in classes if name not in told_apart] == []
+
+
+RATE_FREE_EXEMPT = {"dsp.read_wav", "dsp.resample"}  # where a file's own rate exists
+
+
+def test_one_sample_rate_past_read_wav_and_resample():
+    """A clip is an array at dsp.SAMPLE_RATE: no function of the package
+    other than the two that meet a file's own rate takes a `sample_rate`
+    parameter or reads a `.sample_rate` attribute."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = f"{path.stem}.{getattr(node, 'name', '<lambda>')}"
+            if name in RATE_FREE_EXEMPT:
+                continue
+            a = node.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            reads = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if "sample_rate" in params | reads:
+                found.append(name)
+    assert found == []

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from spoofkit import bench, cli, dsp, gbdt, transformer
-from spoofkit.dsp import AudioBuffer
 from spoofkit.errors import InputError
 
 
 def write_clip(path, seed=0, duration_s=0.2):
     rng = np.random.default_rng(seed)
     n = int(duration_s * dsp.SAMPLE_RATE)
-    dsp.write_wav(path, AudioBuffer(0.1 * rng.standard_normal(n), dsp.SAMPLE_RATE))
+    dsp.write_wav(path, 0.1 * rng.standard_normal(n))
     return str(path)
 
 
@@ -212,10 +211,10 @@ class TestRoc:
 
 class TestAugmentCodec:
     def test_silence_preserved(self):
-        audio = AudioBuffer(np.zeros(8000), dsp.SAMPLE_RATE)
+        audio = np.zeros(8000)
         out = bench.augment_codec(audio)
-        assert out.samples.size == 8000
-        assert np.allclose(out.samples, 0.0)
+        assert out.size == 8000
+        assert np.allclose(out, 0.0)
 
     def band_energy(self, x, sr, lo, hi):
         spec = np.abs(np.fft.rfft(x)) ** 2
@@ -225,19 +224,18 @@ class TestAugmentCodec:
     def test_white_noise_band_limited(self):
         rng = np.random.default_rng(5)
         x = 0.2 * rng.standard_normal(dsp.SAMPLE_RATE)
-        audio = AudioBuffer(x, dsp.SAMPLE_RATE)
-        out = bench.augment_codec(audio)
+        out = bench.augment_codec(x)
         cutoff = bench.CODEC_CUTOFF_REF_HZ * dsp.SAMPLE_RATE / bench.CODEC_REF_RATE
         hi_in = self.band_energy(x, dsp.SAMPLE_RATE, cutoff * 1.05, dsp.SAMPLE_RATE / 2)
-        hi_out = self.band_energy(out.samples, dsp.SAMPLE_RATE,
+        hi_out = self.band_energy(out, dsp.SAMPLE_RATE,
                                   cutoff * 1.05, dsp.SAMPLE_RATE / 2)
         assert 10 * np.log10(hi_in / max(hi_out, 1e-30)) >= 20.0
 
     def test_double_pass_idempotent_per_band(self):
         rng = np.random.default_rng(6)
         x = 0.2 * rng.standard_normal(dsp.SAMPLE_RATE)
-        once = bench.augment_codec(AudioBuffer(x, dsp.SAMPLE_RATE)).samples
-        twice = bench.augment_codec(AudioBuffer(once, dsp.SAMPLE_RATE)).samples
+        once = bench.augment_codec(x)
+        twice = bench.augment_codec(once)
         cutoff = bench.CODEC_CUTOFF_REF_HZ * dsp.SAMPLE_RATE / bench.CODEC_REF_RATE
         edges = np.linspace(50.0, cutoff * 0.9, 9)
         for lo, hi in zip(edges[:-1], edges[1:]):
@@ -253,30 +251,26 @@ class TestAugmentCodec:
         x = np.hanning(n) * (0.4 * np.sin(2 * np.pi * 300 * t)
                              + 0.3 * np.sin(2 * np.pi * 1234 * t))
         monkeypatch.setattr(bench, "CODEC_QUANT_LEVELS", 2 ** 30)
-        out = bench.augment_codec(AudioBuffer(x, dsp.SAMPLE_RATE))
-        assert np.abs(out.samples - x).max() <= 1e-6
+        out = bench.augment_codec(x)
+        assert np.abs(out - x).max() <= 1e-6
 
-    def test_length_and_rate_preserved(self):
+    def test_length_preserved(self):
         rng = np.random.default_rng(7)
-        audio = AudioBuffer(0.1 * rng.standard_normal(7001), dsp.SAMPLE_RATE)
-        out = bench.augment_codec(audio)
-        assert out.samples.size == 7001
-        assert out.sample_rate == dsp.SAMPLE_RATE
+        out = bench.augment_codec(0.1 * rng.standard_normal(7001))
+        assert out.size == 7001
 
 
 class TestAugmentRerecord:
     def test_impulse_yields_impulse_response(self):
         delta = np.zeros(6000)
         delta[0] = 1.0
-        out = bench.augment_rerecord(AudioBuffer(delta, dsp.SAMPLE_RATE),
-                                     seed=3, snr_db=None)
-        h = bench.room_impulse_response(dsp.SAMPLE_RATE, 0.25, 0.3,
-                                        np.random.default_rng(3))
+        out = bench.augment_rerecord(delta, seed=3, snr_db=None)
+        h = bench.room_impulse_response(0.25, 0.3, np.random.default_rng(3))
         expected = np.zeros(6000)
         expected[: h.size] = h
         # FFT rounding: measured max error 1.1e-16
-        assert out.samples.size == 6000
-        np.testing.assert_allclose(out.samples, expected, rtol=0, atol=1e-15)
+        assert out.size == 6000
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("n,rt60_s", [
         (25600, 0.25), (7001, 0.25), (4000, 0.25), (999, 0.25), (1, 0.25),
@@ -286,40 +280,39 @@ class TestAugmentRerecord:
     def test_matches_direct_convolution(self, monkeypatch, n, rt60_s):
         monkeypatch.setattr(bench, "RERECORD_RT60_S", rt60_s)
         x = 0.3 * np.random.default_rng(n).standard_normal(n)
-        out = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE), seed=5, snr_db=None)
-        h = bench.room_impulse_response(dsp.SAMPLE_RATE, rt60_s, 0.3,
-                                        np.random.default_rng(5))
+        out = bench.augment_rerecord(x, seed=5, snr_db=None)
+        h = bench.room_impulse_response(rt60_s, 0.3, np.random.default_rng(5))
         assert h.size == (1 if rt60_s == 0 else 4001)
         # the naive oracle: direct summation, cut to the clip length
         expected = np.convolve(x, h)[: x.size]
-        np.testing.assert_allclose(out.samples, expected, rtol=0,
+        np.testing.assert_allclose(out, expected, rtol=0,
                                    atol=1e-12 * np.abs(h).max())
 
     def test_degenerate_parameters_identity(self, monkeypatch):
         monkeypatch.setattr(bench, "RERECORD_RT60_S", 0.0)
         rng = np.random.default_rng(8)
         x = 0.3 * rng.standard_normal(4000)
-        out = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE), seed=0, snr_db=None)
-        assert np.allclose(out.samples, x, atol=1e-6)
+        out = bench.augment_rerecord(x, seed=0, snr_db=None)
+        assert np.allclose(out, x, atol=1e-6)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(9)
         x = 0.3 * rng.standard_normal(4000)
-        a = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE), seed=17)
-        b = bench.augment_rerecord(AudioBuffer(x, dsp.SAMPLE_RATE), seed=17)
-        assert np.array_equal(a.samples, b.samples)
+        a = bench.augment_rerecord(x, seed=17)
+        b = bench.augment_rerecord(x, seed=17)
+        assert np.array_equal(a, b)
 
     def test_snr_roughly_honored(self, monkeypatch):
         monkeypatch.setattr(bench, "RERECORD_RT60_S", 0.0)
         rng = np.random.default_rng(10)
         x = 0.3 * np.sin(2 * np.pi * 440 * np.arange(16000) / 16000)
-        out = bench.augment_rerecord(AudioBuffer(x, 16000), seed=0, snr_db=20.0)
-        noise = out.samples - x
+        out = bench.augment_rerecord(x, seed=0, snr_db=20.0)
+        noise = out - x
         measured = 10 * np.log10((x ** 2).mean() / (noise ** 2).mean())
         assert measured == pytest.approx(20.0, abs=1.0)
 
     def test_rt60_zero_pure_delta(self):
-        h = bench.room_impulse_response(16000, 0.0, 0.3, np.random.default_rng(0))
+        h = bench.room_impulse_response(0.0, 0.3, np.random.default_rng(0))
         assert np.array_equal(h, np.array([1.0]))
 
 
@@ -373,7 +366,7 @@ def rms_threshold():
         return (rms[labels == 0].mean() + rms[labels == 1].mean()) / 2
 
     return bench.Detector(
-        lambda audio: float(np.sqrt(np.mean(audio.samples ** 2))), train,
+        lambda audio: float(np.sqrt(np.mean(audio ** 2))), train,
         lambda cut, rms: 1.0 / (1.0 + np.exp(-1000.0 * (np.asarray(rms) - cut))), 1)
 
 
@@ -540,9 +533,9 @@ class TestReports:
         assert lines[0].startswith("model,dataset,augmentation")
 
     def test_clip_length_fitting(self):
-        audio = AudioBuffer(np.ones(100), 16000)
+        audio = np.ones(100)
         padded = bench.fit_clip_length(audio, 0.01)  # 160 samples
-        assert padded.samples.size == 160
-        assert np.all(padded.samples[100:] == 0.0)
+        assert padded.size == 160
+        assert np.all(padded[100:] == 0.0)
         truncated = bench.fit_clip_length(audio, 0.005)
-        assert truncated.samples.size == 80
+        assert truncated.size == 80

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import oracles
 from spoofkit import attn_explain, bench, cli, dsp, gbdt, gbdt_explain
 from spoofkit import transformer as tr
-from spoofkit.dsp import AudioBuffer
 from spoofkit.errors import SpoofkitError, UsageError
 
 
@@ -30,7 +29,7 @@ def make_manifest(root, n_per_class=3, duration_s=0.3, seed=0):
             x = 0.02 * rng.standard_normal(n)
             x += 0.3 * np.sin(2 * np.pi * (300 + 400 * label) * t)
             path = os.path.join(root, f"{bench.LABELS[label]}_{k}.wav")
-            dsp.write_wav(path, AudioBuffer(x, dsp.SAMPLE_RATE))
+            dsp.write_wav(path, x)
             entries.append(bench.ManifestEntry(path, label, "-", "train"))
     mpath = os.path.join(root, "manifest.csv")
     bench.write_manifest(mpath, entries)
@@ -106,7 +105,7 @@ class TestExtract:
     def test_clip_shorter_than_one_frame_named_exit_1(self, tmp_path, capsys, samples,
                                                       flags):
         wav = tmp_path / "clip.wav"
-        dsp.write_wav(wav, AudioBuffer(0.1 * samples, dsp.SAMPLE_RATE))
+        dsp.write_wav(wav, 0.1 * samples)
         manifest = str(tmp_path / "m.csv")
         bench.write_manifest(manifest, [bench.ManifestEntry(str(wav), 0, "-", "train")])
         out = tmp_path / "f.csv"
@@ -584,7 +583,7 @@ class TestForkedExtract:
         short = []
         for k in range(2):
             short.append(str(tmp_path / f"short_{k}.wav"))
-            dsp.write_wav(short[-1], AudioBuffer(0.1 * np.ones(100), dsp.SAMPLE_RATE))
+            dsp.write_wav(short[-1], 0.1 * np.ones(100))
         # the 4th and 7th of seven entries
         paths = [*clips, short[0], clips[0], clips[1], short[1]]
         for cpus in (2, 1):
@@ -631,6 +630,14 @@ def float32_wav_bytes(n=160):
     return struct.pack("<4sI", b"RIFF", len(body)) + body
 
 
+def pcm_wav_bytes(rate, n=3):
+    """A mono 16-bit PCM WAV of n samples whose header gives `rate` Hz."""
+    data = struct.pack(f"<{n}h", *range(n))
+    fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, 1, 1, rate, 2 * rate, 2, 16)
+    body = b"WAVE" + fmt + struct.pack("<4sI", b"data", len(data)) + data
+    return struct.pack("<4sI", b"RIFF", len(body)) + body
+
+
 FEATURE_HEADER = ",".join(list(dsp.FEATURE_NAMES) + ["label"])
 FEATURE_ROW = ",".join(["0.5"] * dsp.N_FEATURES)
 
@@ -647,6 +654,20 @@ class TestHostileInput:
                        "--out-csv", str(tmp_path / "f.csv")])
         assert rc == 1
         assert one_error_line(capsys).count(str(wav)) == 1  # read_wav names it
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("rate", [0, 1])
+    def test_low_rate_wav_exit_1(self, tmp_path, capsys, rate):
+        # at 1 Hz, resampling a 200 KB file would ask for 1.6e9 samples
+        wav = tmp_path / "clip.wav"
+        wav.write_bytes(pcm_wav_bytes(rate))
+        manifest = str(tmp_path / "m.csv")
+        bench.write_manifest(manifest, [bench.ManifestEntry(str(wav), 0, "-", "train")])
+        rc = cli.main(["extract", "--manifest", manifest,
+                       "--out-csv", str(tmp_path / "f.csv")])
+        assert rc == 1
+        assert one_error_line(capsys) == \
+            f"error: {wav}: sample rate {rate} Hz is below {dsp.MIN_SAMPLE_RATE} Hz"
         assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("body,line", [
@@ -1223,10 +1244,10 @@ class TestFuzz:
             body = struct.pack("<4sI", b"RIFF", len(chunks)) + chunks
         path.write_bytes(body)
         try:
-            audio = dsp.read_wav(path)
+            samples, rate = dsp.read_wav(path)
         except SpoofkitError:
             return
-        assert audio.samples.ndim == 1
+        assert samples.ndim == 1 and samples.size > 0 and rate >= dsp.MIN_SAMPLE_RATE
 
 
 # The flags each mode reads; any other flag is a usage error.

@@ -12,7 +12,8 @@ inputs:
   augment  the codec and rerecord simulators on the same clips, and the
            three-condition augmentation study (gbdt, and the transformer at
            STUDY_STEPS steps) on a small corpus; where a source runs the
-           conditions in forked workers, tracemalloc sees only this process
+           conditions in forked workers, tracemalloc sees only this process.
+           Both sources must take a clip as a plain sample array
   transformer
            `forward_batch` and one `loss_and_grads` step of the study
            transformer on 120 spectrograms at 9, 41 and 81 tokens, and 50
@@ -262,12 +263,8 @@ def run_explain(sk):
             lambda m: sha(sk.transformer.to_json(m).encode()))
         spec = sk.dsp.mel_spectrogram(sk.bench.fit_clip_length(
             sk.dsp.load_audio(wav), sk.bench.DEFAULT_CLIP_S))
-        # sources up to 1723fa0 take the default grid as an OcclusionConfig;
-        # later ones scale the same grid to the input themselves
-        grid = getattr(sk.attn_explain, "default_occlusion_config", None)
-        grid = (grid(spec.shape),) if grid else ()
         yield Case("occlusion_scan_128x16", lambda: sk.attn_explain.occlusion_scan(
-            lambda stack: sk.transformer.predict_proba(model, stack), spec, *grid),
+            lambda stack: sk.transformer.predict_proba(model, stack), spec),
             lambda h: sha(np.array([h.base_prob] + [b[4] for b in h.boxes]).tobytes()),
             lambda h: {"boxes": len(h.boxes)})
         # explain_rollout's argv relative to `root`: the same strings on both sides
@@ -294,8 +291,8 @@ def run_dsp(sk):
     for duration, clip in dsp_clips(sk):
         for stage in DSP_STAGES:
             fn = getattr(sk.dsp, stage)
-            # extract_features returns a FeatureVector, and mel_spectrogram in
-            # sources up to 342cf1e a MelSpectrogram; both hold .values
+            # extract_features returns a FeatureVector, which holds .values,
+            # in sources that still define one
             yield Case(f"{stage}_{duration}s", lambda: fn(clip),
                        lambda out: sha(getattr(out, "values", out).tobytes()))
 
@@ -307,14 +304,13 @@ def run_augment(sk):
     case's digest covers its reports."""
     for duration, clip in dsp_clips(sk):
         yield Case(f"augment_codec_{duration}s", lambda: sk.bench.augment_codec(clip),
-                   lambda out: sha(out.samples.tobytes()))
-        h = sk.bench.room_impulse_response(clip.sample_rate, 0.25, 0.3,
-                                           np.random.default_rng(0))
-        reverb = sk.bench.augment_rerecord(clip, seed=0, snr_db=None).samples
-        diff = float(np.abs(reverb - np.convolve(clip.samples, h)[: clip.samples.size]).max())
+                   lambda out: sha(out.tobytes()))
+        h = sk.bench.room_impulse_response(0.25, 0.3, np.random.default_rng(0))
+        reverb = sk.bench.augment_rerecord(clip, seed=0, snr_db=None)
+        diff = float(np.abs(reverb - np.convolve(clip, h)[: clip.size]).max())
         yield Case(f"augment_rerecord_{duration}s",
                    lambda: sk.bench.augment_rerecord(clip, seed=0),
-                   lambda out: sha(out.samples.tobytes()),
+                   lambda out: sha(out.tobytes()),
                    lambda _: {"max_abs_diff_vs_direct": diff})
     with tempfile.TemporaryDirectory() as root:
         manifest = sk.bench.make_augmentation_corpus(root, n_train=STUDY_CLIPS,
